@@ -57,12 +57,33 @@ class IdentityReport:
     failures: tuple[tuple[int, RatPoly], ...] = ()
 
 
+@lru_cache(maxsize=None)
+def char_coeffs(n: int) -> tuple[Fraction, ...]:
+    """Coefficient magnitudes f_0, ..., f_nu of the characteristic
+    polynomial, f_j = (n-2j+1)_{4j} / (4^j (2j)!), nu = floor(n/2).
+
+    Built in one pass over the integers from f_0 = 1 and the ratio
+    f_{j+1}/f_j = (n-2j-1)(n-2j)(n+2j+1)(n+2j+2) / (4(2j+1)(2j+2)).
+    Each f_j equals binom(n+2j, 4j) (4j-1)!!, an integer, so every
+    division in the recurrence is exact.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    f = 1
+    coeffs = [Fraction(f)]
+    for j in range(n // 2):
+        f = (f * (n - 2 * j - 1) * (n - 2 * j) * (n + 2 * j + 1) * (n + 2 * j + 2)
+             // (4 * (2 * j + 1) * (2 * j + 2)))
+        coeffs.append(Fraction(f))
+    return tuple(coeffs)
+
+
 def char_coeff(j: int, n: int) -> Fraction:
     """Magnitude of the lambda^(nu-j) coefficient of the characteristic
-    polynomial: (n-2j+1)_{4j} / (4^j (2j)!)."""
+    polynomial: (n-2j+1)_{4j} / (4^j (2j)!), read from char_coeffs(n)."""
     if not 0 <= j <= n // 2:
         raise ValueError(f"need 0 <= j <= floor(n/2), got j={j}, n={n}")
-    return pochhammer(n - 2 * j + 1, 4 * j) / (4**j * factorial(2 * j))
+    return char_coeffs(n)[j]
 
 
 @lru_cache(maxsize=None)
@@ -72,17 +93,19 @@ def char_poly(n: int) -> CharPoly:
     if n < 0:
         raise ValueError("n must be >= 0")
     nu = n // 2
-    coeffs = [Fraction(0)] * (nu + 1)
-    for j in range(nu + 1):
-        coeffs[nu - j] = (-1) ** j * char_coeff(j, n)
-    poly = RatPoly(coeffs)
+    # The coefficient of x^(nu-j) is (-1)^j f_j.
+    signed = [(-1) ** j * f for j, f in enumerate(char_coeffs(n))]
+    poly = RatPoly(reversed(signed))
     assert poly.degree == nu and poly.leading == 1
     return CharPoly(n=n, nu=nu, poly=poly)
 
 
 def char_poly_by_summation(n: int) -> CharPoly:
     """Independent construction of the same polynomial from the direct
-    summation form sum_j (-4)^(j-nu) (2nu-2j+1)_n / (2j-2nu+n)! * x^j."""
+    summation form sum_j (-4)^(j-nu) (2nu-2j+1)_n / (2j-2nu+n)! * x^j.
+
+    It goes through pochhammer and never through char_coeffs, so that it
+    cross-checks the ratio recurrence."""
     if n < 0:
         raise ValueError("n must be >= 0")
     nu = n // 2

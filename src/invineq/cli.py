@@ -2,8 +2,10 @@
 
 Commands: verify, bounds, figure, asymptotics, boundary.  JSON is the
 canonical output (exact values as "p/q" strings); CSV and text are lossy
-projections rendered at the configured precision.  Exit codes: 0 success,
-1 identity/ordering failure, 2 usage error, 3 undecided at precision.
+projections rendered at the configured precision, with enclosure endpoints
+rounded outwards (lower ends down, upper ends up).  Exit codes: 0 success,
+1 identity/ordering failure, 2 usage error, 3 undecided at precision,
+4 internal error (reported as one "error: internal: ..." line on stderr).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 VERIFY_SETS = ("thm31", "corollary", "lemma32", "cauchy", "recurrence",
                "kron", "legendre", "boundary", "charpoly", "all")
@@ -228,8 +231,8 @@ def _bounds_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
         "_csv": {
             "n": n,
             "m": format_decimal(report.m_enclosure.mid, digits),
-            "lambda_lo": format_decimal(report.lam.lo, digits),
-            "lambda_hi": format_decimal(report.lam.hi, digits),
+            "lambda_lo": format_decimal(report.lam.lo, digits, "down"),
+            "lambda_hi": format_decimal(report.lam.hi, digits, "up"),
             "f1": str(report.f1),
             "M": format_decimal(report.upper_enclosure.mid, digits),
             "ok": flags.all_hold,
@@ -440,6 +443,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        parser.exit(EXIT_INTERNAL, f"error: internal: {detail}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,12 +4,17 @@ a rational pi enclosure, and decimal rendering of rationals.
 Everything here is exact.  Irrational values (square roots, cube roots, pi)
 are only ever produced as pairs of rationals that provably bracket them, so
 that downstream comparisons stay machine-checkable.
+
+Rising factorials run over the integers: with a = p/q in lowest terms,
+(a)_n = p (p+q) ... (p+(n-1)q) / q^n, one big-integer product and a single
+normalisation.  Decimal rendering rounds to nearest, or in a fixed direction
+so that printed enclosure endpoints stay enclosures.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 # The scalar of all exact computation.  Fraction is always stored in lowest
 # terms with a positive denominator, and its arithmetic never rounds.
@@ -17,15 +22,16 @@ Rational = Fraction
 
 
 def pochhammer(a: Rational | int, n: int) -> Rational:
-    """Rising factorial a(a+1)...(a+n-1); equals 1 when n == 0."""
+    """Rising factorial a(a+1)...(a+n-1); equals 1 when n == 0.
+
+    With a = p/q this is prod(p + k q, k < n) / q^n, computed over the
+    integers and normalised once.
+    """
     if n < 0:
         raise ValueError(f"pochhammer needs n >= 0, got {n}")
-    result = Fraction(1)
-    term = Fraction(a)
-    for _ in range(n):
-        result *= term
-        term += 1
-    return result
+    a = Fraction(a)
+    p, q = a.numerator, a.denominator
+    return Fraction(prod(range(p, p + n * q, q)), q**n)
 
 
 def icbrt(m: int) -> int:
@@ -122,16 +128,27 @@ def bits_to_digits(bits: int) -> int:
     return max(1, (bits * 30103) // 100000)
 
 
-def format_decimal(x: Rational, digits: int) -> str:
-    """Round x to `digits` decimal places and render as a plain decimal string."""
+def format_decimal(x: Rational, digits: int, rounding: str = "nearest") -> str:
+    """Round x to `digits` decimal places and render as a plain decimal string.
+
+    `rounding` is "nearest" (ties away from zero), "down" (towards -inf) or
+    "up" (towards +inf).  Rendering a lower endpoint down and an upper
+    endpoint up keeps the printed interval an enclosure.
+    """
     if digits < 0:
         raise ValueError("digits must be >= 0")
+    num, den = x.numerator * 10**digits, x.denominator
+    if rounding == "nearest":
+        q, r = divmod(abs(num), den)
+        if 2 * r >= den:
+            q += 1
+    elif rounding == "down":
+        q = abs(num // den)
+    elif rounding == "up":
+        q = abs(-(-num // den))
+    else:
+        raise ValueError(f"unknown rounding {rounding!r}")
     sign = "-" if x < 0 else ""
-    mag = -x if x < 0 else x
-    scaled = mag.numerator * 10**digits
-    q, r = divmod(scaled, mag.denominator)
-    if 2 * r >= mag.denominator:
-        q += 1
     if digits == 0:
         return f"{sign}{q}"
     whole, frac = divmod(q, 10**digits)

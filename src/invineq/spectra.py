@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .charpoly import char_coeff, char_poly
+from .charpoly import char_coeff, char_coeffs, char_poly
 from .exact import Rational, cbrt_bounds, pi_bounds, sqrt_bounds
 from .matrices import build_mass, build_stiffness
 from .polynomial import RatPoly
@@ -91,11 +91,9 @@ def surd_sign_of_poly(poly: RatPoly, surd: QuadraticSurd) -> int:
 def coefficient_dominance_holds(n: int) -> bool:
     """Exact check that (f1/2) * f_j > f_{j+1} for 1 <= j <= nu-1, the
     inequality behind every truncation bound used here."""
-    nu = n // 2
+    f = char_coeffs(n)
     half_f1 = char_coeff(1, n) / 2
-    return all(
-        half_f1 * char_coeff(j, n) > char_coeff(j + 1, n) for j in range(1, nu)
-    )
+    return all(half_f1 * f[j] > f[j + 1] for j in range(1, n // 2))
 
 
 def _coeff_or_zero(j: int, n: int) -> Fraction:

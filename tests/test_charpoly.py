@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
+import invineq.charpoly as charpoly
 from invineq.charpoly import (
     char_coeff,
+    char_coeffs,
     char_poly,
     char_poly_by_summation,
     det_prefactor,
@@ -12,6 +15,7 @@ from invineq.charpoly import (
     verify_inverse_identity,
     verify_recurrence,
 )
+from invineq.exact import pochhammer
 from invineq.polynomial import RatPoly
 
 
@@ -34,6 +38,19 @@ class TestCharCoeff:
             char_coeff(2, 3)
         with pytest.raises(ValueError):
             char_coeff(-1, 3)
+        for n in (0, 1, 7, 40):
+            with pytest.raises(ValueError):
+                char_coeff(n // 2 + 1, n)
+        with pytest.raises(ValueError):
+            char_coeffs(-1)
+
+    def test_recurrence_matches_closed_form(self):
+        for n in range(0, 201):
+            coeffs = char_coeffs(n)
+            assert len(coeffs) == n // 2 + 1
+            for j, f in enumerate(coeffs):
+                assert f == pochhammer(n - 2 * j + 1, 4 * j) / (4**j * factorial(2 * j))
+                assert char_coeff(j, n) == f
 
 
 class TestCharPoly:
@@ -55,6 +72,14 @@ class TestCharPoly:
     def test_two_routes_agree(self):
         for n in range(0, 101):
             assert char_poly(n).poly == char_poly_by_summation(n).poly
+
+    def test_summation_route_is_independent(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("summation route read the closed-form coefficients")
+
+        monkeypatch.setattr(charpoly, "char_coeffs", forbidden)
+        monkeypatch.setattr(charpoly, "char_coeff", forbidden)
+        assert char_poly_by_summation(12).poly.degree == 6
 
     def test_sign_alternation(self):
         for n in range(2, 60):

@@ -6,6 +6,7 @@ import pytest
 import invineq.cli as cli
 from invineq.cli import (
     EXIT_FAILURE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
@@ -15,6 +16,7 @@ from invineq.cli import (
 )
 from invineq.determinants import DetReport
 from invineq.polynomial import RatPoly
+from invineq.roots import RootIsolationError
 
 
 class TestParsing:
@@ -127,6 +129,32 @@ class TestBoundsCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--range", "1..3"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_csv_endpoints_enclose_exact_values(self, capsys):
+        flags = ("bounds", "--range", "8..12", "--bits", "64", "--tol", "1e-30")
+        _, json_out = run_cli(capsys, *flags)
+        _, csv_out = run_cli(capsys, *flags, "--format", "csv")
+        exact = [json.loads(line)["lambda"] for line in json_out.strip().splitlines()]
+        header, *lines = csv_out.strip().splitlines()
+        fields = header.split(",")
+        assert len(lines) == len(exact) == 5
+        for line, lam in zip(lines, exact):
+            row = dict(zip(fields, line.split(",")))
+            assert F(row["lambda_lo"]) <= F(lam["lo"])
+            assert F(row["lambda_hi"]) >= F(lam["hi"])
+            assert F(row["lambda_lo"]) < F(row["lambda_hi"])
+
+    def test_internal_error_exits_4(self, capsys, monkeypatch):
+        def broken(n, tol):
+            raise RootIsolationError(f"no sign change\nat n={n}")
+
+        monkeypatch.setattr(cli, "bound_report", broken)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--range", "2..3"])
+        assert exc.value.code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "error: internal: RootIsolationError: no sign change at n=2\n"
+        assert "Traceback" not in err
 
 
 class TestFigureCommand:

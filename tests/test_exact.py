@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from invineq.exact import (
     bits_to_digits,
@@ -39,6 +39,18 @@ class TestPochhammer:
     @given(rationals, st.integers(0, 8), st.integers(0, 8))
     def test_addition_law(self, a, m, n):
         assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
+
+    @given(st.integers(-60, 60), st.integers(1, 12), st.integers(0, 40))
+    @example(-5, 1, 9)  # crosses zero: a factor vanishes
+    @example(-7, 2, 9)  # crosses zero between -1/2 and 1/2
+    @example(-3, 4, 0)
+    def test_matches_fraction_loop(self, p, q, n):
+        expected = F(1)
+        term = F(p, q)
+        for _ in range(n):
+            expected *= term
+            term += 1
+        assert pochhammer(F(p, q), n) == expected
 
 
 class TestExactness:
@@ -109,6 +121,24 @@ class TestFormatting:
 
     def test_rounding(self):
         assert format_decimal(F(2, 3), 2) == "0.67"
+
+    def test_directed_rounding(self):
+        assert format_decimal(F(2, 3), 2, "down") == "0.66"
+        assert format_decimal(F(1, 3), 2, "up") == "0.34"
+        assert format_decimal(F(-2, 3), 2, "down") == "-0.67"
+        assert format_decimal(F(-2, 3), 2, "up") == "-0.66"
+        assert format_decimal(F(1, 4), 2, "down") == format_decimal(F(1, 4), 2, "up") == "0.25"
+        with pytest.raises(ValueError):
+            format_decimal(F(1, 3), 2, "sideways")
+
+    @given(rationals, st.integers(0, 6))
+    def test_directed_rounding_brackets(self, x, digits):
+        lo = F(format_decimal(x, digits, "down"))
+        hi = F(format_decimal(x, digits, "up"))
+        near = F(format_decimal(x, digits))
+        assert lo <= x <= hi
+        assert hi - lo <= F(1, 10**digits)
+        assert near in (lo, hi)
 
     def test_bits_to_digits(self):
         assert bits_to_digits(128) == 38

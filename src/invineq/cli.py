@@ -3,7 +3,8 @@
 Commands: verify, bounds, figure, asymptotics, boundary.  JSON is the
 canonical output (exact values as "p/q" strings); CSV and text are lossy
 projections rendered at the configured precision, with enclosure endpoints
-rounded outwards (lower ends down, upper ends up).  Exit codes: 0 success,
+rounded outwards (lower ends down, upper ends up) and enclosure midpoints cut
+to the decimals their width supports.  Exit codes: 0 success,
 1 identity/ordering failure, 2 usage error, 3 undecided at precision,
 4 internal error (reported as one "error: internal: ..." line on stderr).
 """
@@ -16,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
+from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .charpoly import (
@@ -34,6 +36,7 @@ from .determinants import (
     verify_thm31,
 )
 from .exact import bits_to_digits, format_decimal
+from .roots import Enclosure
 from .spectra import (
     asymptotic_table,
     bound_report,
@@ -48,8 +51,12 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
-VERIFY_SETS = ("thm31", "corollary", "lemma32", "cauchy", "recurrence",
-               "kron", "legendre", "boundary", "charpoly", "all")
+# Lowest and highest n each identity is checked for.  A single identity
+# rejects a range that leaves its domain; "all" restricts each identity to it.
+VERIFY_DOMAINS = {"thm31": (0, inf), "corollary": (1, inf), "lemma32": (1, inf),
+                  "cauchy": (0, inf), "recurrence": (0, inf), "kron": (1, 6),
+                  "legendre": (0, inf), "boundary": (0, inf), "charpoly": (0, inf)}
+VERIFY_SETS = (*VERIFY_DOMAINS, "all")
 
 KRON_SAMPLES = (Fraction(0), Fraction(1), Fraction(7, 2))
 
@@ -92,7 +99,7 @@ def parse_tolerance(text: str) -> Fraction:
 # -- verify ------------------------------------------------------------------
 
 
-def _rows_for_identity(identity: str, n: int) -> list[dict]:
+def _verify_worker(identity: str, n: int) -> list[dict]:
     rows: list[dict] = []
 
     def from_reports(reports: Iterable[DetReport]) -> None:
@@ -102,8 +109,7 @@ def _rows_for_identity(identity: str, n: int) -> list[dict]:
     if identity == "thm31":
         from_reports(verify_thm31(n))
     elif identity == "corollary":
-        if n >= 1:
-            from_reports([verify_corollary_full(n)])
+        from_reports([verify_corollary_full(n)])
     elif identity == "cauchy":
         from_reports([verify_cauchy(0, n), verify_cauchy(1, n)])
     elif identity == "legendre":
@@ -120,18 +126,17 @@ def _rows_for_identity(identity: str, n: int) -> list[dict]:
             "equal": residual.is_zero(),
         })
     elif identity == "lemma32":
-        if n >= 1:
-            for ell in (0, 1):
-                report = verify_inverse_identity(ell, n)
-                rows.append({
-                    "n": n,
-                    "identity": f"lemma32-parity{ell}",
-                    "equal": report.ok,
-                    "failures": [
-                        {"row": idx, "residual": res.coeff_strings()}
-                        for idx, res in report.failures
-                    ],
-                })
+        for ell in (0, 1):
+            report = verify_inverse_identity(ell, n)
+            rows.append({
+                "n": n,
+                "identity": f"lemma32-parity{ell}",
+                "equal": report.ok,
+                "failures": [
+                    {"row": idx, "residual": res.coeff_strings()}
+                    for idx, res in report.failures
+                ],
+            })
     elif identity == "kron":
         for sample in KRON_SAMPLES:
             rows.append({
@@ -155,52 +160,34 @@ def _rows_for_identity(identity: str, n: int) -> list[dict]:
     return rows
 
 
-def _verify_worker(identities: tuple[str, ...], n: int) -> list[dict]:
-    rows = []
-    for identity in identities:
-        rows.extend(_rows_for_identity(identity, n))
-    return rows
-
-
-_VERIFY_MINIMUMS = {"thm31": 0, "corollary": 1, "lemma32": 1, "cauchy": 0,
-                    "recurrence": 0, "kron": 1, "legendre": 0, "boundary": 0,
-                    "charpoly": 0}
-
-
-def _domain_check_verify(identities: Sequence[str], ns: Sequence[int]) -> None:
-    for identity in identities:
-        low = _VERIFY_MINIMUMS[identity]
-        if min(ns) < low:
-            raise UsageError(f"{identity} needs n >= {low}")
-        if identity == "kron" and max(ns) > 6:
-            raise UsageError("kron factorization check is limited to n <= 6")
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     ns = parse_range(args.range)
     identities = VERIFY_SETS[:-1] if args.identity == "all" else (args.identity,)
-    if args.identity == "all":
-        # Restrict each identity to its own domain instead of failing.
-        work = []
-        for identity in identities:
-            sub = [n for n in ns if n >= _VERIFY_MINIMUMS[identity]]
-            if identity == "kron":
-                sub = [n for n in sub if n <= 6]
-            work.append((identity, sub))
-    else:
-        _domain_check_verify(identities, ns)
-        work = [(args.identity, ns)]
-
     rows: list[dict] = []
-    for identity, sub_ns in work:
-        worker = partial(_verify_worker, (identity,))
-        rows.extend(_run_mapped(worker, sub_ns, args.jobs))
+    for identity in identities:
+        lo, hi = VERIFY_DOMAINS[identity]
+        sub_ns = [n for n in ns if lo <= n <= hi]
+        if len(sub_ns) < len(ns) and args.identity != "all":
+            domain = f"n >= {lo}" if hi == inf else f"{lo} <= n <= {hi}"
+            raise UsageError(f"{identity} needs {domain}")
+        rows.extend(_run_mapped(partial(_verify_worker, identity), sub_ns, args.jobs))
     rows.sort(key=lambda r: (r["n"], r["identity"], r.get("sample", "")))
     _emit(rows, args, csv_fields=("n", "identity", "equal"))
     return EXIT_OK if all(r["equal"] for r in rows) else EXIT_FAILURE
 
 
 # -- bounds --------------------------------------------------------------------
+
+
+def _format_mid(enc: Enclosure, digits: int) -> str:
+    """The midpoint of `enc` to at most `digits` decimals, and to no more
+    than its width supports: the largest d >= 0 with 10^-d >= width.  An
+    exact enclosure keeps all `digits`."""
+    if not enc.is_exact:
+        width = enc.width
+        ratio = width.denominator // width.numerator
+        digits = min(digits, len(str(ratio)) - 1 if ratio else 0)
+    return format_decimal(enc.mid, digits)
 
 
 def _bounds_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
@@ -230,11 +217,11 @@ def _bounds_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
         "ok": flags.all_hold,
         "_csv": {
             "n": n,
-            "m": format_decimal(report.m_enclosure.mid, digits),
+            "m": _format_mid(report.m_enclosure, digits),
             "lambda_lo": format_decimal(report.lam.lo, digits, "down"),
             "lambda_hi": format_decimal(report.lam.hi, digits, "up"),
             "f1": str(report.f1),
-            "M": format_decimal(report.upper_enclosure.mid, digits),
+            "M": _format_mid(report.upper_enclosure, digits),
             "ok": flags.all_hold,
         },
     }]

@@ -2,9 +2,15 @@
 
 Polynomials are converted once to primitive integer coefficient lists; all
 sign evaluations are pure integer arithmetic.  Root counting uses Sturm
-sequences built as a primitive pseudo-remainder sequence (each element is a
-positive rational multiple of the classical Sturm chain element, which
-preserves sign variations while keeping coefficients integral).
+sequences built by integer pseudo-division (`_pdiv`) as a primitive
+pseudo-remainder sequence (each element is a positive rational multiple of
+the classical Sturm chain element, which preserves sign variations while
+keeping coefficients integral).
+
+One path serves every caller: `_isolating` halves (lo, hi] under Sturm
+counts into isolating intervals for `isolate_all`, `largest_root` and
+`smallest_root`, and `refine` is the only bisection loop, also behind
+`bisect_sign_change`.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterator
 
 from .exact import Rational
 from .polynomial import RatPoly
@@ -59,11 +66,7 @@ def int_coeffs(poly: RatPoly) -> IntPoly:
     if poly.is_zero():
         return []
     denom = lcm(*(c.denominator for c in poly.coeffs))
-    ints = [int(c * denom) for c in poly.coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    return [c // content for c in ints]
+    return _primitive([c.numerator * (denom // c.denominator) for c in poly.coeffs])
 
 
 def sign_at(coeffs: IntPoly, x: Rational) -> int:
@@ -79,26 +82,29 @@ def sign_at(coeffs: IntPoly, x: Rational) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _prem(a: IntPoly, b: IntPoly) -> tuple[IntPoly, int]:
-    """Pseudo-remainder over the integers.
+def _pdiv(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, int]:
+    """Pseudo-division over the integers.
 
-    Returns (r, k) with r == lc(b)^k * rem(a, b); k is the number of
-    reduction steps actually performed.
+    Returns (q, r, k) with lc(b)^k * a == q * b + r and deg r < deg b; k is
+    the number of reduction steps actually performed.
     """
+    q = [0] * max(len(a) - len(b) + 1, 0)
     r = list(a)
     lb = b[-1]
     db = len(b) - 1
-    steps = 0
+    k = 0
     while r and len(r) - 1 >= db:
         lead = r[-1]
         shift = len(r) - 1 - db
+        q = [c * lb for c in q]
+        q[shift] += lead
         r = [c * lb for c in r]
         for i, bc in enumerate(b):
             r[shift + i] -= lead * bc
         while r and r[-1] == 0:
             r.pop()
-        steps += 1
-    return r, steps
+        k += 1
+    return q, r, k
 
 
 def _primitive(coeffs: IntPoly) -> IntPoly:
@@ -111,19 +117,14 @@ def _primitive(coeffs: IntPoly) -> IntPoly:
 
 
 def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact quotient a / b for integer polynomials with b | a over Q."""
-    num = [Fraction(c) for c in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q = num[i + len(b) - 1] / b[-1]
-        out[i] = q
-        if q:
-            for j, bc in enumerate(b):
-                num[i + j] -= q * bc
-    if any(num[: len(b) - 1]):
+    """Primitive positive multiple of the quotient a / b, for integer
+    polynomials with b | a over Q."""
+    q, r, k = _pdiv(a, b)
+    if r:
         raise RootIsolationError("inexact polynomial division")
-    denom = lcm(*(c.denominator for c in out))
-    return [int(c * denom) for c in out]
+    if b[-1] < 0 and k % 2:
+        q = [-c for c in q]
+    return _primitive(q)
 
 
 def sturm_chain(coeffs: IntPoly) -> list[IntPoly]:
@@ -143,11 +144,11 @@ def sturm_chain(coeffs: IntPoly) -> list[IntPoly]:
     chain.append(_primitive(deriv))
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
-        r, steps = _prem(a, b)
+        _, r, steps = _pdiv(a, b)
         if not r:
             # b divides a: the chain stalled on a nonconstant gcd, so the
             # input has a repeated root.  Restart on the squarefree part.
-            return sturm_chain(_primitive(_exact_div(chain[0], chain[-1])))
+            return sturm_chain(_exact_div(chain[0], b))
         # r == lc(b)^steps * rem(a, b); flip so the stored element is a
         # positive multiple of -rem(a, b).
         if (b[-1] > 0) or (steps % 2 == 0):
@@ -216,6 +217,25 @@ def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction,
     return Enclosure(lo, hi)
 
 
+def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction, total: int,
+               rightmost: bool) -> Iterator[tuple[Fraction, Fraction]]:
+    """Isolating intervals (a, b] of the `total` distinct roots in (lo, hi],
+    found by halving under Sturm counts, rightmost first or leftmost first.
+    Lazy: a caller that wants only the extreme root stops after one."""
+    stack = [(lo, hi, total)]
+    while stack:
+        a, b, k = stack.pop()
+        if k == 0:
+            continue
+        if k == 1:
+            yield a, b
+            continue
+        mid = (a + b) / 2
+        k_right = count_roots(chain, mid, b)
+        left, right = (a, mid, k - k_right), (mid, b, k_right)
+        stack.extend((left, right) if rightmost else (right, left))
+
+
 def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
                 expected: int | None = None) -> list[Enclosure]:
     """Isolate every real root in (lo, hi] and refine each to width <= tol.
@@ -230,20 +250,8 @@ def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
         raise RootIsolationError(
             f"found {total} roots in ({lo}, {hi}], expected {expected}"
         )
-    isolated: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, total)]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            isolated.append((a, b))
-            continue
-        mid = (a + b) / 2
-        k_right = count_roots(chain, mid, b)
-        stack.append((a, mid, k - k_right))
-        stack.append((mid, b, k_right))
-    enclosures = [refine(coeffs, a, b, tol, chain) for a, b in isolated]
+    enclosures = [refine(coeffs, a, b, tol, chain)
+                  for a, b in _isolating(chain, lo, hi, total, rightmost=True)]
     enclosures.sort(key=lambda e: (e.lo, e.hi))
     return enclosures
 
@@ -252,25 +260,11 @@ def _extreme_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
                   rightmost: bool) -> Enclosure:
     coeffs = int_coeffs(poly)
     chain = sturm_chain(coeffs)
-    if count_roots(chain, lo, hi) < 1:
+    total = count_roots(chain, lo, hi)
+    if total < 1:
         raise RootIsolationError(f"no roots in ({lo}, {hi}]")
-    while True:
-        k = count_roots(chain, lo, hi)
-        if k == 1:
-            break
-        mid = (lo + hi) / 2
-        k_right = count_roots(chain, mid, hi)
-        if rightmost:
-            if k_right >= 1:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if k - k_right >= 1:
-                hi = mid
-            else:
-                lo = mid
-    return refine(coeffs, lo, hi, tol, chain)
+    a, b = next(_isolating(chain, lo, hi, total, rightmost))
+    return refine(coeffs, a, b, tol, chain)
 
 
 def largest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
@@ -295,16 +289,8 @@ def bisect_sign_change(coeffs: IntPoly, lo: Fraction, hi: Fraction,
         return Enclosure(hi, hi)
     if s_lo == s_hi:
         raise RootIsolationError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(coeffs, mid)
-        if s_mid == 0:
-            return Enclosure(mid, mid)
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Enclosure(lo, hi)
+    # The endpoint signs straddle zero, so refine bisects on signs alone.
+    return refine(coeffs, lo, hi, tol)
 
 
 def interval_eval(poly: RatPoly, box: Enclosure) -> tuple[Fraction, Fraction]:

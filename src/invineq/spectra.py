@@ -126,12 +126,8 @@ def cubic_bound_poly(n: int) -> RatPoly:
 def bound_upper(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosure:
     """Certified enclosure of the cubic-truncation upper bound (the largest
     real root of cubic_bound_poly)."""
-    cubic = cubic_bound_poly(n)
-    f1 = char_coeff(1, n)
-    coeffs = int_coeffs(cubic)
-    if sign_at(coeffs, f1) == 0:
-        return Enclosure(f1, f1)
-    return largest_root(cubic, Fraction(0), f1, Fraction(tol))
+    return largest_root(cubic_bound_poly(n), Fraction(0), char_coeff(1, n),
+                        Fraction(tol))
 
 
 _P1_NUM = RatPoly((16200, -5130, -4733, 796, 404, 10, 8, 4, 1))
@@ -335,17 +331,18 @@ def bound_report(n: int, tol: Rational = Fraction(1, 10**12)) -> BoundReport:
         upper_le, upper_strict, upper_eq = True, False, True
     else:
         cubic = cubic_bound_poly(n)
-        steps = 0
-        while lam.hi >= upper.lo and steps < REFINEMENT_CAP:
-            lam = refine_max_root(n, lam, 8)
-            if not upper.is_exact:
-                upper = largest_root(cubic, upper.lo, upper.hi, upper.width / 2**8)
-            steps += 8
-        if lam.hi < upper.lo:
-            upper_le, upper_strict, upper_eq = True, True, False
-        else:
-            upper_le, upper_strict, upper_eq = False, False, False
-            decided = False
+
+        def refine_upper(e: Enclosure) -> Enclosure:
+            if e.is_exact:
+                return e
+            return largest_root(cubic, e.lo, e.hi, e.width / 2**8)
+
+        verdict, lam, upper = ensure_disjoint(
+            lam, upper, lambda e: refine_max_root(n, e, 8), refine_upper,
+            cap=REFINEMENT_CAP // 8)
+        upper_le = upper_strict = verdict is True
+        upper_eq = False
+        decided = verdict is not None
 
     return BoundReport(
         n=n,
@@ -377,20 +374,21 @@ class MonotoneReport:
 def ensure_disjoint(a: Enclosure, b: Enclosure,
                     refine_a: Callable[[Enclosure], Enclosure],
                     refine_b: Callable[[Enclosure], Enclosure],
-                    cap: int = REFINEMENT_CAP) -> bool | None:
+                    cap: int = REFINEMENT_CAP) -> tuple[bool | None, Enclosure, Enclosure]:
     """Refine until a < b strictly (True), b < a (False), or the cap is hit
-    with the enclosures still overlapping (None, never silently ordered)."""
+    with the enclosures still overlapping (None, never silently ordered).
+    Returns the verdict with the final enclosures of a and b."""
     steps = 0
     while True:
         if a.hi < b.lo:
-            return True
+            return True, a, b
         if b.hi < a.lo:
-            return False
+            return False, a, b
         if steps >= cap:
-            return None
+            return None, a, b
         na, nb = refine_a(a), refine_b(b)
         if na == a and nb == b:
-            return None
+            return None, a, b
         a, b = na, nb
         steps += 1
 
@@ -404,7 +402,7 @@ def check_monotone(n_max: int, tol: Rational = Fraction(1, 10**12)) -> MonotoneR
     prev = max_root(2, tol)
     for n in range(3, n_max + 1):
         cur = max_root(n, tol)
-        verdict = ensure_disjoint(
+        verdict, _, _ = ensure_disjoint(
             prev, cur,
             lambda e, n=n - 1: refine_max_root(n, e, 8),
             lambda e, n=n: refine_max_root(n, e, 8),

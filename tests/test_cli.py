@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import invineq.cli as cli
+import invineq.spectra as spectra
 from invineq.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
@@ -16,7 +17,7 @@ from invineq.cli import (
 )
 from invineq.determinants import DetReport
 from invineq.polynomial import RatPoly
-from invineq.roots import RootIsolationError
+from invineq.roots import Enclosure, RootIsolationError
 
 
 class TestParsing:
@@ -73,6 +74,17 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "kron", "--range", "1..9"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("identity", ["corollary", "lemma32", "kron"])
+    def test_lowest_n_of_each_domain(self, capsys, identity):
+        # A single identity rejects n = 0; "all" drops n = 0 for it.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", identity, "--range", "0..1"])
+        assert exc.value.code == EXIT_USAGE
+        code, out = run_cli(capsys, "verify", "all", "--range", "0..0")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert rows and not any(r["identity"].startswith(identity) for r in rows)
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         def fake(ell, n):
@@ -143,6 +155,40 @@ class TestBoundsCommand:
             assert F(row["lambda_lo"]) <= F(lam["lo"])
             assert F(row["lambda_hi"]) >= F(lam["hi"])
             assert F(row["lambda_lo"]) < F(row["lambda_hi"])
+
+    def test_certified_violation_exits_1(self, capsys, monkeypatch):
+        def below(n, tol):
+            lam = spectra.max_root(n, tol)
+            return Enclosure(lam.lo - 2, lam.lo - 1)
+
+        monkeypatch.setattr(spectra, "bound_upper", below)
+        code, out = run_cli(capsys, "bounds", "--range", "10..10")
+        assert code == EXIT_FAILURE
+        (row,) = [json.loads(line) for line in out.strip().splitlines()]
+        assert row["orderings"]["decided"] and not row["orderings"]["lambda_le_M"]
+
+    def test_csv_midpoints_carry_only_supported_digits(self, capsys):
+        # n=2 is exact and keeps every digit; at n=8 the 1e-12-wide m and M
+        # enclosures support 12 decimals, at --tol 1/2 none.
+        _, out = run_cli(capsys, "bounds", "--range", "2,8", "--format", "csv")
+        _, coarse = run_cli(capsys, "bounds", "--range", "8", "--tol", "1/2",
+                            "--format", "csv")
+        rows = [dict(zip(out.splitlines()[0].split(","), line.split(",")))
+                for line in out.strip().splitlines()[1:]]
+        assert rows[0]["m"] == rows[0]["M"] == "3." + "0" * 38
+        assert rows[1]["m"] == "532.370651192841"
+        assert rows[1]["M"] == "536.390016788326"
+        coarse_row = coarse.strip().splitlines()[1].split(",")
+        assert coarse_row[1] == "533"
+
+    @pytest.mark.parametrize("lo, hi, expected", [
+        (F(0), F(1, 10), "0.1"),       # 10^-1 >= width exactly
+        (F(0), F(1, 9), "0"),          # just wider than 10^-1
+        (F(0), F(3), "2"),             # wider than 1: no decimals
+        (F(1, 3), F(1, 3), "0.33333"),  # exact: every digit
+    ])
+    def test_midpoint_digits_follow_the_width(self, lo, hi, expected):
+        assert cli._format_mid(Enclosure(lo, hi), 5) == expected
 
     def test_internal_error_exits_4(self, capsys, monkeypatch):
         def broken(n, tol):

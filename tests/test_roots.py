@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from invineq.polynomial import RatPoly
 from invineq.roots import (
     Enclosure,
     RootIsolationError,
+    _exact_div,
+    _pdiv,
     bisect_sign_change,
     count_roots,
     int_coeffs,
@@ -169,3 +172,124 @@ class TestIntervalEval:
         p = RatPoly((-3, 1))
         lo, hi = interval_eval(p, Enclosure(F(1), F(2)))
         assert hi < 0
+
+
+# -- properties over polynomials with planted roots ---------------------------
+
+LO, HI = F(-8), F(8)
+
+# Planted roots: points of the dyadic grid that halving (LO, HI] visits, the
+# interval ends themselves, and general rationals inside and just outside.
+planted_root = st.one_of(
+    st.builds(lambda k, e: F(k, 2**e), st.integers(-64, 64), st.integers(0, 3)),
+    st.sampled_from([LO, HI, F(0), F(4), F(-4)]),
+    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=40),
+)
+tolerances = st.one_of(
+    st.builds(lambda e: F(1, 2**e), st.integers(0, 40)),
+    st.builds(lambda e: F(1, 10**e), st.integers(0, 12)),
+)
+
+
+@st.composite
+def planted_polys(draw):
+    """(poly, distinct planted roots): a product of (x - r)^mult over the
+    planted roots (perhaps with a near-double pair), times an optional
+    factor with no real roots and a nonzero scale of either sign."""
+    roots = draw(st.lists(st.tuples(planted_root, st.integers(1, 3)),
+                          min_size=0, max_size=5))
+    if draw(st.booleans()):
+        # A near-double pair: two simple roots 10^-3 .. 10^-12 apart.
+        r = draw(planted_root)
+        roots += [(r, 1), (r + F(1, 10 ** draw(st.integers(3, 12))), 1)]
+    poly = RatPoly.one()
+    for r, mult in roots:
+        for _ in range(mult):
+            poly = poly * RatPoly((-r, 1))
+    if draw(st.booleans()):
+        poly = poly * RatPoly((draw(st.integers(1, 20)), 0, 1))
+    scale = draw(st.fractions(min_value=F(-50), max_value=F(50), max_denominator=9)
+                 .filter(lambda c: c != 0))
+    return poly * RatPoly((scale,)), sorted({r for r, _ in roots})
+
+
+def _inside(roots):
+    return [r for r in roots if LO < r <= HI]
+
+
+class TestPlantedRoots:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_polys(), tolerances)
+    def test_isolate_all_encloses_exactly_the_planted_set(self, planted, tol):
+        poly, roots = planted
+        encs = isolate_all(poly, LO, HI, tol)
+        assert len(encs) == len(_inside(roots))
+        for enc, r in zip(encs, _inside(roots)):
+            assert enc.lo <= r <= enc.hi and enc.width <= tol
+            assert LO <= enc.lo and enc.hi <= HI
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_polys(), tolerances)
+    def test_extreme_roots(self, planted, tol):
+        poly, roots = planted
+        inside = _inside(roots)
+        if not inside:
+            for extreme in (largest_root, smallest_root):
+                with pytest.raises(RootIsolationError):
+                    extreme(poly, LO, HI, tol)
+            return
+        for extreme, r in ((largest_root, inside[-1]), (smallest_root, inside[0])):
+            enc = extreme(poly, LO, HI, tol)
+            assert enc.lo <= r <= enc.hi and enc.width <= tol
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_polys(), tolerances, planted_root, planted_root)
+    def test_bisect_sign_change(self, planted, tol, a, b):
+        poly, roots = planted
+        lo, hi = min(a, b), max(a, b)
+        coeffs = int_coeffs(poly)
+        s_lo, s_hi = sign_at(coeffs, lo), sign_at(coeffs, hi)
+        if s_lo != 0 and s_lo == s_hi:
+            with pytest.raises(RootIsolationError):
+                bisect_sign_change(coeffs, lo, hi, tol)
+            return
+        enc = bisect_sign_change(coeffs, lo, hi, tol)
+        assert lo <= enc.lo and enc.hi <= hi and enc.width <= tol
+        if enc.is_exact:
+            assert enc.lo in roots
+        else:
+            # A strict sign change across the enclosure: it holds a root of
+            # odd multiplicity, which is one of the planted roots.
+            assert sign_at(coeffs, enc.lo) * sign_at(coeffs, enc.hi) < 0
+            assert any(enc.lo < r < enc.hi for r in roots)
+        if s_lo == 0:
+            assert enc == Enclosure(lo, lo)
+        elif s_hi == 0:
+            assert enc == Enclosure(hi, hi)
+
+
+int_polys = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9).filter(
+    lambda c: c[-1] != 0)
+
+
+class TestPseudoDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(int_polys, int_polys)
+    @example([0, 0, -3, 1], [3, -2])  # negative leading coefficient of b
+    @example([1, 2, 1], [1, 1])  # exact division, remainder 0
+    @example([5], [1, 2])  # deg a < deg b: no step
+    def test_identity(self, a, b):
+        q, r, k = _pdiv(a, b)
+        assert RatPoly(q) * RatPoly(b) + RatPoly(r) == RatPoly(a) * b[-1] ** k
+        assert len(r) < len(b)
+        assert k <= max(len(a) - len(b) + 1, 0)
+
+    def test_exact_div_keeps_the_quotient_sign(self):
+        # lc(b) < 0 with an odd step count: the pseudo-quotient carries the
+        # opposite sign until it is corrected.
+        assert _exact_div([0, -3, 1], [0, 3, -1]) == [-1]
+        assert _exact_div([0, 0, -3, 1], [0, 0, 2]) == [-3, 1]
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(RootIsolationError, match="inexact"):
+            _exact_div([1, 0, 1], [1, 1])

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import invineq.spectra as spectra
 from invineq.charpoly import char_poly
 from invineq.roots import Enclosure
 from invineq.spectra import (
@@ -169,6 +170,31 @@ class TestBoundReport:
         assert rep.lam.lo <= rep.f1
         assert rep.lam.hi < rep.upper_enclosure.lo  # strict for n >= 8
 
+    # Coarse tolerances leave lambda_n and M(n) overlapping, so the
+    # refine-until-disjoint step runs (at 1e-12 it never does for n <= 66).
+    @pytest.mark.parametrize("tol", [F(1, 2), F(10), F(1000)])
+    def test_coarse_tolerances_refine_to_a_decision(self, tol):
+        for n in range(2, 80):
+            flags = bound_report(n, tol).orderings
+            assert flags.decided and flags.all_hold, n
+
+    def test_refined_enclosures_are_unchanged(self):
+        rep = bound_report(8, F(10))
+        assert rep.lam == Enclosure(F(1406072721, 2621440), F(2812145931, 5242880))
+        assert rep.upper_enclosure == Enclosure(F(1124891145, 2097152),
+                                                F(281222865, 524288))
+
+    def test_certified_violation_is_decided(self, monkeypatch):
+        # An upper bound provably below lambda_n is a decided failure of
+        # lambda <= M, not an undecided ordering.
+        lam = max_root(10, TOL)
+        below = Enclosure(lam.lo - 2, lam.lo - 1)
+        monkeypatch.setattr(spectra, "bound_upper", lambda n, tol: below)
+        flags = bound_report(10, TOL).orderings
+        assert flags.decided
+        assert not flags.lambda_le_upper and not flags.upper_strict
+        assert not flags.all_hold
+
 
 class TestMonotone:
     def test_small_range(self):
@@ -183,13 +209,13 @@ class TestMonotone:
 class TestEnsureDisjoint:
     def test_already_disjoint(self):
         a, b = Enclosure(F(1), F(2)), Enclosure(F(3), F(4))
-        assert ensure_disjoint(a, b, lambda e: e, lambda e: e) is True
-        assert ensure_disjoint(b, a, lambda e: e, lambda e: e) is False
+        assert ensure_disjoint(a, b, lambda e: e, lambda e: e)[0] is True
+        assert ensure_disjoint(b, a, lambda e: e, lambda e: e)[0] is False
 
     def test_undecided_when_refiners_stall(self):
         a = Enclosure(F(1), F(2))
         b = Enclosure(F(3, 2), F(5, 2))
-        assert ensure_disjoint(a, b, lambda e: e, lambda e: e, cap=4) is None
+        assert ensure_disjoint(a, b, lambda e: e, lambda e: e, cap=4)[0] is None
 
     def test_refinement_resolves(self):
         a = Enclosure(F(0), F(2))
@@ -201,7 +227,7 @@ class TestEnsureDisjoint:
         def shrink_up(e: Enclosure) -> Enclosure:
             return Enclosure(min(e.hi, e.lo + F(1, 2)), e.hi)
 
-        assert ensure_disjoint(a, b, shrink_down, shrink_up) is True
+        assert ensure_disjoint(a, b, shrink_down, shrink_up)[0] is True
 
 
 class TestComparison:

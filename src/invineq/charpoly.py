@@ -197,7 +197,7 @@ def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
     for i in range(n):
         acc = RatPoly()
         for j in range(n):
-            acc = acc + block.entries[i][j] * column.entries[j]
+            acc = acc + block[i, j] * column.entries[j]
         expected = target if i == n - 1 else RatPoly()
         residual = acc - expected
         if not residual.is_zero():

@@ -51,13 +51,6 @@ EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
-# Lowest and highest n each identity is checked for.  A single identity
-# rejects a range that leaves its domain; "all" restricts each identity to it.
-VERIFY_DOMAINS = {"thm31": (0, inf), "corollary": (1, inf), "lemma32": (1, inf),
-                  "cauchy": (0, inf), "recurrence": (0, inf), "kron": (1, 6),
-                  "legendre": (0, inf), "boundary": (0, inf), "charpoly": (0, inf)}
-VERIFY_SETS = (*VERIFY_DOMAINS, "all")
-
 KRON_SAMPLES = (Fraction(0), Fraction(1), Fraction(7, 2))
 
 
@@ -99,73 +92,85 @@ def parse_tolerance(text: str) -> Fraction:
 # -- verify ------------------------------------------------------------------
 
 
-def _verify_worker(identity: str, n: int) -> list[dict]:
-    rows: list[dict] = []
+def _report_rows(reports: Iterable[DetReport]) -> list[dict]:
+    return [rep.to_json_dict() for rep in reports]
 
-    def from_reports(reports: Iterable[DetReport]) -> None:
-        for rep in reports:
-            rows.append(rep.to_json_dict())
 
-    if identity == "thm31":
-        from_reports(verify_thm31(n))
-    elif identity == "corollary":
-        from_reports([verify_corollary_full(n)])
-    elif identity == "cauchy":
-        from_reports([verify_cauchy(0, n), verify_cauchy(1, n)])
-    elif identity == "legendre":
-        from_reports(verify_legendre_hooks(n))
-    elif identity == "boundary":
-        from_reports(verify_boundary(n))
-    elif identity == "recurrence":
-        residual = recurrence_residual(n)
+def _recurrence_rows(n: int) -> list[dict]:
+    residual = recurrence_residual(n)
+    return [{
+        "n": n,
+        "identity": "recurrence",
+        "lhs": residual.coeff_strings(),
+        "rhs": [],
+        "equal": residual.is_zero(),
+    }]
+
+
+def _lemma32_rows(n: int) -> list[dict]:
+    rows = []
+    for ell in (0, 1):
+        report = verify_inverse_identity(ell, n)
         rows.append({
             "n": n,
-            "identity": "recurrence",
-            "lhs": residual.coeff_strings(),
-            "rhs": [],
-            "equal": residual.is_zero(),
+            "identity": f"lemma32-parity{ell}",
+            "equal": report.ok,
+            "failures": [
+                {"row": idx, "residual": res.coeff_strings()}
+                for idx, res in report.failures
+            ],
         })
-    elif identity == "lemma32":
-        for ell in (0, 1):
-            report = verify_inverse_identity(ell, n)
-            rows.append({
-                "n": n,
-                "identity": f"lemma32-parity{ell}",
-                "equal": report.ok,
-                "failures": [
-                    {"row": idx, "residual": res.coeff_strings()}
-                    for idx, res in report.failures
-                ],
-            })
-    elif identity == "kron":
-        for sample in KRON_SAMPLES:
-            rows.append({
-                "n": n,
-                "identity": "kron",
-                "sample": str(sample),
-                "equal": verify_kron_factorization(n, sample),
-            })
-    elif identity == "charpoly":
-        # Dump the exact coefficients while checking the two independent
-        # construction routes agree.
-        direct = char_poly(n).poly
-        rows.append({
-            "n": n,
-            "identity": "charpoly",
-            "coeffs": direct.coeff_strings(),
-            "equal": direct == char_poly_by_summation(n).poly,
-        })
-    else:
-        raise UsageError(f"unknown identity set {identity!r}")
     return rows
+
+
+def _kron_rows(n: int) -> list[dict]:
+    return [{
+        "n": n,
+        "identity": "kron",
+        "sample": str(sample),
+        "equal": verify_kron_factorization(n, sample),
+    } for sample in KRON_SAMPLES]
+
+
+def _charpoly_rows(n: int) -> list[dict]:
+    # Dump the exact coefficients while checking the two independent
+    # construction routes agree.
+    direct = char_poly(n).poly
+    return [{
+        "n": n,
+        "identity": "charpoly",
+        "coeffs": direct.coeff_strings(),
+        "equal": direct == char_poly_by_summation(n).poly,
+    }]
+
+
+# Lowest n, highest n and row builder of each identity.  A single identity
+# rejects a range that leaves its domain; "all" restricts each identity to
+# it.  The builders look the library functions up when called, so that a
+# tracer that rebinds this module's names sees every call.
+VERIFY_IDENTITIES: dict[str, tuple[int, float, Callable[[int], list[dict]]]] = {
+    "thm31": (0, inf, lambda n: _report_rows(verify_thm31(n))),
+    "corollary": (1, inf, lambda n: _report_rows([verify_corollary_full(n)])),
+    "lemma32": (1, inf, _lemma32_rows),
+    "cauchy": (0, inf, lambda n: _report_rows([verify_cauchy(0, n), verify_cauchy(1, n)])),
+    "recurrence": (0, inf, _recurrence_rows),
+    "kron": (1, 6, _kron_rows),
+    "legendre": (0, inf, lambda n: _report_rows(verify_legendre_hooks(n))),
+    "boundary": (0, inf, lambda n: _report_rows(verify_boundary(n))),
+    "charpoly": (0, inf, _charpoly_rows),
+}
+
+
+def _verify_worker(identity: str, n: int) -> list[dict]:
+    return VERIFY_IDENTITIES[identity][2](n)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ns = parse_range(args.range)
-    identities = VERIFY_SETS[:-1] if args.identity == "all" else (args.identity,)
+    identities = VERIFY_IDENTITIES if args.identity == "all" else (args.identity,)
     rows: list[dict] = []
     for identity in identities:
-        lo, hi = VERIFY_DOMAINS[identity]
+        lo, hi, _ = VERIFY_IDENTITIES[identity]
         sub_ns = [n for n in ns if lo <= n <= hi]
         if len(sub_ns) < len(ns) and args.identity != "all":
             domain = f"n >= {lo}" if hi == inf else f"{lo} <= n <= {hi}"
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for per-n computations")
 
     p_verify = sub.add_parser("verify", help="exact determinant/identity checks")
-    p_verify.add_argument("identity", choices=VERIFY_SETS)
+    p_verify.add_argument("identity", choices=(*VERIFY_IDENTITIES, "all"))
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -61,6 +61,12 @@ class DetReport:
         }
 
 
+def _integer_row(row: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """The lcm of the row's denominators, and the row times it."""
+    denom = lcm(*(e.denominator for e in row))
+    return denom, [e.numerator * (denom // e.denominator) for e in row]
+
+
 def det_rational(matrix: RatMatrix) -> Fraction:
     """Exact determinant; the empty matrix has determinant 1.
 
@@ -70,12 +76,12 @@ def det_rational(matrix: RatMatrix) -> Fraction:
     n = matrix.dim
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     a: list[list[int]] = []
     for row in matrix.entries:
-        denom = lcm(*(e.denominator for e in row)) if row else 1
+        denom, ints = _integer_row(row)
         scale *= denom
-        a.append([int(e * denom) for e in row])
+        a.append(ints)
 
     sign = 1
     prev = 1
@@ -94,26 +100,33 @@ def det_rational(matrix: RatMatrix) -> Fraction:
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def det_poly(matrix: PolyMatrix) -> RatPoly:
-    """Exact determinant polynomial via evaluation and interpolation.
+    """Exact determinant polynomial of the pencil const + x*slope via
+    evaluation and interpolation.
 
-    With entry degrees <= d the determinant has degree <= dim*d, so it is
-    pinned down by dim*d + 1 point evaluations; integer abscissae keep the
-    arithmetic small.
+    The determinant has degree <= dim, so it is pinned down by its values at
+    the dim + 1 integer abscissae 0..dim.  Each row [const_i | slope_i] is
+    scaled to integers once; every evaluation of the scaled pencil is then an
+    integer matrix, eliminated by `det_rational` and divided by the product
+    of the row scales.
     """
     n = matrix.dim
     if n == 0:
         return RatPoly.one()
-    d = max(matrix.max_entry_degree(), 0)
-    points = []
-    for x in range(n * d + 1):
-        points.append((Fraction(x), det_rational(matrix.eval_at(x))))
-    if len(points) == 1:
-        return RatPoly((points[0][1],))
-    return poly_interpolate(points)
+    scale = 1
+    const, slope = [], []
+    for const_row, slope_row in zip(matrix.const.entries, matrix.slope.entries):
+        denom, ints = _integer_row(const_row + slope_row)
+        scale *= denom
+        const.append(tuple(ints[:n]))
+        slope.append(tuple(ints[n:]))
+    scaled = PolyMatrix(RatMatrix(tuple(const)), RatMatrix(tuple(slope)))
+    return poly_interpolate(
+        [(Fraction(x), det_rational(scaled.eval_at(x)) / scale) for x in range(n + 1)]
+    )
 
 
 def _signed_prefactor(n: int, ell: int) -> Fraction:
@@ -266,15 +279,7 @@ def verify_kron_factorization(n: int, sample: Rational | int) -> bool:
     if not 1 <= n <= 6:
         raise ValueError("n must be in 1..6")
     s = Fraction(sample)
-    mass = build_mass(n)
-    stiffness = build_stiffness(n)
-    shifted = RatMatrix(
-        tuple(
-            tuple(stiffness.entries[i][j] - s * mass.entries[i][j] for j in range(n * n))
-            for i in range(n * n)
-        )
-    )
-    lhs = det_rational(shifted)
+    lhs = det_rational(PolyMatrix(build_stiffness(n), build_mass(n)).eval_at(-s))
     pencil_at_s = det_rational(build_pencil(n).eval_at(s))
     rhs = det_rational(build_mass_1d(n)) ** n * pencil_at_s**n
     return lhs == rhs

@@ -1,8 +1,8 @@
 """Exact construction of the matrix families behind the eigenvalue problems.
 
 Builders produce either rational matrices (mass/stiffness Gram matrices and
-their one-dimensional factors) or matrices of degree-<=1 polynomials in the
-spectral variable (pencils, parity blocks, boundary matrices, hook matrices).
+their one-dimensional factors) or pencils `const + x·slope` in the spectral
+variable x (the 1D pencil, parity blocks, boundary matrices, hook matrices).
 All entries come from closed-form integrals over (-1,1); nothing is computed
 by quadrature.
 """
@@ -19,7 +19,7 @@ from .polynomial import RatPoly
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable square matrix of exact rationals."""
+    """Immutable square matrix of exact rationals (Fractions or ints)."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -44,32 +44,33 @@ class RatMatrix:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Immutable square matrix of exact rational polynomials."""
+    """Immutable linear pencil const + x*slope: a square matrix whose entry
+    (i, j) is the polynomial const[i, j] + slope[i, j]*x."""
 
-    entries: tuple[tuple[RatPoly, ...], ...]
+    const: RatMatrix
+    slope: RatMatrix
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return self.const.dim
 
     def __getitem__(self, ij: tuple[int, int]) -> RatPoly:
-        i, j = ij
-        return self.entries[i][j]
+        return RatPoly((self.const[ij], self.slope[ij]))
 
     def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(i))
-
-    def max_entry_degree(self) -> int:
-        return max((e.degree for row in self.entries for e in row), default=-1)
+        return self.const.is_symmetric() and self.slope.is_symmetric()
 
     def eval_at(self, x: Rational | int) -> RatMatrix:
-        return RatMatrix(tuple(tuple(e(x) for e in row) for row in self.entries))
+        return RatMatrix(tuple(
+            tuple(a + x * b for a, b in zip(const_row, slope_row))
+            for const_row, slope_row in zip(self.const.entries, self.slope.entries)
+        ))
 
     def to_json_dict(self) -> dict:
+        n = self.dim
         return {
-            "dim": self.dim,
-            "entries": [e.coeff_strings() for row in self.entries for e in row],
+            "dim": n,
+            "entries": [self[i, j].coeff_strings() for i in range(n) for j in range(n)],
         }
 
 
@@ -80,10 +81,16 @@ def _rat_matrix(n: int, entry: Callable[[int, int], Fraction]) -> RatMatrix:
     )
 
 
-def _poly_matrix(n: int, entry: Callable[[int, int], RatPoly]) -> PolyMatrix:
-    return PolyMatrix(
-        tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-    )
+def _pencil(n: int, const: Callable[[int, int], Fraction],
+            slope: Callable[[int, int], Fraction]) -> PolyMatrix:
+    """Build the n x n pencil const + x*slope from two 1-based entry formulas."""
+    return PolyMatrix(_rat_matrix(n, const), _rat_matrix(n, slope))
+
+
+def _diagonal_slope(step: int, offset: int) -> Callable[[int, int], Fraction]:
+    """Entry formula of the diagonal slope -2/(step*i + offset) shared by the
+    boundary and hook matrices."""
+    return lambda i, j: Fraction(-2, step * i + offset) if i == j else Fraction(0)
 
 
 def index_split(k: int, n: int) -> tuple[int, int]:
@@ -186,11 +193,7 @@ def build_pencil(n: int) -> PolyMatrix:
     """The n x n pencil: 1D stiffness minus x times 1D mass, entrywise."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def entry(i: int, j: int) -> RatPoly:
-        return RatPoly((_stiffness_1d_entry(i, j), -_mass_1d_entry(i, j)))
-
-    return _poly_matrix(n, entry)
+    return _pencil(n, _stiffness_1d_entry, lambda i, j: -_mass_1d_entry(i, j))
 
 
 def build_parity_block(parity: int, n: int) -> PolyMatrix:
@@ -204,21 +207,14 @@ def build_parity_block(parity: int, n: int) -> PolyMatrix:
         raise ValueError("parity must be 0 or 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    if parity == 0:
-        def entry(i: int, j: int) -> RatPoly:
-            return RatPoly((
-                Fraction((2 * i - 1) * (2 * j - 1), 2 * i + 2 * j - 3),
-                Fraction(-1, 2 * i + 2 * j - 1),
-            ))
-    else:
-        def entry(i: int, j: int) -> RatPoly:
-            return RatPoly((
-                Fraction(4 * (i - 1) * (j - 1), 2 * i + 2 * j - 5),
-                Fraction(-1, 2 * i + 2 * j - 3),
-            ))
-
-    return _poly_matrix(n, entry)
+    # Both parities in one formula: parity 1 lowers every odd factor by 1
+    # (2i-1 -> 2i-2) and every denominator by 2.
+    p = parity
+    return _pencil(
+        n,
+        lambda i, j: Fraction((2 * i - 1 - p) * (2 * j - 1 - p), 2 * i + 2 * j - 3 - 2 * p),
+        lambda i, j: Fraction(-1, 2 * i + 2 * j - 1 - 2 * p),
+    )
 
 
 def build_boundary(variant: str | int, n: int) -> PolyMatrix:
@@ -231,25 +227,10 @@ def build_boundary(variant: str | int, n: int) -> PolyMatrix:
     if n < 0:
         raise ValueError("n must be >= 0")
     if variant == "full":
-        def entry(i: int, j: int) -> RatPoly:
-            const = Fraction(1 + (-1) ** (i + j))
-            if i == j:
-                return RatPoly((const, Fraction(-2, 2 * i + 1)))
-            return RatPoly((const,))
-    elif variant == 0:
-        def entry(i: int, j: int) -> RatPoly:
-            if i == j:
-                return RatPoly((2, Fraction(-2, 4 * i + 1)))
-            return RatPoly((2,))
-    elif variant == 1:
-        def entry(i: int, j: int) -> RatPoly:
-            if i == j:
-                return RatPoly((2, Fraction(-2, 4 * i - 1)))
-            return RatPoly((2,))
-    else:
-        raise ValueError("variant must be 'full', 0 or 1")
-
-    return _poly_matrix(n, entry)
+        return _pencil(n, lambda i, j: Fraction(1 + (-1) ** (i + j)), _diagonal_slope(2, 1))
+    if variant in (0, 1):
+        return _pencil(n, lambda i, j: Fraction(2), _diagonal_slope(4, 1 - 2 * variant))
+    raise ValueError("variant must be 'full', 0 or 1")
 
 
 def build_legendre_hook(parity: int, n: int) -> PolyMatrix:
@@ -264,15 +245,11 @@ def build_legendre_hook(parity: int, n: int) -> PolyMatrix:
     if n < 0:
         raise ValueError("n must be >= 0")
 
-    def entry(i: int, j: int) -> RatPoly:
+    def const(i: int, j: int) -> Fraction:
         m = min(i, j)
-        const = Fraction(2 * m * (2 * m + 1) if parity == 0 else 2 * m * (2 * m - 1))
-        if i == j:
-            den = 4 * i + 1 if parity == 0 else 4 * i - 1
-            return RatPoly((const, Fraction(-2, den)))
-        return RatPoly((const,))
+        return Fraction(2 * m * (2 * m + 1 - 2 * parity))
 
-    return _poly_matrix(n, entry)
+    return _pencil(n, const, _diagonal_slope(4, 1 - 2 * parity))
 
 
 def parity_permutation(n: int) -> tuple[int, ...]:
@@ -294,12 +271,13 @@ def split_parity_blocks(matrix: PolyMatrix) -> tuple[tuple[int, ...], PolyMatrix
     and bottom_right is ceil(n/2) wide. The permutation is returned so callers
     can verify the block structure rather than trust it.
     """
-    n = matrix.dim
-    perm = parity_permutation(n)
-    permuted = tuple(
-        tuple(matrix.entries[perm[i]][perm[j]] for j in range(n)) for i in range(n)
-    )
-    half = n // 2
-    top = PolyMatrix(tuple(row[:half] for row in permuted[:half]))
-    bottom = PolyMatrix(tuple(row[half:] for row in permuted[half:]))
-    return perm, top, bottom
+    perm = parity_permutation(matrix.dim)
+    half = matrix.dim // 2
+
+    def cut(index: tuple[int, ...]) -> PolyMatrix:
+        return PolyMatrix(*(
+            RatMatrix(tuple(tuple(part.entries[p][q] for q in index) for p in index))
+            for part in (matrix.const, matrix.slope)
+        ))
+
+    return perm, cut(perm[:half]), cut(perm[half:])

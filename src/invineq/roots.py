@@ -221,18 +221,24 @@ def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction, total: int,
                rightmost: bool) -> Iterator[tuple[Fraction, Fraction]]:
     """Isolating intervals (a, b] of the `total` distinct roots in (lo, hi],
     found by halving under Sturm counts, rightmost first or leftmost first.
-    Lazy: a caller that wants only the extreme root stops after one."""
-    stack = [(lo, hi, total)]
+    Lazy: a caller that wants only the extreme root stops after one.  Each
+    interval carries the variation count at its right end (None until the
+    first halving needs it), so a halving evaluates the chain once, at the
+    midpoint."""
+    stack = [(lo, hi, total, None)]
     while stack:
-        a, b, k = stack.pop()
+        a, b, k, v_b = stack.pop()
         if k == 0:
             continue
         if k == 1:
             yield a, b
             continue
+        if v_b is None:
+            v_b = variations_at(chain, b)
         mid = (a + b) / 2
-        k_right = count_roots(chain, mid, b)
-        left, right = (a, mid, k - k_right), (mid, b, k_right)
+        v_mid = variations_at(chain, mid)
+        k_right = v_mid - v_b
+        left, right = (a, mid, k - k_right, v_mid), (mid, b, k_right, v_b)
         stack.extend((left, right) if rightmost else (right, left))
 
 

@@ -20,24 +20,21 @@ from invineq.matrices import PolyMatrix, RatMatrix, build_parity_block, build_pe
 from invineq.polynomial import RatPoly
 
 
-def cofactor_det(m: PolyMatrix) -> RatPoly:
-    """Oracle: direct cofactor expansion, exponential but exact."""
-    n = m.dim
-    if n == 0:
+def cofactor_det(rows: list[list[RatPoly]]) -> RatPoly:
+    """Oracle: direct cofactor expansion of nested lists of polynomials,
+    exponential but exact."""
+    if not rows:
         return RatPoly.one()
-    if n == 1:
-        return m[0, 0]
     total = RatPoly()
-    for j in range(n):
-        minor = PolyMatrix(
-            tuple(
-                tuple(m[i, c] for c in range(n) if c != j)
-                for i in range(1, n)
-            )
-        )
-        term = m[0, j] * cofactor_det(minor)
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * cofactor_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def poly_rows(m: PolyMatrix) -> list[list[RatPoly]]:
+    return [[m[i, j] for j in range(m.dim)] for i in range(m.dim)]
 
 
 class TestDetRational:
@@ -75,15 +72,18 @@ class TestDetPoly:
         rng = random.Random(7)
         for dim in (2, 3, 4):
             for _ in range(3):
-                entries = tuple(
-                    tuple(
-                        RatPoly((F(rng.randint(-4, 4)), F(rng.randint(-4, 4), rng.randint(1, 3))))
+                pairs = [
+                    [
+                        (F(rng.randint(-4, 4)), F(rng.randint(-4, 4), rng.randint(1, 3)))
                         for _ in range(dim)
-                    )
+                    ]
                     for _ in range(dim)
+                ]
+                m = PolyMatrix(
+                    RatMatrix(tuple(tuple(a for a, _ in row) for row in pairs)),
+                    RatMatrix(tuple(tuple(b for _, b in row) for row in pairs)),
                 )
-                m = PolyMatrix(entries)
-                assert det_poly(m) == cofactor_det(m)
+                assert det_poly(m) == cofactor_det(poly_rows(m))
 
     def test_parity_block_degree_and_leading(self):
         # Degree n with leading coefficient (-1)^n times the prefactor.

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .charpoly import char_poly, det_prefactor
 from .exact import Rational, pochhammer
@@ -22,7 +21,7 @@ from .matrices import (
     build_pencil,
     build_stiffness,
 )
-from .polynomial import RatPoly, poly_interpolate
+from .polynomial import RatPoly, clear_denominators, poly_interpolate
 
 IDENTITY_IDS = (
     "thm31-parity0",
@@ -61,12 +60,6 @@ class DetReport:
         }
 
 
-def _integer_row(row: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """The lcm of the row's denominators, and the row times it."""
-    denom = lcm(*(e.denominator for e in row))
-    return denom, [e.numerator * (denom // e.denominator) for e in row]
-
-
 def det_rational(matrix: RatMatrix) -> Fraction:
     """Exact determinant; the empty matrix has determinant 1.
 
@@ -79,7 +72,7 @@ def det_rational(matrix: RatMatrix) -> Fraction:
     scale = 1
     a: list[list[int]] = []
     for row in matrix.entries:
-        denom, ints = _integer_row(row)
+        denom, ints = clear_denominators(row)
         scale *= denom
         a.append(ints)
 
@@ -110,8 +103,9 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     The determinant has degree <= dim, so it is pinned down by its values at
     the dim + 1 integer abscissae 0..dim.  Each row [const_i | slope_i] is
     scaled to integers once; every evaluation of the scaled pencil is then an
-    integer matrix, eliminated by `det_rational` and divided by the product
-    of the row scales.
+    integer matrix, eliminated by `det_rational`.  The integer determinants
+    are interpolated and the result divided once by the product of the row
+    scales, which changes only its content.
     """
     n = matrix.dim
     if n == 0:
@@ -119,14 +113,13 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     scale = 1
     const, slope = [], []
     for const_row, slope_row in zip(matrix.const.entries, matrix.slope.entries):
-        denom, ints = _integer_row(const_row + slope_row)
+        denom, ints = clear_denominators(const_row + slope_row)
         scale *= denom
         const.append(tuple(ints[:n]))
         slope.append(tuple(ints[n:]))
     scaled = PolyMatrix(RatMatrix(tuple(const)), RatMatrix(tuple(slope)))
-    return poly_interpolate(
-        [(Fraction(x), det_rational(scaled.eval_at(x)) / scale) for x in range(n + 1)]
-    )
+    dets = poly_interpolate([(x, det_rational(scaled.eval_at(x))) for x in range(n + 1)])
+    return dets * Fraction(1, scale)
 
 
 def _signed_prefactor(n: int, ell: int) -> Fraction:

@@ -1,27 +1,67 @@
-"""Dense univariate polynomials over exact rationals."""
+"""Dense univariate polynomials over exact rationals, in the one coefficient
+format of the package: a positive rational content times a primitive integer
+tuple (gcd 1, no trailing zero, carrying the sign), the canonical form of von
+zur Gathen and Gerhard, *Modern Computer Algebra*, §6.2.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import Rational
 
+def clear_denominators(values: Sequence[Rational | int]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of `values`, and the integers d * v."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def primitive_split(ints: Sequence[int]) -> tuple[int, list[int]]:
+    """The content g >= 0 (the gcd) of an integer polynomial and its
+    primitive part, trailing zeros dropped; (0, []) for the zero polynomial."""
+    g = gcd(*ints)
+    if g == 0:
+        return 0, []
+    prim = [c // g for c in ints]
+    while prim[-1] == 0:
+        prim.pop()
+    return g, prim
+
+
+def horner(ints: Sequence[int], x: Rational | int) -> tuple[int, int]:
+    """Integer Horner pass: (v, q^d) with v / q^d the value at x = p/q of the
+    integer polynomial `ints` of degree d."""
+    if not ints:
+        return 0, 1
+    p, q = x.numerator, x.denominator
+    acc, qpow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return acc, qpow
+
 
 class RatPoly:
-    """Immutable dense polynomial; coefficient i multiplies x**i.
+    """Immutable dense polynomial content * primitive; coefficient i
+    multiplies x**i.  The form is canonical, so equality and hashing compare
+    the two slots; zero has content 1, no coefficients and degree -1."""
 
-    Trailing zeros are trimmed on construction, so the zero polynomial has
-    an empty coefficient tuple and degree -1. All ring operations are exact.
-    """
-
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_content", "_prim")
 
     def __init__(self, coeffs: Iterable[Rational | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        denom, ints = clear_denominators(tuple(coeffs))
+        g, prim = primitive_split(ints)
+        self._content = Fraction(g, denom) if prim else Fraction(1)
+        self._prim = tuple(prim)
+
+    @classmethod
+    def _make(cls, content: Fraction, prim: tuple[int, ...]) -> "RatPoly":
+        """Trusted constructor: content > 0, prim primitive and trimmed."""
+        p = object.__new__(cls)
+        p._content, p._prim = content if prim else Fraction(1), prim
+        return p
 
     # -- construction helpers -------------------------------------------------
 
@@ -37,59 +77,61 @@ class RatPoly:
     def x(cls) -> "RatPoly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, power: int, coeff: Rational | int = 1) -> "RatPoly":
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        return cls((0,) * power + (coeff,))
-
-    @classmethod
-    def constant(cls, c: Rational | int) -> "RatPoly":
-        return cls((c,))
-
     # -- basic queries ---------------------------------------------------------
 
     @property
+    def content(self) -> Fraction:
+        """The positive rational content."""
+        return self._content
+
+    @property
+    def primitive(self) -> tuple[int, ...]:
+        """The primitive integer part, carrying the sign."""
+        return self._prim
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(c * self._content for c in self._prim)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._prim) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._prim:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self._prim[-1] * self._content
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._prim):
+            return self._prim[i] * self._content
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._prim
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._prim)
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "RatPoly | Rational | int") -> "RatPoly":
         other = _as_poly(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+        # Over the common denominator d of the contents the sum is
+        # (sa * prim_a + sb * prim_b) / d with integers sa, sb.
+        d, (sa, sb) = clear_denominators((self._content, other._content))
+        a, b = self._prim, other._prim
+        out = [sa * c for c in a] + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+            out[i] += sb * c
+        g, prim = primitive_split(out)
+        return RatPoly._make(Fraction(g, d), tuple(prim))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self._coeffs))
+        return RatPoly._make(self._content, tuple(-c for c in self._prim))
 
     def __sub__(self, other: "RatPoly | Rational | int") -> "RatPoly":
         return self + (-_as_poly(other))
@@ -101,17 +143,20 @@ class RatPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return RatPoly()
-            return RatPoly(tuple(c * other for c in self._coeffs))
-        a, b = self._coeffs, other._coeffs
+            if other > 0:
+                return RatPoly._make(self._content * other, self._prim)
+            return RatPoly._make(self._content * -other, tuple(-c for c in self._prim))
+        a, b = self._prim, other._prim
         if not a or not b:
             return RatPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        # Gauss's lemma: the product of primitive parts is primitive.
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == 0:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return RatPoly(out)
+        return RatPoly._make(self._content * other._content, tuple(out))
 
     __rmul__ = __mul__
 
@@ -127,21 +172,21 @@ class RatPoly:
         """Multiply by x**k."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        if not self._coeffs:
+        if not self._prim:
             return self
-        return RatPoly((Fraction(0),) * k + self._coeffs)
+        return RatPoly._make(self._content, (0,) * k + self._prim)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(i * c for i, c in enumerate(self._coeffs) if i > 0))
+        g, prim = primitive_split([i * c for i, c in enumerate(self._prim)][1:])
+        return RatPoly._make(self._content * g, tuple(prim))
 
     # -- evaluation ------------------------------------------------------------
 
     def __call__(self, x: Rational | int) -> Fraction:
-        """Exact Horner evaluation."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value: an integer Horner pass and one division."""
+        v, qpow = horner(self._prim, x)
+        c = self._content
+        return Fraction(v * c.numerator, qpow * c.denominator)
 
     # -- comparison / hashing / display ----------------------------------------
 
@@ -150,20 +195,19 @@ class RatPoly:
             other = _as_poly(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._prim == other._prim and self._content == other._content
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._content, self._prim))
 
     def __repr__(self) -> str:
-        return f"RatPoly({list(self._coeffs)!r})"
+        return f"RatPoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._prim:
             return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self._coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mag = -c if c < 0 else c
@@ -181,7 +225,7 @@ class RatPoly:
 
     def coeff_strings(self) -> list[str]:
         """Coefficients as exact 'p/q' strings, ascending powers."""
-        return [str(c) for c in self._coeffs]
+        return [str(c) for c in self.coeffs]
 
 
 def _as_poly(v: RatPoly | Rational | int) -> RatPoly:

@@ -1,7 +1,8 @@
 """Certified real-root machinery over exact rationals.
 
-Polynomials are converted once to primitive integer coefficient lists; all
-sign evaluations are pure integer arithmetic.  Root counting uses Sturm
+Every routine reads the primitive integer part of a `RatPoly` (its content
+is positive, so it cannot change a sign); all sign evaluations are the
+integer Horner pass of `invineq.polynomial`.  Root counting uses Sturm
 sequences built by integer pseudo-division (`_pdiv`) as a primitive
 pseudo-remainder sequence (each element is a positive rational multiple of
 the classical Sturm chain element, which preserves sign variations while
@@ -9,19 +10,18 @@ keeping coefficients integral).
 
 One path serves every caller: `_isolating` halves (lo, hi] under Sturm
 counts into isolating intervals for `isolate_all`, `largest_root` and
-`smallest_root`, and `refine` is the only bisection loop, also behind
-`bisect_sign_change`.
+`smallest_root`, and `_bisect` is the only bisection loop, behind `refine`
+and `bisect_sign_change`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterator
 
 from .exact import Rational
-from .polynomial import RatPoly
+from .polynomial import RatPoly, horner, primitive_split
 
 IntPoly = list[int]
 
@@ -63,23 +63,13 @@ class Enclosure:
 
 def int_coeffs(poly: RatPoly) -> IntPoly:
     """Primitive integer coefficient list, a positive multiple of `poly`."""
-    if poly.is_zero():
-        return []
-    denom = lcm(*(c.denominator for c in poly.coeffs))
-    return _primitive([c.numerator * (denom // c.denominator) for c in poly.coeffs])
+    return list(poly.primitive)
 
 
 def sign_at(coeffs: IntPoly, x: Rational) -> int:
-    """Sign of the polynomial at rational x, via integer Horner."""
-    if not coeffs:
-        return 0
-    p, q = x.numerator, x.denominator
-    acc = coeffs[-1]
-    qpow = 1
-    for c in reversed(coeffs[:-1]):
-        qpow *= q
-        acc = acc * p + c * qpow
-    return (acc > 0) - (acc < 0)
+    """Sign of the integer polynomial at rational x."""
+    v, _ = horner(coeffs, x)
+    return (v > 0) - (v < 0)
 
 
 def _pdiv(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, int]:
@@ -107,15 +97,6 @@ def _pdiv(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly, int]:
     return q, r, k
 
 
-def _primitive(coeffs: IntPoly) -> IntPoly:
-    content = 0
-    for c in coeffs:
-        content = gcd(content, c)
-    if content == 0:
-        return []
-    return [c // content for c in coeffs]
-
-
 def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive positive multiple of the quotient a / b, for integer
     polynomials with b | a over Q."""
@@ -124,7 +105,7 @@ def _exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
         raise RootIsolationError("inexact polynomial division")
     if b[-1] < 0 and k % 2:
         q = [-c for c in q]
-    return _primitive(q)
+    return primitive_split(q)[1]
 
 
 def sturm_chain(coeffs: IntPoly) -> list[IntPoly]:
@@ -141,7 +122,7 @@ def sturm_chain(coeffs: IntPoly) -> list[IntPoly]:
     if len(coeffs) == 1:
         return chain
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    chain.append(_primitive(deriv))
+    chain.append(primitive_split(deriv)[1])
     while len(chain[-1]) > 1:
         a, b = chain[-2], chain[-1]
         _, r, steps = _pdiv(a, b)
@@ -153,7 +134,7 @@ def sturm_chain(coeffs: IntPoly) -> list[IntPoly]:
         # positive multiple of -rem(a, b).
         if (b[-1] > 0) or (steps % 2 == 0):
             r = [-c for c in r]
-        chain.append(_primitive(r))
+        chain.append(primitive_split(r)[1])
     return chain
 
 
@@ -182,39 +163,33 @@ def count_roots(chain: list[IntPoly], lo: Rational, hi: Rational) -> int:
     return variations_at(chain, lo) - variations_at(chain, hi)
 
 
-def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction,
-           chain: list[IntPoly] | None = None) -> Enclosure:
-    """Shrink an isolating interval (lo, hi] for a single distinct root to
-    width <= tol.
+def _bisect(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
+            tol: Fraction) -> Enclosure:
+    """Halve (lo, hi] to width <= tol, given the sign s_hi != 0 at hi and
+    the opposite sign just right of lo; a midpoint root is returned exactly."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s_mid = sign_at(coeffs, mid)
+        if s_mid == 0:
+            return Enclosure(mid, mid)
+        if s_mid == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return Enclosure(lo, hi)
 
-    Uses sign bisection when the endpoint signs straddle zero; otherwise
-    (endpoint on another root, or even multiplicity) falls back to exact
-    Sturm counting.
+
+def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
+    """Shrink an isolating interval (lo, hi] of a simple root to width <= tol.
+
+    The root is the only one in (lo, hi] and simple (pass a squarefree
+    polynomial, such as `sturm_chain(...)[0]`), so unless it sits at hi the
+    sign just right of lo is -sign(hi), and bisection on signs is exact.
     """
     s_hi = sign_at(coeffs, hi)
     if s_hi == 0:
         return Enclosure(hi, hi)
-    s_lo = sign_at(coeffs, lo)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(coeffs, mid)
-        if s_mid == 0 and s_lo != 0 and s_lo != s_hi:
-            return Enclosure(mid, mid)
-        if s_lo != 0 and s_lo != s_hi:
-            if s_mid == s_lo:
-                lo, s_lo = mid, s_mid
-            else:
-                hi, s_hi = mid, s_mid
-        else:
-            if chain is None:
-                chain = sturm_chain(coeffs)
-            if count_roots(chain, mid, hi) >= 1:
-                lo, s_lo = mid, s_mid
-            else:
-                if s_mid == 0:
-                    return Enclosure(mid, mid)
-                hi, s_hi = mid, s_mid
-    return Enclosure(lo, hi)
+    return _bisect(coeffs, lo, hi, s_hi, tol)
 
 
 def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction, total: int,
@@ -249,14 +224,13 @@ def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
     If `expected` is given, a mismatch with the Sturm count raises
     RootIsolationError rather than returning a partial answer.
     """
-    coeffs = int_coeffs(poly)
-    chain = sturm_chain(coeffs)
+    chain = sturm_chain(int_coeffs(poly))
     total = count_roots(chain, lo, hi)
     if expected is not None and total != expected:
         raise RootIsolationError(
             f"found {total} roots in ({lo}, {hi}], expected {expected}"
         )
-    enclosures = [refine(coeffs, a, b, tol, chain)
+    enclosures = [refine(chain[0], a, b, tol)
                   for a, b in _isolating(chain, lo, hi, total, rightmost=True)]
     enclosures.sort(key=lambda e: (e.lo, e.hi))
     return enclosures
@@ -264,13 +238,12 @@ def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
 
 def _extreme_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
                   rightmost: bool) -> Enclosure:
-    coeffs = int_coeffs(poly)
-    chain = sturm_chain(coeffs)
+    chain = sturm_chain(int_coeffs(poly))
     total = count_roots(chain, lo, hi)
     if total < 1:
         raise RootIsolationError(f"no roots in ({lo}, {hi}]")
     a, b = next(_isolating(chain, lo, hi, total, rightmost))
-    return refine(coeffs, a, b, tol, chain)
+    return refine(chain[0], a, b, tol)
 
 
 def largest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
@@ -295,18 +268,18 @@ def bisect_sign_change(coeffs: IntPoly, lo: Fraction, hi: Fraction,
         return Enclosure(hi, hi)
     if s_lo == s_hi:
         raise RootIsolationError(f"no sign change on [{lo}, {hi}]")
-    # The endpoint signs straddle zero, so refine bisects on signs alone.
-    return refine(coeffs, lo, hi, tol)
+    return _bisect(coeffs, lo, hi, s_hi, tol)
 
 
 def interval_eval(poly: RatPoly, box: Enclosure) -> tuple[Fraction, Fraction]:
     """Rigorous range bounds of the polynomial over [box.lo, box.hi] by
-    interval Horner with exact rational endpoints."""
-    lo, hi = Fraction(0), Fraction(0)
-    for c in reversed(poly.coeffs):
+    interval Horner with exact rational endpoints, run over the primitive
+    part and scaled by the positive content."""
+    lo = hi = Fraction(0)
+    for c in reversed(poly.primitive):
         candidates = (lo * box.lo, lo * box.hi, hi * box.lo, hi * box.hi)
         lo, hi = min(candidates) + c, max(candidates) + c
-    return lo, hi
+    return lo * poly.content, hi * poly.content
 
 
 def root_offset_bounds(poly: RatPoly, enc: Enclosure,

@@ -69,9 +69,10 @@ class QuadraticSurd:
 
 
 def surd_sign_of_poly(poly: RatPoly, surd: QuadraticSurd) -> int:
-    """Exact sign of poly(u + sqrt(v)), via Horner in Q[sqrt(v)]."""
+    """Exact sign of poly(u + sqrt(v)), via Horner in Q[sqrt(v)] over the
+    primitive part (the positive content cannot change the sign)."""
     a, b = Fraction(0), Fraction(0)  # value = a + b*sqrt(v)
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly.primitive):
         a, b = a * surd.u + b * surd.v + c, a + b * surd.u
     if b == 0 or surd.v == 0:
         return (a > 0) - (a < 0)
@@ -167,12 +168,9 @@ def bound_upper_radical(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosur
 
 
 def _assert_alternating(n: int) -> None:
-    poly = char_poly(n).poly
-    nu = poly.degree
-    for j in range(nu + 1):
-        c = poly.coeff(nu - j)
-        if (-1) ** j * c <= 0:
-            raise RootIsolationError(f"coefficient alternation fails at n={n}")
+    prim = char_poly(n).poly.primitive
+    if any((-1) ** j * c <= 0 for j, c in enumerate(reversed(prim))):
+        raise RootIsolationError(f"coefficient alternation fails at n={n}")
 
 
 @lru_cache(maxsize=None)

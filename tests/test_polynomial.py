@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from invineq.polynomial import RatPoly, poly_eval, poly_interpolate
+from invineq.roots import int_coeffs
 
 coeff = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12)
 small_polys = st.lists(coeff, max_size=9).map(RatPoly)
@@ -83,3 +85,89 @@ class TestInterpolation:
     def test_round_trip(self, p):
         points = [(F(x), p(F(x))) for x in range(max(p.degree + 1, 1))]
         assert poly_interpolate(points) == p
+
+
+# Reference semantics on plain Fraction lists, independent of RatPoly's
+# content/primitive representation.
+def ref_trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n)])
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ref_trim(out)
+
+
+def ref_eval(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def assert_canonical(p):
+    assert p.content > 0
+    if p.primitive:
+        assert gcd(*p.primitive) == 1
+        assert p.primitive[-1] != 0
+    else:
+        assert p.content == 1
+    assert all(isinstance(c, int) for c in p.primitive)
+
+
+coeff_lists = st.lists(coeff, max_size=9)
+
+
+class TestIntegerRepresentation:
+    @given(coeff_lists, coeff_lists, coeff, coeff)
+    def test_ring_operations_match_fraction_reference(self, a, b, s, x):
+        p, q = RatPoly(a), RatPoly(b)
+        ta, tb = ref_trim(a), ref_trim(b)
+        assert p.coeffs == ta
+        assert (p + q).coeffs == ref_add(ta, tb)
+        assert (p - q).coeffs == ref_add(ta, tuple(-c for c in tb))
+        assert (p * q).coeffs == ref_mul(ta, tb)
+        assert (p * s).coeffs == ref_trim(c * s for c in ta)
+        assert (s * p).coeffs == ref_trim(c * s for c in ta)
+        assert p.derivative().coeffs == ref_trim([i * c for i, c in enumerate(ta)][1:])
+        assert p.shift_up(3).coeffs == ref_trim((0, 0, 0) + ta)
+        assert p(x) == ref_eval(ta, x)
+        for r in (p, q, p + q, p - q, p * q, p * s, -p, p.derivative(), p.shift_up(2)):
+            assert_canonical(r)
+
+    @given(coeff_lists, coeff)
+    def test_equal_polynomials_hash_equal(self, a, s):
+        p = RatPoly(a)
+        if s != 0:
+            scaled = RatPoly([c * s for c in a]) * (1 / s)
+            assert scaled == p
+            assert hash(scaled) == hash(p)
+        assert (p + RatPoly(a)) - p == p
+        assert hash((p + RatPoly(a)) - p) == hash(p)
+        assert p - p == RatPoly()
+        assert hash(p - p) == hash(RatPoly())
+
+    @given(coeff_lists)
+    def test_int_coeffs_is_the_primitive_part(self, a):
+        p = RatPoly(a)
+        assert int_coeffs(p) == list(p.primitive)
+        assert tuple(c * p.content for c in p.primitive) == p.coeffs
+
+    def test_sign_lives_in_the_primitive_part(self):
+        p = RatPoly((F(-1, 3), F(2, 9)))
+        assert p.content == F(1, 9)
+        assert p.primitive == (-3, 2)
+        assert (-p).primitive == (3, -2)
+        assert (p * F(-3, 2)).content == F(1, 6)

@@ -10,14 +10,17 @@ keeping coefficients integral).
 
 One path serves every caller: `_isolating` halves (lo, hi] under Sturm
 counts into isolating intervals for `isolate_all`, `largest_root` and
-`smallest_root`, and `_bisect` is the only bisection loop, behind `refine`
-and `bisect_sign_change`.
+`smallest_root`, and `_grid_refine` is the only refinement loop, behind
+`refine` and `bisect_sign_change`.  It finds the cell that bisection to the
+tolerance would end in, on the same fixed dyadic grid, by safeguarded Newton
+steps on the grid's integers, with no `Fraction` arithmetic in the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from .exact import Rational
@@ -163,20 +166,66 @@ def count_roots(chain: list[IntPoly], lo: Rational, hi: Rational) -> int:
     return variations_at(chain, lo) - variations_at(chain, hi)
 
 
-def _bisect(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
-            tol: Fraction) -> Enclosure:
-    """Halve (lo, hi] to width <= tol, given the sign s_hi != 0 at hi and
-    the opposite sign just right of lo; a midpoint root is returned exactly."""
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(coeffs, mid)
-        if s_mid == 0:
-            return Enclosure(mid, mid)
-        if s_mid == s_hi:
-            hi = mid
+def _grid_refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
+                 tol: Fraction) -> Enclosure:
+    """The cell of width <= tol that halving (lo, hi] ends in, given the sign
+    s_hi != 0 at hi and the opposite sign just right of lo.
+
+    Halving ends on the level-m dyadic grid of (lo, hi], m the least level
+    with (hi - lo) / 2^m <= tol.  With lo = A/D and hi = B/D, grid point j is
+    N_j / M, N_j = A 2^m + j (B - A) and M = D 2^m.  The coefficients are
+    scaled once by powers of M, so one integer Horner pass over N_j gives
+    M^d p(N_j / M) and its derivative in N together.
+
+    The bracket (jlo, jhi] shrinks by Newton steps in grid units from the
+    last point evaluated, rounded past the root (floor from the right end,
+    ceil from the left).  A step is taken only if it lands strictly inside
+    the bracket and is at most half the step before it; otherwise the
+    midpoint is evaluated.  After m points only midpoints are evaluated, so
+    at most 2m points are evaluated in all, at multiple roots too.
+
+    The returned cell has values of opposite sign at its ends, so it holds a
+    root; when (lo, hi] isolates that root, it is the cell halving returns,
+    and a root on a grid point is met exactly and returned exactly.
+    """
+    den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    step = hi.numerator * (den // hi.denominator) - a
+    # m from bit lengths: the least m >= 0 with step * tol_d <= tol_n * den * 2^m.
+    need, have = step * tol.denominator, tol.numerator * den
+    m = max(need.bit_length() - have.bit_length(), 0)
+    if have << m < need:
+        m += 1
+    scale, base = den << m, a << m
+    scaled, power = [], 1
+    for c in reversed(coeffs):
+        scaled.append(c * power)
+        power *= scale
+    lead, rest = scaled[0], scaled[1:]
+    jlo, jhi = 0, 1 << m
+    jc, reach, evals = jhi, jhi, 0  # last point, the step that reached it
+    while jhi - jlo > 1:
+        j = (jlo + jhi) >> 1
+        if 0 < evals < m:
+            slope = dv * step
+            if slope:
+                t = jc + (-v) // slope if jc == jhi else jc - v // slope
+                if jlo < t < jhi and 2 * abs(t - jc) <= reach:
+                    j = t
+        x = base + j * step
+        v, dv = lead, 0
+        for c in rest:
+            dv = dv * x + v
+            v = v * x + c
+        if not v:
+            return Enclosure(Fraction(x, scale), Fraction(x, scale))
+        if (v > 0) == (s_hi > 0):
+            jhi = j
         else:
-            lo = mid
-    return Enclosure(lo, hi)
+            jlo = j
+        jc, reach, evals = j, abs(j - jc), evals + 1
+    return Enclosure(Fraction(base + jlo * step, scale),
+                     Fraction(base + jhi * step, scale))
 
 
 def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
@@ -184,12 +233,14 @@ def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclos
 
     The root is the only one in (lo, hi] and simple (pass a squarefree
     polynomial, such as `sturm_chain(...)[0]`), so unless it sits at hi the
-    sign just right of lo is -sign(hi), and bisection on signs is exact.
+    sign just right of lo is -sign(hi), and the result is the dyadic cell of
+    (lo, hi] that bisection on signs returns, or the root itself when it lies
+    on that grid.
     """
     s_hi = sign_at(coeffs, hi)
     if s_hi == 0:
         return Enclosure(hi, hi)
-    return _bisect(coeffs, lo, hi, s_hi, tol)
+    return _grid_refine(coeffs, lo, hi, s_hi, tol)
 
 
 def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction, total: int,
@@ -257,18 +308,29 @@ def smallest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> E
 
 
 def bisect_sign_change(coeffs: IntPoly, lo: Fraction, hi: Fraction,
-                       tol: Fraction) -> Enclosure:
-    """Certified enclosure from a strict sign change: requires sign(lo) < 0
-    and sign(hi) >= 0, with sign(hi) == 0 collapsing to the exact root."""
-    s_lo = sign_at(coeffs, lo)
-    s_hi = sign_at(coeffs, hi)
+                       tol: Fraction, s_lo: int | None = None,
+                       s_hi: int | None = None) -> Enclosure:
+    """Certified enclosure of width <= tol of a root in [lo, hi].
+
+    A root at lo, else at hi, is returned exactly.  Otherwise the signs at lo
+    and hi must be nonzero and opposite (either way round), or
+    RootIsolationError is raised.  When (lo, hi) holds one distinct root,
+    the result is the dyadic cell that bisection returns, or the root itself
+    on a grid point.  When it holds several, the result is a certified
+    enclosure of one of them, and which one is not specified.  `s_lo` and
+    `s_hi` pass signs the caller has already evaluated.
+    """
+    if s_lo is None:
+        s_lo = sign_at(coeffs, lo)
     if s_lo == 0:
         return Enclosure(lo, lo)
+    if s_hi is None:
+        s_hi = sign_at(coeffs, hi)
     if s_hi == 0:
         return Enclosure(hi, hi)
     if s_lo == s_hi:
         raise RootIsolationError(f"no sign change on [{lo}, {hi}]")
-    return _bisect(coeffs, lo, hi, s_hi, tol)
+    return _grid_refine(coeffs, lo, hi, s_hi, tol)
 
 
 def interval_eval(poly: RatPoly, box: Enclosure) -> tuple[Fraction, Fraction]:

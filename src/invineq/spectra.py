@@ -182,7 +182,8 @@ def _max_root_cached(n: int, tol: Fraction) -> Enclosure:
     # The maximal root lies in (f1/2, f1]; there is at most one root above
     # f1/2 (the roots are real and positive and sum to f1), so a sign-change
     # bracket there pins it down.
-    if sign_at(coeffs, f1) == 0:
+    s_f1 = sign_at(coeffs, f1)
+    if s_f1 == 0:
         return Enclosure(f1, f1)
     surd = bound_lower(n)
     lo_sqrt, _ = sqrt_bounds(surd.v, Fraction(1, 4))
@@ -194,7 +195,7 @@ def _max_root_cached(n: int, tol: Fraction) -> Enclosure:
         raise RootIsolationError(
             f"bracket sign check failed at n={n}: expected negative value"
         )
-    return bisect_sign_change(coeffs, a0, f1, tol)
+    return bisect_sign_change(coeffs, a0, f1, tol, s_lo=s_a0, s_hi=s_f1)
 
 
 def max_root(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosure:
@@ -209,7 +210,8 @@ def max_root(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosure:
 
 
 def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
-    """Continue bisecting a maximal-root enclosure for up to `extra_steps`."""
+    """Shrink a maximal-root enclosure to the cell that up to `extra_steps`
+    more halvings reach."""
     if enc.is_exact or extra_steps <= 0:
         return enc
     coeffs = int_coeffs(char_poly(n).poly)

@@ -1,8 +1,10 @@
-"""Canonical JSON guard: the CLI's rows for every benchmark workload band
-hash to the per-n sha256 digests committed in perfbench/digests.json.
+"""Canonical JSON guards, run through the CLI with --jobs 1 --format json.
 
-Each digest is the sha256 of that n's JSON lines joined with newlines, as
-the CLI prints them with --jobs 1 --format json.  The file is only read.
+The rows for every benchmark workload band hash to the per-n sha256 digests
+committed in perfbench/digests.json (the sha256 of that n's JSON lines
+joined with newlines; the file is only read).  The ROADMAP gate ranges,
+which reach past the benchmark bands, hash to the sha256 of the whole
+stdout recorded below.
 """
 
 import hashlib
@@ -33,3 +35,18 @@ def test_rows_match_committed_digests(workload, capsys):
            for n, lines in rows_by_n.items()}
     mismatched = sorted((n for n in got if got[n] != entry["digests"][n]), key=int)
     assert not mismatched, f"{workload}: rows differ from the digests at n={mismatched}"
+
+
+GATE_RANGES = {
+    "figure --tol 1e-12 --range 2..100":
+        "3fe82da9585c0fa73a8aa881a1153b431979e2f30b189f7931c0e08f786a6b35",
+    "bounds --range 2..200":
+        "70ef3343ee2d6ece229ef88d29f76649017b05332b012d7ed69a88b4025f6f3f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GATE_RANGES))
+def test_gate_range_stdout_matches_recorded_digest(command, capsys):
+    assert main([*command.split(), "--jobs", "1", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GATE_RANGES[command]

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from invineq import roots
+from invineq.exact import sqrt_bounds
 from invineq.polynomial import RatPoly
 from invineq.roots import (
     Enclosure,
@@ -293,3 +296,141 @@ class TestPseudoDivision:
     def test_inexact_division_raises(self):
         with pytest.raises(RootIsolationError, match="inexact"):
             _exact_div([1, 0, 1], [1, 1])
+
+
+# -- the grid kernel against a Fraction bisection oracle -----------------------
+
+
+def bisect_oracle(coeffs, lo, hi, s_hi, tol):
+    """Halve (lo, hi] on Fraction midpoints to width <= tol, given the sign
+    s_hi != 0 at hi and the opposite sign just right of lo; a midpoint root
+    is returned exactly.  The refinement loop the grid kernel replaces."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s_mid = sign_at(coeffs, mid)
+        if s_mid == 0:
+            return Enclosure(mid, mid)
+        if s_mid == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return Enclosure(lo, hi)
+
+
+def with_oracle(fn, *args):
+    """`fn(*args)` with the bisection oracle in place of the grid kernel."""
+    with mock.patch.object(roots, "_grid_refine", bisect_oracle):
+        return fn(*args)
+
+
+def grid_level(lo, hi, tol):
+    m = 0
+    while (hi - lo) / 2**m > tol:
+        m += 1
+    return m
+
+
+# Interval ends: dyadic, with denominators 3 and 7, lower square-root bounds
+# (like the maximal-root bracket's a0) and general rationals.
+interval_end = st.one_of(
+    st.builds(lambda k, e: F(k, 2**e), st.integers(-64, 64), st.integers(0, 4)),
+    st.builds(lambda k, d: F(k, d), st.integers(-60, 60), st.sampled_from([3, 7, 21])),
+    st.builds(lambda q, e: sqrt_bounds(F(q), F(1, 2**e))[0] - 4,
+              st.integers(1, 60), st.integers(1, 30)),
+    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=50),
+)
+grid_tolerances = st.one_of(
+    tolerances,
+    st.builds(lambda k, e: F(k, 10**e), st.integers(1, 99), st.integers(0, 14)),
+    st.fractions(min_value=F(1, 1000), max_value=F(20), max_denominator=1000),
+)
+
+
+@st.composite
+def isolating_cases(draw):
+    """(poly, lo, hi, tol): (lo, hi] holds exactly one distinct root r of
+    poly.  r sits on a grid point of level < m, of level exactly m, at hi or
+    anywhere inside; other roots lie outside, one perhaps exactly at lo."""
+    lo, hi = sorted(draw(st.lists(interval_end, min_size=2, max_size=2, unique=True)))
+    tol = draw(grid_tolerances)
+    m = grid_level(lo, hi, tol)
+    place = draw(st.sampled_from(["coarse", "level_m", "hi", "inside", "inside"]))
+    if place == "coarse" and m > 1:
+        e = draw(st.integers(1, m - 1))
+        u = F(2 * draw(st.integers(0, 2 ** (e - 1) - 1)) + 1, 2**e)
+    elif place == "level_m" and m > 0:
+        u = F(2 * draw(st.integers(0, 2 ** (m - 1) - 1)) + 1, 2**m)
+    elif place == "hi":
+        u = F(1)
+    else:
+        u = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+                 .filter(lambda f: 0 < f))
+    width = hi - lo
+    outside = draw(st.lists(st.one_of(
+        st.just(lo),
+        st.builds(lambda f: lo - f * (width + 1), st.fractions(0, 3, max_denominator=97)),
+        st.builds(lambda f: hi + f * (width + 1),
+                  st.fractions(0, 3, max_denominator=97).filter(lambda f: f > 0)),
+    ), max_size=3))
+    poly = RatPoly.one()
+    for r in [lo + u * width, *outside]:
+        for _ in range(draw(st.integers(1, 3))):
+            poly = poly * RatPoly((-r, 1))
+    if draw(st.booleans()):
+        poly = poly * RatPoly((draw(st.integers(1, 20)), 0, 1))
+    sign = draw(st.sampled_from([1, -1]))  # both signs of s_hi
+    return poly * RatPoly((sign,)), lo, hi, tol
+
+
+class TestGridKernel:
+    """The kernel returns exactly the enclosure of Fraction bisection on
+    isolating intervals, through every caller."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(isolating_cases())
+    @example((RatPoly((-F(1, 3), 1)), F(0), F(1), F(1)))  # width <= tol: m = 0
+    @example((RatPoly((-F(3, 8), 1)), F(0), F(1), F(1, 8)))  # root on level m = 3
+    @example((RatPoly((-F(1, 2), 1)), F(0), F(1), F(1, 10**6)))  # level 1 < m
+    @example((poly_from_roots(F(1, 3), F(1, 2)), F(1, 3), F(5, 7),
+              F(3, 1000)))  # p(lo) = 0 with lo outside (lo, hi]
+    def test_refine_and_bisect_sign_change(self, case):
+        poly, lo, hi, tol = case
+        squarefree = sturm_chain(int_coeffs(poly))[0]
+        assert count_roots(sturm_chain(squarefree), lo, hi) == 1
+        got = refine(squarefree, lo, hi, tol)
+        assert got == with_oracle(refine, squarefree, lo, hi, tol)
+        assert got.width <= tol and lo <= got.lo and got.hi <= hi
+        coeffs = int_coeffs(poly)
+        try:
+            expected = with_oracle(bisect_sign_change, coeffs, lo, hi, tol)
+        except RootIsolationError:  # a root of even multiplicity
+            with pytest.raises(RootIsolationError):
+                bisect_sign_change(coeffs, lo, hi, tol)
+            return
+        assert bisect_sign_change(coeffs, lo, hi, tol) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_polys(), grid_tolerances)
+    def test_isolating_callers(self, planted, tol):
+        poly, _ = planted
+        encs = isolate_all(poly, LO, HI, tol)
+        assert encs == with_oracle(isolate_all, poly, LO, HI, tol)
+        if encs:
+            for extreme in (largest_root, smallest_root):
+                assert extreme(poly, LO, HI, tol) == with_oracle(extreme, poly, LO, HI, tol)
+
+    def test_triple_root_deep_tolerance(self):
+        # Newton converges only linearly at a triple root: the halving
+        # safeguard has to carry the refinement to 200 levels.
+        coeffs = int_coeffs(poly_from_roots(F(1, 3), F(1, 3), F(1, 3)))
+        tol = F(1, 2**200)
+        for lo, hi in ((F(0), F(1)), (F(1, 7), F(3, 4))):
+            enc = bisect_sign_change(coeffs, lo, hi, tol)
+            assert enc == with_oracle(bisect_sign_change, coeffs, lo, hi, tol)
+            assert enc.lo < F(1, 3) < enc.hi and enc.width <= tol
+
+    def test_known_signs_are_not_evaluated_again(self):
+        coeffs = int_coeffs(RatPoly((-2, 0, 1)))
+        with mock.patch.object(roots, "sign_at", side_effect=AssertionError):
+            enc = bisect_sign_change(coeffs, F(1), F(2), TOL, s_lo=-1, s_hi=1)
+        assert enc == bisect_sign_change(coeffs, F(1), F(2), TOL)

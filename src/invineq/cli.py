@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Commands: verify, bounds, figure, asymptotics, boundary.  JSON is the
-canonical output (exact values as "p/q" strings); CSV and text are lossy
-projections rendered at the configured precision, with enclosure endpoints
-rounded outwards (lower ends down, upper ends up) and enclosure midpoints cut
-to the decimals their width supports.  Exit codes: 0 success,
-1 identity/ordering failure, 2 usage error, 3 undecided at precision,
-4 internal error (reported as one "error: internal: ..." line on stderr).
+Commands: verify, bounds, figure, asymptotics, boundary.  Every command maps
+a per-n worker over the range; a worker returns rows of exact values.  JSON
+is the canonical output: it renders each row, with every Fraction as a "p/q"
+string.  CSV and text are lossy projections of the rows, rendered at the
+configured precision, with enclosure endpoints rounded outwards (lower ends
+down, upper ends up) and enclosure midpoints cut to the decimals their width
+supports.  Exit codes: 0 success, 1 identity/ordering failure, 2 usage error,
+3 undecided at precision, 4 internal error (reported as one
+"error: internal: ..." line on stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from math import inf
@@ -127,7 +128,7 @@ def _kron_rows(n: int) -> list[dict]:
     return [{
         "n": n,
         "identity": "kron",
-        "sample": str(sample),
+        "sample": sample,
         "equal": verify_kron_factorization(n, sample),
     } for sample in KRON_SAMPLES]
 
@@ -171,13 +172,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows: list[dict] = []
     for identity in identities:
         lo, hi, _ = VERIFY_IDENTITIES[identity]
+        if args.identity != "all":
+            _in_domain(identity, ns, lo, hi)
         sub_ns = [n for n in ns if lo <= n <= hi]
-        if len(sub_ns) < len(ns) and args.identity != "all":
-            domain = f"n >= {lo}" if hi == inf else f"{lo} <= n <= {hi}"
-            raise UsageError(f"{identity} needs {domain}")
         rows.extend(_run_mapped(partial(_verify_worker, identity), sub_ns, args.jobs))
-    rows.sort(key=lambda r: (r["n"], r["identity"], r.get("sample", "")))
-    _emit(rows, args, csv_fields=("n", "identity", "equal"))
+    # A stable sort: the kron rows of one n keep the order of KRON_SAMPLES.
+    rows.sort(key=lambda r: (r["n"], r["identity"]))
+    _emit(rows, args, ("n", "identity", "equal"))
     return EXIT_OK if all(r["equal"] for r in rows) else EXIT_FAILURE
 
 
@@ -195,20 +196,16 @@ def _format_mid(enc: Enclosure, digits: int) -> str:
     return format_decimal(enc.mid, digits)
 
 
-def _bounds_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
+def _bounds_worker(tol: Fraction, n: int) -> list[dict]:
     report = bound_report(n, tol)
     flags = report.orderings
     return [{
         "n": n,
-        "m": {
-            "u": str(report.m.u),
-            "v": str(report.m.v),
-            "lo": str(report.m_enclosure.lo),
-            "hi": str(report.m_enclosure.hi),
-        },
-        "lambda": {"lo": str(report.lam.lo), "hi": str(report.lam.hi)},
-        "f1": str(report.f1),
-        "M": {"lo": str(report.upper_enclosure.lo), "hi": str(report.upper_enclosure.hi)},
+        "m": {"u": report.m.u, "v": report.m.v,
+              "lo": report.m_enclosure.lo, "hi": report.m_enclosure.hi},
+        "lambda": {"lo": report.lam.lo, "hi": report.lam.hi},
+        "f1": report.f1,
+        "M": {"lo": report.upper_enclosure.lo, "hi": report.upper_enclosure.hi},
         "orderings": {
             "m_le_lambda": flags.m_le_lambda,
             "lambda_le_f1": flags.lambda_le_f1,
@@ -220,27 +217,27 @@ def _bounds_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
             "decided": flags.decided,
         },
         "ok": flags.all_hold,
-        "_csv": {
-            "n": n,
-            "m": _format_mid(report.m_enclosure, digits),
-            "lambda_lo": format_decimal(report.lam.lo, digits, "down"),
-            "lambda_hi": format_decimal(report.lam.hi, digits, "up"),
-            "f1": str(report.f1),
-            "M": _format_mid(report.upper_enclosure, digits),
-            "ok": flags.all_hold,
-        },
     }]
 
 
+def _bounds_projection(digits: int, row: dict) -> dict:
+    return {
+        "n": row["n"],
+        "m": _format_mid(Enclosure(row["m"]["lo"], row["m"]["hi"]), digits),
+        "lambda_lo": format_decimal(row["lambda"]["lo"], digits, "down"),
+        "lambda_hi": format_decimal(row["lambda"]["hi"], digits, "up"),
+        "f1": row["f1"],
+        "M": _format_mid(Enclosure(**row["M"]), digits),
+        "ok": row["ok"],
+    }
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
-    ns = parse_range(args.range)
-    if min(ns) < 2:
-        raise UsageError("bounds needs n >= 2 throughout the range")
-    tol = parse_tolerance(args.tol)
-    digits = bits_to_digits(args.bits)
-    rows = _run_mapped(partial(_bounds_worker, tol, digits), ns, args.jobs)
+    ns = _in_domain("bounds", parse_range(args.range), 2)
+    rows = _run_mapped(partial(_bounds_worker, parse_tolerance(args.tol)), ns, args.jobs)
     rows.sort(key=lambda r: r["n"])
-    _emit(rows, args, csv_fields=("n", "m", "lambda_lo", "lambda_hi", "f1", "M", "ok"))
+    _emit(rows, args, ("n", "m", "lambda_lo", "lambda_hi", "f1", "M", "ok"),
+          project=_bounds_projection)
     if not all(r["ok"] for r in rows):
         return EXIT_FAILURE
     if not all(r["orderings"]["decided"] for r in rows):
@@ -252,58 +249,38 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _figure_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
-    table = all_roots(n, tol)
-    return [
-        {
-            "n": n,
-            "root": format_decimal(enc.mid, digits),
-            "parity": n % 2,
-        }
-        for enc in table.roots
-    ]
+    # The decimal root is the canonical value: JSON holds it too.
+    return [{"n": n, "root": format_decimal(enc.mid, digits), "parity": n % 2}
+            for enc in all_roots(n, tol).roots]
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    ns = parse_range(args.range)
-    if min(ns) < 2:
-        raise UsageError("figure needs n >= 2 throughout the range")
-    tol = parse_tolerance(args.tol)
-    digits = bits_to_digits(args.bits)
-    rows = _run_mapped(partial(_figure_worker, tol, digits), ns, args.jobs)
+    ns = _in_domain("figure", parse_range(args.range), 2)
+    worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
+    rows = _run_mapped(worker, ns, args.jobs)
     rows.sort(key=lambda r: (r["n"], Fraction(r["root"])))
-    _emit(rows, args, csv_fields=("n", "root", "parity"), default_format="csv")
+    _emit(rows, args, ("n", "root", "parity"), default_format="csv")
     return EXIT_OK
 
 
 # -- asymptotics -----------------------------------------------------------------
 
+RATIOS = ("lambda_over_n4", "lambda_over_f1", "smallest_root_even", "smallest_root_odd")
+
+
+def _asymptotics_worker(tol: Fraction, n: int) -> list[dict]:
+    (row,) = asymptotic_table([n], tol)
+    return [{"n": n, **{k: getattr(row, k) for k in RATIOS}, "targets": row.targets}]
+
+
+def _asymptotics_projection(digits: int, row: dict) -> dict:
+    return {"n": row["n"], **{k: format_decimal(row[k], digits) for k in RATIOS}}
+
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    ns = parse_range(args.range)
-    if min(ns) < 2:
-        raise UsageError("asymptotics needs n >= 2")
-    tol = parse_tolerance(args.tol)
-    digits = bits_to_digits(args.bits)
-    rows = []
-    for row in asymptotic_table(ns, tol):
-        # JSON keeps the exact rationals; the CSV projection renders decimals.
-        rows.append({
-            "n": row.n,
-            "lambda_over_n4": str(row.lambda_over_n4),
-            "lambda_over_f1": str(row.lambda_over_f1),
-            "smallest_root_even": str(row.smallest_root_even),
-            "smallest_root_odd": str(row.smallest_root_odd),
-            "targets": {k: str(v) for k, v in row.targets.items()},
-            "_csv": {
-                "n": row.n,
-                "lambda_over_n4": format_decimal(row.lambda_over_n4, digits),
-                "lambda_over_f1": format_decimal(row.lambda_over_f1, digits),
-                "smallest_root_even": format_decimal(row.smallest_root_even, digits),
-                "smallest_root_odd": format_decimal(row.smallest_root_odd, digits),
-            },
-        })
-    _emit(rows, args, csv_fields=("n", "lambda_over_n4", "lambda_over_f1",
-                                  "smallest_root_even", "smallest_root_odd"))
+    ns = _in_domain("asymptotics", parse_range(args.range), 2)
+    rows = _run_mapped(partial(_asymptotics_worker, parse_tolerance(args.tol)), ns, args.jobs)
+    _emit(rows, args, ("n", *RATIOS), project=_asymptotics_projection)
     return EXIT_OK
 
 
@@ -317,7 +294,7 @@ def _boundary_worker(n: int) -> list[dict]:
     mu_matches = mu == max(boundary_factor_roots(n))
     return [{
         "n": n,
-        "mu": str(mu),
+        "mu": mu,
         "identities_equal": identities_ok,
         "mu_matches_det": mu_matches,
         "ok": identities_ok and mu_matches,
@@ -325,21 +302,30 @@ def _boundary_worker(n: int) -> list[dict]:
 
 
 def cmd_boundary(args: argparse.Namespace) -> int:
-    ns = parse_range(args.range)
-    if min(ns) < 1:
-        raise UsageError("boundary needs n >= 1")
+    ns = _in_domain("boundary", parse_range(args.range), 1)
     rows = _run_mapped(_boundary_worker, ns, args.jobs)
     rows.sort(key=lambda r: r["n"])
-    _emit(rows, args, csv_fields=("n", "mu", "ok"))
+    _emit(rows, args, ("n", "mu", "ok"))
     return EXIT_OK if all(r["ok"] for r in rows) else EXIT_FAILURE
 
 
 # -- shared plumbing --------------------------------------------------------------
 
 
+def _in_domain(what: str, ns: list[int], lo: int, hi: float = inf) -> list[int]:
+    """`ns`, or a usage error when some n lies outside lo <= n <= hi."""
+    if not all(lo <= n <= hi for n in ns):
+        domain = f"n >= {lo}" if hi == inf else f"{lo} <= n <= {hi}"
+        raise UsageError(f"{what} needs {domain}")
+    return ns
+
+
 def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
                 jobs: int) -> list[dict]:
     if jobs > 1 and len(ns) > 1:
+        # Imported here: a serial run need not load the process machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(worker, ns))
     else:
@@ -347,23 +333,33 @@ def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
     return [row for chunk in chunks for row in chunk]
 
 
-def _emit(rows: list[dict], args: argparse.Namespace,
-          csv_fields: tuple[str, ...], default_format: str = "json") -> None:
+def _exact(value: object) -> str:
+    """JSON form of a Fraction, "p/q"; no other foreign type may reach JSON."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"no canonical JSON form for {type(value).__name__}")
+
+
+_JSON = json.JSONEncoder(default=_exact)
+
+
+def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
+          project: Callable[[int, dict], dict] | None = None,
+          default_format: str = "json") -> None:
+    """JSON renders each exact row; CSV and text show `fields` of the row,
+    or of its projection at the --bits precision."""
     fmt = args.format or default_format
-    lines = []
     if fmt == "json":
-        for row in rows:
-            lines.append(json.dumps({k: v for k, v in row.items() if k != "_csv"}))
-    elif fmt == "csv":
-        lines.append(",".join(csv_fields))
-        for row in rows:
-            source = row.get("_csv", row)
-            lines.append(",".join(_csv_cell(source.get(f)) for f in csv_fields))
+        lines = [_JSON.encode(row) for row in rows]
     else:
-        for row in rows:
-            source = row.get("_csv", row)
-            flat = {f: source.get(f) for f in csv_fields}
-            lines.append("  ".join(f"{k}={_csv_cell(v)}" for k, v in flat.items()))
+        if project is not None:
+            digits = bits_to_digits(args.bits)
+            rows = [project(digits, row) for row in rows]
+        cells = [[_csv_cell(row[f]) for f in fields] for row in rows]
+        if fmt == "csv":
+            lines = [",".join(fields), *(",".join(line) for line in cells)]
+        else:
+            lines = ["  ".join(f"{f}={c}" for f, c in zip(fields, line)) for line in cells]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
@@ -378,6 +374,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invineq",
@@ -386,59 +391,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "the reference square.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, default_range: str = "2..50") -> None:
+    # Command: handler, help, default range, and whether it takes --tol/--bits.
+    commands = {
+        "verify": (cmd_verify, "exact determinant/identity checks", "2..50", False),
+        "bounds": (cmd_bounds, "certified eigenvalue bound orderings", "2..50", True),
+        "figure": (cmd_figure, "root-distribution table (CSV)", "2..50", True),
+        "asymptotics": (cmd_asymptotics, "limit diagnostics per n", "10,25,50", True),
+        "boundary": (cmd_boundary, "boundary eigenvalues and identities", "1..10", False),
+    }
+    for name, (func, help_text, default_range, precision) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "verify":
+            p.add_argument("identity", choices=(*VERIFY_IDENTITIES, "all"))
         p.add_argument("--range", default=default_range,
                        help="inclusive range A..B or comma list (default %(default)s)")
-        p.add_argument("--tol", default="1/1000000000000",
-                       help="rational tolerance P/Q or decimal (default 1e-12)")
-        p.add_argument("--bits", type=int, default=128,
-                       help="fixed-point fraction bits for decimal output (>= 64)")
+        if precision:
+            p.add_argument("--tol", default="1/1000000000000",
+                           help="rational tolerance P/Q or decimal (default 1e-12)")
+            p.add_argument("--bits", type=_int_at_least(64), default=128,
+                           help="fixed-point fraction bits for decimal output (>= 64)")
         p.add_argument("--format", choices=("json", "csv", "text"), default=None)
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="worker processes for per-n computations")
-
-    p_verify = sub.add_parser("verify", help="exact determinant/identity checks")
-    p_verify.add_argument("identity", choices=(*VERIFY_IDENTITIES, "all"))
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_bounds = sub.add_parser("bounds", help="certified eigenvalue bound orderings")
-    add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_figure = sub.add_parser("figure", help="root-distribution table (CSV)")
-    add_common(p_figure)
-    p_figure.set_defaults(func=cmd_figure)
-
-    p_asym = sub.add_parser("asymptotics", help="limit diagnostics per n")
-    add_common(p_asym, default_range="10,25,50")
-    p_asym.set_defaults(func=cmd_asymptotics)
-
-    p_boundary = sub.add_parser("boundary", help="boundary eigenvalues and identities")
-    add_common(p_boundary, default_range="1..10")
-    p_boundary.set_defaults(func=cmd_boundary)
-
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.bits < 64:
-        parser.exit(EXIT_USAGE, "error: --bits must be >= 64\n")
-    if args.jobs < 1:
-        parser.exit(EXIT_USAGE, "error: --jobs must be >= 1\n")
     try:
         return args.func(args)
     except UsageError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
-        return EXIT_USAGE
     except Exception as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
         parser.exit(EXIT_INTERNAL, f"error: internal: {detail}\n")
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ zur Gathen and Gerhard, *Modern Computer Algebra*, §6.2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .exact import Rational
@@ -242,21 +242,29 @@ def poly_eval(p: RatPoly, x: Rational | int) -> Fraction:
 def poly_interpolate(points: Sequence[tuple[Rational | int, Rational | int]]) -> RatPoly:
     """Unique polynomial of degree < len(points) through the given points.
 
-    Exact Newton divided differences; duplicate abscissae are a caller bug.
+    Integer Lagrange form: with abscissae X_i / d and values Y_i / e over
+    common denominators, weights w_i = prod_{j != i} (X_i - X_j) and
+    L = lcm(w_i), the polynomial is sum_i Y_i (L / w_i) N(t) / (t - X_i) at
+    t = d x, divided once by e L, where N(t) = prod_j (t - X_j).  Duplicate
+    abscissae are a caller bug.
     """
     xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissa in interpolation data")
     if not points:
         return RatPoly()
-    # Divided-difference table, computed in place.
-    dd = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    # Horner-style expansion of the Newton form.
-    result = RatPoly((dd[-1],))
-    for i in range(len(xs) - 2, -1, -1):
-        result = result * RatPoly((-xs[i], 1)) + dd[i]
-    return result
+    d, X = clear_denominators(xs)
+    e, Y = clear_denominators([Fraction(y) for _, y in points])
+    node = [1]  # N(t), ascending powers
+    for xj in X:
+        node = [a - xj * b for a, b in zip([0, *node], [*node, 0])]
+    weights = [prod(xi - xj for xj in X if xj != xi) for xi in X]
+    scale = lcm(*weights)
+    acc = [0] * len(X)
+    for xi, yi, wi in zip(X, Y, weights):
+        factor, q = yi * (scale // wi), 0
+        for k in range(len(X), 0, -1):  # synthetic division of N by t - X_i
+            q = node[k] + xi * q
+            acc[k - 1] += factor * q
+    g, prim = primitive_split([c * d**k for k, c in enumerate(acc)])
+    return RatPoly._make(Fraction(g, e * scale), tuple(prim))

@@ -223,6 +223,19 @@ def test_c11_limit_diagnostics(bound_reports_full_range):
     assert approaching
 
 
+def test_c11_ratio_crosses_0811_between_82_and_83(bound_reports_full_range):
+    # Certifies the crossing index that the c11 failure message states: the
+    # enclosure of lambda_n / f1(n) lies wholly above 0.811 for n <= 82 and
+    # wholly below it from n = 83 on.
+    cut = F(811, 1000)
+    for n in range(40, 201):
+        report_n = bound_reports_full_range[n]
+        if n <= 82:
+            assert report_n.lam.lo / report_n.f1 > cut, n
+        else:
+            assert report_n.lam.hi / report_n.f1 < cut, n
+
+
 def test_c12_boundary_identities():
     t0 = time.perf_counter()
     ok = True

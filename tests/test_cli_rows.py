@@ -1,0 +1,127 @@
+"""The CLI row path: exact rows rendered as JSON, projected to CSV and text.
+
+The sha256 digests below were recorded from the stdout of each command with
+--jobs 1; they guard the CSV and text projections and the asymptotics rows
+byte for byte (tests/test_canonical_json.py guards the JSON of the other
+commands).
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from math import inf
+from pathlib import Path
+
+import pytest
+
+from invineq.cli import (
+    EXIT_USAGE,
+    VERIFY_IDENTITIES,
+    _JSON,
+    _boundary_worker,
+    _bounds_worker,
+    _figure_worker,
+    main,
+)
+from invineq.spectra import asymptotic_table
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+STDOUT_DIGESTS = {
+    "bounds --range 2..30 --format csv":
+        "d9bbacc052f817c39869926a7e92718f99f4b34a22fa3afd971efb8c9aecfdb1",
+    "bounds --range 8..12 --bits 64 --tol 1e-30 --format text":
+        "dd7fc3f6c4cda35a0aac0cffddce586579610842398ef995299751af87676aa7",
+    "figure --range 2..20":
+        "03f8fdc63a2b7cb384993575e23706dc07088569d11a2e664bae8dc2c5f3436b",
+    "figure --range 2..12 --format text":
+        "9861526ec4acab51a4850b6a81107ec183ac94edc259719901609d75fad4583f",
+    "asymptotics --range 10,25,50 --format csv":
+        "c185bf5bfa65872aab53f178d7f01730253a304429d36c8189d218919e8c86ad",
+    "asymptotics --range 10,25,50 --format json":
+        "23b881e1d7fe4cbb08b9c015a79bbf2d5ac67d5ffd7c1793fe46d5e6d26e1971",
+    "boundary --range 1..12 --format text":
+        "771e71fbb52f72c9eb6251dcec0630d332c8abcd24281cd87fbf16d22f2c0b16",
+    "verify all --range 0..6 --format csv":
+        "5b2dcd0c6604e93a55391e840734c64688ee5cdf6f4e5abe3bf0bc4260778c10",
+    "verify all --range 0..4 --format text":
+        "24ea3332acf52490e7c5fc21bcb21c682708db7995aa6bbec061f224b9e81174",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_DIGESTS))
+def test_stdout_matches_recorded_digest(command, capsys):
+    assert main([*command.split(), "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[command]
+
+
+def test_asymptotics_rows_keep_the_input_order(capsys):
+    assert main(["asymptotics", "--range", "25,10", "--jobs", "2"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["n"] for r in rows] == [25, 10]
+
+
+def test_json_renders_fractions_and_refuses_other_objects():
+    assert _JSON.encode({"x": F(-7, 2), "n": 3}) == '{"x": "-7/2", "n": 3}'
+    with pytest.raises(TypeError):
+        _JSON.encode({"x": 0.5j})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all", "--range", "0..2", "--tol", "1/10"],
+    ["verify", "kron", "--range", "1..2", "--bits", "80"],
+    ["boundary", "--range", "1..2", "--tol", "1/10"],
+    ["boundary", "--range", "1..2", "--bits", "80"],
+])
+def test_precision_flags_exist_only_where_they_are_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_serial_import_leaves_the_process_pool_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, invineq.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+# Each layer checks its own input: the CLI's usage errors and the library's
+# ValueErrors must agree on the domain of every command.
+
+@pytest.mark.parametrize("identity", sorted(VERIFY_IDENTITIES))
+def test_verify_domain_agrees_with_the_library(identity):
+    lo, hi, build = VERIFY_IDENTITIES[identity]
+    with pytest.raises(ValueError):
+        build(lo - 1)
+    assert build(lo)
+    if hi != inf:
+        assert build(hi)
+        with pytest.raises(ValueError):
+            build(hi + 1)
+
+
+TOL = F(1, 10**12)
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: _bounds_worker(TOL, n),
+    lambda n: _figure_worker(TOL, 38, n),
+    lambda n: asymptotic_table([n], TOL),
+], ids=["bounds", "figure", "asymptotics"])
+def test_root_commands_need_n_at_least_two(run):
+    with pytest.raises(ValueError):
+        run(1)
+    assert run(2)
+
+
+def test_boundary_needs_n_at_least_one():
+    with pytest.raises(ValueError):
+        _boundary_worker(0)
+    assert _boundary_worker(1)

@@ -86,6 +86,26 @@ class TestInterpolation:
         points = [(F(x), p(F(x))) for x in range(max(p.degree + 1, 1))]
         assert poly_interpolate(points) == p
 
+    @given(st.lists(coeff, min_size=1, max_size=9, unique=True), st.data())
+    def test_matches_newton_divided_differences(self, xs, data):
+        ys = data.draw(st.lists(coeff, min_size=len(xs), max_size=len(xs)))
+        points = list(zip(xs, ys))
+        assert poly_interpolate(points) == ref_newton_interpolate(points)
+
+
+def ref_newton_interpolate(points):
+    """Newton divided differences on Fractions: the earlier implementation
+    of poly_interpolate, kept as an independent oracle."""
+    xs = [F(x) for x, _ in points]
+    dd = [F(y) for _, y in points]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+    result = RatPoly((dd[-1],))
+    for i in range(len(xs) - 2, -1, -1):
+        result = result * RatPoly((-xs[i], 1)) + dd[i]
+    return result
+
 
 # Reference semantics on plain Fraction lists, independent of RatPoly's
 # content/primitive representation.

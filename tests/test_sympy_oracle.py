@@ -1,19 +1,23 @@
 """sympy as an independent oracle for the pencil model: the determinant of
-`const + x*slope` expanded symbolically, and its value at a non-integer x."""
+`const + x*slope` expanded symbolically, and its value at a non-integer x;
+and for the closed-form characteristic polynomials P_n."""
 
 from fractions import Fraction as F
 
 import pytest
 
+from invineq.charpoly import char_poly
 from invineq.determinants import det_poly
 from invineq.matrices import (
     PolyMatrix,
     build_boundary,
     build_legendre_hook,
     build_mass,
+    build_mass_1d,
     build_parity_block,
     build_pencil,
     build_stiffness,
+    build_stiffness_1d,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -57,3 +61,18 @@ def test_eval_at_matches_substitution(name, n):
         expected = symbolic(m).subs(x, rat(point))
         got = m.eval_at(point)
         assert [[rat(got[i, j]) for j in range(m.dim)] for i in range(m.dim)] == expected.tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_char_poly_matches_sympy_charpoly(n):
+    # The monic characteristic polynomial of M1^-1 K1, the 1D mass and
+    # stiffness factors of size n, is x * P_{n-1}(x) * P_n(x).
+    def matrix(m):
+        return sympy.Matrix(n, n, lambda i, j: rat(m[i, j]))
+
+    def poly(p):
+        return sum(rat(c) * x**i for i, c in enumerate(p.coeffs))
+
+    expected = (matrix(build_mass_1d(n)).inv() * matrix(build_stiffness_1d(n))).charpoly(x)
+    got = x * poly(char_poly(n - 1).poly) * poly(char_poly(n).poly)
+    assert sympy.expand(expected.as_expr() - got) == 0

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .exact import Rational, pochhammer
 from .matrices import build_parity_block
@@ -136,63 +136,49 @@ def det_prefactor(ell: int, n: int) -> PrefactorConstant:
     return PrefactorConstant(ell=ell, n=n, value=value)
 
 
+def parity_target(ell: int, n: int) -> RatPoly:
+    """The monic degree-n polynomial of parity ell, P_{2n-ell} * x^ell: the
+    last entry of the parity block times its inverse column (n >= ell)."""
+    return char_poly(2 * n - ell).poly.shift_up(ell)
+
+
 def inverse_column(ell: int, n: int) -> InverseColumn:
     """Closed-form candidate for the (scaled) last inverse column of the
-    parity block of size n.
+    parity block of size n.  With p = ell, entry j is
 
-    Terms whose inner factorial argument 2m+k-n-j+2 is negative contribute
-    zero (reciprocal-of-factorial convention).
+        4^(j-1) (4n-1-2p)!! (n+1/2-p)_{j-1} / ((n-1)! (2j-1-p)!)
+        * sum_m (-1)^(j+m) x^m sum_k (2m+1-p)_{2k} / (4^(m+k) k! (2m+k-n-j+2)!)
+
+    over the k >= 0 with 2m+k-n-j+2 >= 0 (the reciprocal factorial of a
+    negative integer is zero).
     """
     if ell not in (0, 1):
         raise ValueError("ell must be 0 or 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    double_factorial = prod(range(4 * n - 1 - 2 * ell, 0, -2))
     entries = []
     for j in range(1, n + 1):
-        if ell == 0:
-            prefactor = (
-                Fraction(2) ** (2 * n + 2 * j - 3)
-                * pochhammer(Fraction(3, 2), 2 * n - 1)
-                * pochhammer(Fraction(2 * n + 1, 2), j - 1)
-                / (factorial(n - 1) * factorial(2 * j - 1))
-            )
-        else:
-            prefactor = (
-                Fraction(4) ** (j - n)
-                * factorial(4 * n - 3)
-                * pochhammer(Fraction(2 * n - 1, 2), j - 1)
-                / (factorial(2 * n - 2) * factorial(n - 1) * factorial(2 * j - 2))
-            )
-        coeffs = [Fraction(0)] * n
+        prefactor = (4 ** (j - 1) * double_factorial
+                     * pochhammer(Fraction(2 * n + 1 - 2 * ell, 2), j - 1)
+                     / (factorial(n - 1) * factorial(2 * j - 1 - ell)))
+        coeffs = []
         for m in range(n):
-            total = Fraction(0)
-            for k in range(2 * n - 2 * m - 1):
-                arg = 2 * m + k - n - j + 2
-                if arg < 0:
-                    continue
-                rising = pochhammer(2 * m + 1 if ell == 0 else 2 * m, 2 * k)
-                if rising == 0:
-                    continue
-                total += (
-                    Fraction((-1) ** (j + m))
-                    * rising
-                    / (Fraction(4) ** (m + k) * factorial(k) * factorial(arg))
-                )
-            coeffs[m] = total
+            low = 2 * m + 1 - ell
+            total = sum(Fraction(prod(range(low, low + 2 * k)),
+                                 4 ** (m + k) * factorial(k) * factorial(2 * m + k - n - j + 2))
+                        for k in range(max(0, n + j - 2 - 2 * m), 2 * n - 2 * m - 1))
+            coeffs.append((-1) ** (j + m) * total)
         entries.append(prefactor * RatPoly(coeffs))
     return InverseColumn(ell=ell, n=n, entries=tuple(entries))
 
 
 def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
     """Check that the parity block times the candidate inverse column equals
-    (0, ..., 0, q_n) exactly, with q_n the degree-n monic polynomial of the
-    matching parity."""
+    (0, ..., 0, parity_target(ell, n)) exactly."""
     block = build_parity_block(ell, n)
     column = inverse_column(ell, n)
-    if ell == 0:
-        target = char_poly(2 * n).poly
-    else:
-        target = char_poly(2 * n - 1).poly.shift_up(1)
+    target = parity_target(ell, n)
     failures = []
     for i in range(n):
         acc = RatPoly()

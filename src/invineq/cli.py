@@ -146,9 +146,10 @@ def _charpoly_rows(n: int) -> list[dict]:
 
 
 # Lowest n, highest n and row builder of each identity.  A single identity
-# rejects a range that leaves its domain; "all" restricts each identity to
-# it.  The builders look the library functions up when called, so that a
-# tracer that rebinds this module's names sees every call.
+# rejects a range that leaves its domain; "all" rejects an n that lies in no
+# domain and restricts each identity to its own.  The builders look the
+# library functions up when called, so that a tracer that rebinds this
+# module's names sees every call.
 VERIFY_IDENTITIES: dict[str, tuple[int, float, Callable[[int], list[dict]]]] = {
     "thm31": (0, inf, lambda n: _report_rows(verify_thm31(n))),
     "corollary": (1, inf, lambda n: _report_rows([verify_corollary_full(n)])),
@@ -169,6 +170,9 @@ def _verify_worker(identity: str, n: int) -> list[dict]:
 def cmd_verify(args: argparse.Namespace) -> int:
     ns = parse_range(args.range)
     identities = VERIFY_IDENTITIES if args.identity == "all" else (args.identity,)
+    if args.identity == "all":
+        # No domain reaches below 0, and thm31's holds every n >= 0.
+        _in_domain("verify all", ns, 0)
     rows: list[dict] = []
     for identity in identities:
         lo, hi, _ = VERIFY_IDENTITIES[identity]

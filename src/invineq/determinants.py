@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charpoly import char_poly, det_prefactor
+from .charpoly import char_poly, det_prefactor, parity_target
 from .exact import Rational, pochhammer
 from .matrices import (
     PolyMatrix,
@@ -122,8 +122,9 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     return dets * Fraction(1, scale)
 
 
-def _signed_prefactor(n: int, ell: int) -> Fraction:
-    return (-1) ** n * det_prefactor(ell, n).value
+def _thm31_rhs(ell: int, n: int) -> RatPoly:
+    """(-1)^n det_prefactor(ell, n) P_{2n-ell} x^ell, for n >= ell."""
+    return (-1) ** n * det_prefactor(ell, n).value * parity_target(ell, n)
 
 
 def verify_thm31(n: int) -> list[DetReport]:
@@ -134,49 +135,36 @@ def verify_thm31(n: int) -> list[DetReport]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    reports = [
+    return [
         DetReport(
             n=n,
-            identity="thm31-parity0",
-            lhs=det_poly(build_parity_block(0, n)),
-            rhs=_signed_prefactor(n, 0) * char_poly(2 * n).poly,
+            identity=f"thm31-parity{ell}",
+            lhs=det_poly(build_parity_block(ell, n)),
+            rhs=_thm31_rhs(ell, n),
         )
+        for ell in (0, 1)
+        if n >= ell
     ]
-    if n >= 1:
-        reports.append(
-            DetReport(
-                n=n,
-                identity="thm31-parity1",
-                lhs=det_poly(build_parity_block(1, n)),
-                rhs=_signed_prefactor(n, 1) * char_poly(2 * n - 1).poly.shift_up(1),
-            )
-        )
-    return reports
 
 
 def verify_corollary_full(n: int) -> DetReport:
-    """Full pencil determinant against the factored closed form."""
+    """Full pencil determinant against the product of the two parity-block
+    closed forms of sizes floor(n/2) and ceil(n/2), times 2^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rhs = (
-        Fraction(-2) ** n
-        * det_prefactor(0, n // 2).value
-        * det_prefactor(1, (n + 1) // 2).value
-        * (char_poly(n - 1).poly * char_poly(n).poly).shift_up(1)
-    )
     return DetReport(
         n=n,
         identity="corollary-full",
         lhs=det_poly(build_pencil(n)),
-        rhs=rhs,
+        rhs=2**n * _thm31_rhs(0, n // 2) * _thm31_rhs(1, (n + 1) // 2),
     )
 
 
 def cauchy_matrix(ell: int, n: int) -> RatMatrix:
-    """Hilbert-type matrix with entries 1/(2i+2j-1) (ell=0) or 1/(2i+2j-3)."""
+    """Hilbert-type matrix with entries 1/(2i+2j-1-2ell)."""
     if ell not in (0, 1):
         raise ValueError("ell must be 0 or 1")
-    offset = 1 if ell == 0 else 3
+    offset = 1 + 2 * ell
     return RatMatrix(
         tuple(
             tuple(Fraction(1, 2 * i + 2 * j - offset) for j in range(1, n + 1))
@@ -199,31 +187,36 @@ def verify_cauchy(ell: int, n: int) -> DetReport:
     )
 
 
+def boundary_root(ell: int, h: int) -> int:
+    """h(2h+3-2ell), the nonzero root of the parity-ell boundary determinant
+    of size h."""
+    return h * (2 * h + 3 - 2 * ell)
+
+
+def _hook_scalar(ell: int, n: int) -> Fraction:
+    """(-1)^n / (2^n ((5-2ell)/4)_n), the scalar of the parity-ell boundary
+    and hook closed forms."""
+    return Fraction((-1) ** n, 2**n) / pochhammer(Fraction(5 - 2 * ell, 4), n)
+
+
 def _boundary_parity_rhs(ell: int, n: int) -> RatPoly:
-    """Closed form (-1)^n / (2^n (5/4 or 3/4)_n) * x^(n-1) (x - c_n)."""
+    """Closed form _hook_scalar(ell, n) * x^(n-1) (x - boundary_root(ell, n))."""
     if n == 0:
         return RatPoly.one()
-    base = Fraction(5, 4) if ell == 0 else Fraction(3, 4)
-    c = 2 * n * n + 3 * n if ell == 0 else 2 * n * n + n
-    scalar = Fraction((-1) ** n, 2**n) / pochhammer(base, n)
-    return (scalar * RatPoly((-c, 1))).shift_up(n - 1)
+    return (_hook_scalar(ell, n) * RatPoly((-boundary_root(ell, n), 1))).shift_up(n - 1)
 
 
 def _boundary_full_rhs(n: int) -> RatPoly:
-    """Closed form for the full boundary determinant, n >= 2:
-    (-1)^n / (3/2)_n * x^(n-2) (x - c_even)(x - c_odd)."""
-    half_lo = n // 2
-    half_hi = (n + 1) // 2
-    c_lo = 2 * half_lo * half_lo + 3 * half_lo
-    c_hi = 2 * half_hi * half_hi + half_hi
-    scalar = Fraction((-1) ** n) / pochhammer(Fraction(3, 2), n)
-    return (scalar * (RatPoly((-c_lo, 1)) * RatPoly((-c_hi, 1)))).shift_up(n - 2)
+    """Closed form for the full boundary determinant, n >= 2: the parity-0
+    form of size floor(n/2) times the parity-1 form of size ceil(n/2), that
+    is (-1)^n / (3/2)_n * x^(n-2) times their two linear factors."""
+    return _boundary_parity_rhs(0, n // 2) * _boundary_parity_rhs(1, (n + 1) // 2)
 
 
 def verify_boundary(n: int) -> list[DetReport]:
     """Boundary determinant identities: both parity blocks for n >= 0, and
-    the full matrix for n >= 2 (below that the combined closed form needs a
-    negative power of x and is treated as derived from the parity forms)."""
+    the full matrix for n >= 2 (below that it is the parity-1 block of size
+    n, already checked)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     reports = [
@@ -248,21 +241,19 @@ def verify_boundary(n: int) -> list[DetReport]:
 
 
 def verify_legendre_hooks(n: int) -> list[DetReport]:
-    """Hook-matrix determinants against their hypergeometric closed forms."""
+    """Hook-matrix determinants against their hypergeometric closed forms
+    _hook_scalar(ell, n) * P_{2n+1-ell}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    reports = []
-    for ell, base, shift in ((0, Fraction(5, 4), 1), (1, Fraction(3, 4), 0)):
-        scalar = Fraction((-1) ** n, 2**n) / pochhammer(base, n)
-        reports.append(
-            DetReport(
-                n=n,
-                identity=f"legendre-{ell}",
-                lhs=det_poly(build_legendre_hook(ell, n)),
-                rhs=scalar * char_poly(2 * n + shift).poly,
-            )
+    return [
+        DetReport(
+            n=n,
+            identity=f"legendre-{ell}",
+            lhs=det_poly(build_legendre_hook(ell, n)),
+            rhs=_hook_scalar(ell, n) * char_poly(2 * n + 1 - ell).poly,
         )
-    return reports
+        for ell in (0, 1)
+    ]
 
 
 def verify_kron_factorization(n: int, sample: Rational | int) -> bool:

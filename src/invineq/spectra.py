@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .charpoly import char_coeff, char_coeffs, char_poly
+from .determinants import boundary_root
 from .exact import Rational, cbrt_bounds, pi_bounds, sqrt_bounds
 from .matrices import build_mass, build_stiffness
 from .polynomial import RatPoly
@@ -76,17 +77,8 @@ def surd_sign_of_poly(poly: RatPoly, surd: QuadraticSurd) -> int:
         a, b = a * surd.u + b * surd.v + c, a + b * surd.u
     if b == 0 or surd.v == 0:
         return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # Opposite signs: compare a^2 against b^2 v.
-    lhs, rhs = a * a, b * b * surd.v
-    if a > 0:  # b < 0
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
+    # a + b*sqrt(v) = b * ((u + sqrt(v)) - (u - a/b)).
+    return (1 if b > 0 else -1) * surd.compare(surd.u - a / b)
 
 
 def coefficient_dominance_holds(n: int) -> bool:
@@ -478,16 +470,13 @@ def max_boundary_eigenvalue(n: int) -> Fraction:
 
 def boundary_factor_roots(n: int) -> tuple[Fraction, ...]:
     """Roots of the verified boundary determinant factorization: zero (for
-    n >= 3) and the two rational linear factors."""
+    n >= 3) and the boundary_root of each parity form of size >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    half_lo, half_hi = n // 2, (n + 1) // 2
-    roots = {Fraction(2 * half_lo * half_lo + 3 * half_lo),
-             Fraction(2 * half_hi * half_hi + half_hi)}
+    roots = {Fraction(boundary_root(ell, h))
+             for ell, h in ((0, n // 2), (1, (n + 1) // 2)) if h >= 1}
     if n >= 3:
         roots.add(Fraction(0))
-    if n in (1, 2):
-        roots.discard(Fraction(0))
     return tuple(sorted(roots))
 
 

@@ -42,6 +42,8 @@ GATE_RANGES = {
         "3fe82da9585c0fa73a8aa881a1153b431979e2f30b189f7931c0e08f786a6b35",
     "bounds --range 2..200":
         "70ef3343ee2d6ece229ef88d29f76649017b05332b012d7ed69a88b4025f6f3f",
+    "verify all --range 0..14":
+        "eabf543446934f90e38f8f305d6224678b3a005aaabba815710bc41a98bc1eb5",
 }
 
 

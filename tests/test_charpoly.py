@@ -136,6 +136,51 @@ class TestInverseColumn:
                 assert all(e.degree <= n - 1 for e in col.entries)
 
 
+def two_branch_inverse_column(ell: int, n: int) -> tuple[RatPoly, ...]:
+    """The inverse column with one written-out formula per parity, through
+    pochhammer: a reference for the single parity-parameter formula."""
+    entries = []
+    for j in range(1, n + 1):
+        if ell == 0:
+            prefactor = (
+                F(2) ** (2 * n + 2 * j - 3)
+                * pochhammer(F(3, 2), 2 * n - 1)
+                * pochhammer(F(2 * n + 1, 2), j - 1)
+                / (factorial(n - 1) * factorial(2 * j - 1))
+            )
+        else:
+            prefactor = (
+                F(4) ** (j - n)
+                * factorial(4 * n - 3)
+                * pochhammer(F(2 * n - 1, 2), j - 1)
+                / (factorial(2 * n - 2) * factorial(n - 1) * factorial(2 * j - 2))
+            )
+        coeffs = [F(0)] * n
+        for m in range(n):
+            total = F(0)
+            for k in range(2 * n - 2 * m - 1):
+                arg = 2 * m + k - n - j + 2
+                if arg < 0:
+                    continue
+                rising = pochhammer(2 * m + 1 if ell == 0 else 2 * m, 2 * k)
+                if rising == 0:
+                    continue
+                total += (
+                    F((-1) ** (j + m))
+                    * rising
+                    / (F(4) ** (m + k) * factorial(k) * factorial(arg))
+                )
+            coeffs[m] = total
+        entries.append(prefactor * RatPoly(coeffs))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_inverse_column_matches_the_two_branch_form(ell, n):
+    assert inverse_column(ell, n).entries == two_branch_inverse_column(ell, n)
+
+
 class TestInverseIdentity:
     def test_tiny_cases(self):
         assert verify_inverse_identity(0, 1).ok

@@ -83,6 +83,15 @@ def test_precision_flags_exist_only_where_they_are_read(argv):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("span", ["-3..-1", "-1..2"])
+def test_verify_all_rejects_an_n_in_no_domain(fmt, span, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", f"--range={span}", "--format", fmt])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_serial_import_leaves_the_process_pool_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     code = "import sys, invineq.cli; print('concurrent.futures' in sys.modules)"

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import invineq.spectra as spectra
+from invineq.determinants import det_poly
+from invineq.matrices import build_boundary
 from invineq.charpoly import char_poly
 from invineq.roots import Enclosure
 from invineq.spectra import (
@@ -47,6 +50,29 @@ class TestQuadraticSurd:
         enc = s.bounds(F(1, 10**9))
         assert enc.width <= F(1, 10**9)
         assert (enc.lo - 1) ** 2 <= 2 <= (enc.hi - 1) ** 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=50),
+                        min_size=1, max_size=6),
+        u=st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        v=st.fractions(min_value=0, max_value=50, max_denominator=30),
+        planted=st.booleans(),
+    )
+    def test_sign_of_poly_matches_sympy(self, coeffs, u, v, planted):
+        sympy = pytest.importorskip("sympy")
+        from invineq.polynomial import RatPoly
+
+        p = RatPoly(coeffs)
+        if planted:  # make u + sqrt(v) a root: multiply by (x - u)^2 - v
+            p = p * RatPoly((u * u - v, -2 * u, 1))
+        if p.is_zero():
+            return
+        x = sympy.Rational(u.numerator, u.denominator) + sympy.sqrt(
+            sympy.Rational(v.numerator, v.denominator))
+        value = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                    for i, c in enumerate(p.coeffs))
+        assert surd_sign_of_poly(p, QuadraticSurd(u, v)) == sympy.sign(sympy.expand(value))
 
     def test_sign_of_poly(self):
         # p(x) = x^2 - 2 at sqrt(2) is exactly 0
@@ -271,6 +297,16 @@ class TestBoundaryEigenvalue:
     def test_zero_root_from_n3(self):
         assert F(0) in boundary_factor_roots(3)
         assert F(0) not in boundary_factor_roots(2)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_factor_roots_are_roots_of_the_computed_determinant(self, n):
+        # The full matrix from n = 2; at n = 1 the parity blocks of sizes 0 and 1.
+        if n >= 2:
+            det = det_poly(build_boundary("full", n))
+        else:
+            det = det_poly(build_boundary(0, 0)) * det_poly(build_boundary(1, 1))
+        assert not det.is_zero()
+        assert all(det(root) == 0 for root in boundary_factor_roots(n))
 
 
 class TestAsymptotics:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .charpoly import char_poly, det_prefactor, parity_target
 from .exact import Rational, pochhammer
@@ -60,28 +61,22 @@ class DetReport:
         }
 
 
-def det_rational(matrix: RatMatrix) -> Fraction:
-    """Exact determinant; the empty matrix has determinant 1.
+def _bareiss(a: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix, given as rows that are
+    overwritten; the empty matrix has determinant 1.
 
-    Rows are scaled to integers, then eliminated fraction-free (Bareiss) so
-    intermediate values stay integral with exact divisions.
+    Fraction-free (Bareiss) elimination: every division is exact, so the
+    intermediate values stay integral.
     """
-    n = matrix.dim
+    n = len(a)
     if n == 0:
-        return Fraction(1)
-    scale = 1
-    a: list[list[int]] = []
-    for row in matrix.entries:
-        denom, ints = clear_denominators(row)
-        scale *= denom
-        a.append(ints)
-
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
         pivot_row = next((r for r in range(k, n) if a[r][k] != 0), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
@@ -93,7 +88,39 @@ def det_rational(matrix: RatMatrix) -> Fraction:
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1]
+
+
+def det_rational(matrix: RatMatrix) -> Fraction:
+    """Exact determinant; the empty matrix has determinant 1.
+
+    Each row is scaled to integers once, then `_bareiss` eliminates them and
+    the result is divided by the product of the row scales.
+    """
+    scale = 1
+    rows: list[list[int]] = []
+    for row in matrix.entries:
+        denom, ints = clear_denominators(row)
+        scale *= denom
+        rows.append(ints)
+    return Fraction(_bareiss(rows), scale)
+
+
+IntRows = tuple[tuple[int, ...], ...]
+
+
+def _scaled_pencil(a: RatMatrix, b: RatMatrix) -> tuple[int, IntRows, IntRows]:
+    """(scale, A, B): row i of a and b scaled together by the lcm d_i of its
+    denominators, so A = D*a and B = D*b are integer and scale = det D."""
+    n = a.dim
+    scale = 1
+    a_rows, b_rows = [], []
+    for a_row, b_row in zip(a.entries, b.entries):
+        denom, ints = clear_denominators(a_row + b_row)
+        scale *= denom
+        a_rows.append(tuple(ints[:n]))
+        b_rows.append(tuple(ints[n:]))
+    return scale, tuple(a_rows), tuple(b_rows)
 
 
 def det_poly(matrix: PolyMatrix) -> RatPoly:
@@ -103,22 +130,19 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     The determinant has degree <= dim, so it is pinned down by its values at
     the dim + 1 integer abscissae 0..dim.  Each row [const_i | slope_i] is
     scaled to integers once; every evaluation of the scaled pencil is then an
-    integer matrix, eliminated by `det_rational`.  The integer determinants
-    are interpolated and the result divided once by the product of the row
+    integer matrix, eliminated by `_bareiss`.  The integer determinants are
+    interpolated and the result divided once by the product of the row
     scales, which changes only its content.
     """
     n = matrix.dim
     if n == 0:
         return RatPoly.one()
-    scale = 1
-    const, slope = [], []
-    for const_row, slope_row in zip(matrix.const.entries, matrix.slope.entries):
-        denom, ints = clear_denominators(const_row + slope_row)
-        scale *= denom
-        const.append(tuple(ints[:n]))
-        slope.append(tuple(ints[n:]))
-    scaled = PolyMatrix(RatMatrix(tuple(const)), RatMatrix(tuple(slope)))
-    dets = poly_interpolate([(x, det_rational(scaled.eval_at(x))) for x in range(n + 1)])
+    scale, const, slope = _scaled_pencil(matrix.const, matrix.slope)
+    scaled = PolyMatrix(RatMatrix(const), RatMatrix(slope))
+    dets = poly_interpolate([
+        (x, _bareiss([list(row) for row in scaled.eval_at(x).entries]))
+        for x in range(n + 1)
+    ])
     return dets * Fraction(1, scale)
 
 
@@ -256,14 +280,31 @@ def verify_legendre_hooks(n: int) -> list[DetReport]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _kron_pencil(n: int) -> tuple[int, IntRows, IntRows]:
+    """`_scaled_pencil` of stiffness(n) and mass(n), built once per n; only
+    n in 1..6 reaches it."""
+    return _scaled_pencil(build_stiffness(n), build_mass(n))
+
+
 def verify_kron_factorization(n: int, sample: Rational | int) -> bool:
     """Check det(stiffness - s*mass) == det(mass_1d)^n * det(pencil(s))^n
     exactly at the rational sample s; sizes are capped so the n^2 x n^2
-    determinant stays cheap."""
+    determinant stays cheap.
+
+    The left side eliminates the integer matrix q*S - p*M of `_kron_pencil`
+    at s = p/q, whose determinant is scale * q^(n^2) times
+    det(stiffness - s*mass); the right side goes through the 1D factors and
+    `det_rational`.
+    """
     if not 1 <= n <= 6:
         raise ValueError("n must be in 1..6")
     s = Fraction(sample)
-    lhs = det_rational(PolyMatrix(build_stiffness(n), build_mass(n)).eval_at(-s))
+    p, q = s.numerator, s.denominator
+    scale, stiffness, mass = _kron_pencil(n)
+    rows = [[q * a - p * b for a, b in zip(s_row, m_row)]
+            for s_row, m_row in zip(stiffness, mass)]
+    lhs = Fraction(_bareiss(rows), scale * q ** (n * n))
     pencil_at_s = det_rational(build_pencil(n).eval_at(s))
     rhs = det_rational(build_mass_1d(n)) ** n * pencil_at_s**n
     return lhs == rhs

@@ -103,24 +103,23 @@ def index_split(k: int, n: int) -> tuple[int, int]:
     return (k - 1) // n, (k - 1) % n
 
 
-def _even_integral(s: int) -> Fraction:
-    """Integral of x**s over (-1, 1): 2/(s+1) for even s, else 0."""
-    if s % 2:
-        return Fraction(0)
-    return Fraction(2, s + 1)
+def _gram_tables(n: int) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
+    """The 0-based tensor indices (chi, rho) of 1..n*n, in `index_split`
+    order, and the table m[s][t] = I(s) * I(t) for s, t in 0..2n-2, where
+    I(s), the integral of x^s over (-1, 1), is 2/(s+1) for even s, else 0."""
+    moments = [Fraction(2, s + 1) if s % 2 == 0 else Fraction(0) for s in range(2 * n - 1)]
+    return [divmod(k, n) for k in range(n * n)], [[a * b for b in moments] for a in moments]
 
 
 def build_mass(n: int) -> RatMatrix:
     """Gram matrix of the n*n monomial basis x^rho * t^chi under the L2 product."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def entry(i: int, j: int) -> Fraction:
-        chi_i, rho_i = index_split(i, n)
-        chi_j, rho_j = index_split(j, n)
-        return _even_integral(rho_i + rho_j) * _even_integral(chi_i + chi_j)
-
-    return _rat_matrix(n * n, entry)
+    index, m = _gram_tables(n)
+    return RatMatrix(tuple(
+        tuple(m[rho_i + rho_j][chi_i + chi_j] for chi_j, rho_j in index)
+        for chi_i, rho_i in index
+    ))
 
 
 def build_stiffness(n: int) -> RatMatrix:
@@ -131,19 +130,16 @@ def build_stiffness(n: int) -> RatMatrix:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def entry(i: int, j: int) -> Fraction:
-        chi_i, rho_i = index_split(i, n)
-        chi_j, rho_j = index_split(j, n)
-        if rho_i + rho_j <= 1:
-            return Fraction(0)
-        return (
-            rho_i * rho_j
-            * _even_integral(rho_i + rho_j - 2)
-            * _even_integral(chi_i + chi_j)
+    index, m = _gram_tables(n)
+    zero = Fraction(0)
+    return RatMatrix(tuple(
+        tuple(
+            rho_i * rho_j * m[rho_i + rho_j - 2][chi_i + chi_j]
+            if rho_i + rho_j > 1 else zero
+            for chi_j, rho_j in index
         )
-
-    return _rat_matrix(n * n, entry)
+        for chi_i, rho_i in index
+    ))
 
 
 def _mass_1d_entry(i: int, j: int) -> Fraction:

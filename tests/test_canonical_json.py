@@ -44,6 +44,8 @@ GATE_RANGES = {
         "70ef3343ee2d6ece229ef88d29f76649017b05332b012d7ed69a88b4025f6f3f",
     "verify all --range 0..14":
         "eabf543446934f90e38f8f305d6224678b3a005aaabba815710bc41a98bc1eb5",
+    "boundary --range 1..26":
+        "e035a1251a1f77f600da891acda51af232a4831ec94dab78d987a4be4bf62e80",
 }
 
 

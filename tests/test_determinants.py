@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from invineq.charpoly import det_prefactor
 from invineq.determinants import (
@@ -16,7 +17,15 @@ from invineq.determinants import (
     verify_legendre_hooks,
     verify_thm31,
 )
-from invineq.matrices import PolyMatrix, RatMatrix, build_parity_block, build_pencil
+from invineq.matrices import (
+    PolyMatrix,
+    RatMatrix,
+    build_mass,
+    build_mass_1d,
+    build_parity_block,
+    build_pencil,
+    build_stiffness,
+)
 from invineq.polynomial import RatPoly
 
 
@@ -61,6 +70,44 @@ class TestDetRational:
             tuple(tuple(F(1, i + j - 1) for j in range(1, 5)) for i in range(1, 5))
         )
         assert det_rational(h) == F(1, 6048000)
+
+
+@st.composite
+def structured_matrices(draw) -> list[list[F]]:
+    """Random rational matrices of dim 0..7, often with a structure that the
+    elimination has to handle: a zero pivot at step k (the leading
+    (k+1)-block is made singular, which forces a row swap there), a zero
+    column or a duplicated row (both singular)."""
+    dim = draw(st.integers(0, 7))
+    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+    rows = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+    kind = draw(st.sampled_from(["plain", "zero-pivot", "zero-column", "duplicate-row"]))
+    if dim >= 2 and kind == "zero-pivot":
+        k = draw(st.integers(0, dim - 2))
+        if k == 0:
+            rows[0][0] = F(0)
+        else:
+            rows[k][:k + 1] = rows[0][:k + 1]
+    elif dim >= 1 and kind == "zero-column":
+        j = draw(st.integers(0, dim - 1))
+        for row in rows:
+            row[j] = F(0)
+    elif dim >= 2 and kind == "duplicate-row":
+        i, k = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
+        rows[k] = list(rows[i])
+    return rows
+
+
+class TestDetRationalProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(structured_matrices())
+    def test_matches_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        dim = len(rows)
+        expected = sympy.Matrix(dim, dim, lambda i, j: sympy.Rational(
+            rows[i][j].numerator, rows[i][j].denominator)).det()
+        got = det_rational(RatMatrix(tuple(tuple(row) for row in rows)))
+        assert sympy.Rational(got.numerator, got.denominator) == expected
 
 
 class TestDetPoly:
@@ -214,3 +261,34 @@ class TestKroneckerFactorization:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             verify_kron_factorization(7, 1)
+
+
+def kron_lhs(n: int, s: F) -> F:
+    """det(stiffness - s*mass) by `det_rational` on the Fraction pencil."""
+    return det_rational(PolyMatrix(build_stiffness(n), build_mass(n)).eval_at(-s))
+
+
+def kron_rhs(n: int, s: F) -> F:
+    """det(mass_1d)^n * det(pencil(s))^n."""
+    return det_rational(build_mass_1d(n)) ** n * det_rational(build_pencil(n).eval_at(s)) ** n
+
+
+class TestKroneckerSamples:
+    """`verify_kron_factorization` eliminates the integer rows q*S - p*M at
+    s = p/q; the Fraction route above must give the same verdict, which
+    checks the q^(n^2) scale and the sign of s."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.builds(F, st.integers(-60, 60), st.integers(1, 12)))
+    @example(1, F(-3, 5))
+    @example(2, F(11, 7))
+    @example(3, F(-3, 5))
+    @example(4, F(7, 2))
+    def test_matches_fraction_route(self, n, s):
+        lhs = kron_lhs(n, s)
+        assert verify_kron_factorization(n, s) == (lhs == kron_rhs(n, s))
+        # The two sides are not equal at every sample pair, so a wrong
+        # left side could make the check return False: det(S - sM) has
+        # degree n^2 in s, so it differs from rhs(s') for one of n^2 + 1
+        # distinct s'.
+        assert any(lhs != kron_rhs(n, s + k) for k in range(1, n * n + 2))

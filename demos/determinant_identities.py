@@ -36,7 +36,7 @@ for n in range(1, 5):
     block = build_parity_block(0, n)
     det = det_poly(block)
     print(f"  size {n}: det = {det}")
-    print(f"          = (-1)^{n} * {det_prefactor(0, n).value} * P_{2*n}")
+    print(f"          = (-1)^{n} * {det_prefactor(0, n)} * P_{2*n}")
 for n in range(1, 5):
     for rep in verify_thm31(n):
         assert rep.equal

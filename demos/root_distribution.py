@@ -17,9 +17,9 @@ OUT = sys.argv[1] if len(sys.argv) > 1 else "root_distribution.csv"
 
 rows = []
 for n in range(2, 51):
-    table = all_roots(n, Fraction(1, 10**12))
-    assert table.count == n // 2
-    for enc in table.roots:
+    roots = all_roots(n, Fraction(1, 10**12))
+    assert len(roots) == n // 2
+    for enc in roots:
         rows.append((n, enc.mid, n % 2))
 
 with open(OUT, "w") as handle:
@@ -33,7 +33,7 @@ print(f"wrote {len(rows)} root records to {OUT}")
 print("\nsmallest three roots of the even-index polynomials:")
 print(f"{'n':>4} {'root 1':>12} {'root 2':>12} {'root 3':>12}")
 for n in (10, 20, 30, 40, 50):
-    roots = all_roots(n).roots
+    roots = all_roots(n)
     vals = [f"{float(r.mid):>12.6f}" for r in roots[:3]]
     print(f"{n:>4} " + " ".join(vals))
 print("\nlimits:      2.467401     22.206610     61.685028  "

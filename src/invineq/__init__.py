@@ -17,7 +17,7 @@ from .exact import (
     pochhammer,
     sqrt_bounds,
 )
-from .polynomial import RatPoly, poly_eval, poly_interpolate
+from .polynomial import RatPoly, poly_interpolate
 from .matrices import (
     PolyMatrix,
     RatMatrix,
@@ -36,8 +36,6 @@ from .matrices import (
 )
 from .charpoly import (
     CharPoly,
-    InverseColumn,
-    PrefactorConstant,
     char_coeff,
     char_poly,
     char_poly_by_summation,
@@ -66,7 +64,6 @@ from .spectra import (
     FloatCrossReport,
     MonotoneReport,
     QuadraticSurd,
-    RootTable,
     all_roots,
     asymptotic_table,
     bound_lower,

@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .exact import Rational, pochhammer
+from .exact import pochhammer
 from .matrices import build_parity_block
 from .polynomial import RatPoly
 
@@ -24,37 +24,18 @@ class CharPoly:
     nu: int
     poly: RatPoly
 
-    def __call__(self, x: Rational | int) -> Fraction:
-        return self.poly(x)
-
-
-@dataclass(frozen=True)
-class PrefactorConstant:
-    """Constant prefactor of the parity-block determinant identity; equals
-    the Cauchy-type determinant of the same parity."""
-
-    ell: int
-    n: int
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class InverseColumn:
-    """Candidate last column of the inverse parity block, scaled so the
-    matrix-vector product collapses to a single monic polynomial entry."""
-
-    ell: int
-    n: int
-    entries: tuple[RatPoly, ...]
-
 
 @dataclass(frozen=True)
 class IdentityReport:
     """Outcome of an exact identity check; failures carry the offending
-    index and the exact residual polynomial."""
+    index and the exact residual polynomial, and the check holds exactly
+    when there are none."""
 
-    ok: bool
     failures: tuple[tuple[int, RatPoly], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +104,10 @@ def char_poly_by_summation(n: int) -> CharPoly:
 
 
 @lru_cache(maxsize=None)
-def det_prefactor(ell: int, n: int) -> PrefactorConstant:
-    """(1/2^n) prod_{i=1..n} ((i-1)!)^2 / (i - ell + 1/2)_n; strictly positive."""
+def det_prefactor(ell: int, n: int) -> Fraction:
+    """Constant prefactor of the parity-block determinant identity,
+    (1/2^n) prod_{i=1..n} ((i-1)!)^2 / (i - ell + 1/2)_n; strictly positive,
+    and equal to the Cauchy-type determinant of the same parity."""
     if ell not in (0, 1):
         raise ValueError("ell must be 0 or 1")
     if n < 0:
@@ -133,7 +116,7 @@ def det_prefactor(ell: int, n: int) -> PrefactorConstant:
     for i in range(1, n + 1):
         value *= Fraction(factorial(i - 1)) ** 2 / pochhammer(Fraction(2 * i - 2 * ell + 1, 2), n)
     assert value > 0
-    return PrefactorConstant(ell=ell, n=n, value=value)
+    return value
 
 
 def parity_target(ell: int, n: int) -> RatPoly:
@@ -142,9 +125,10 @@ def parity_target(ell: int, n: int) -> RatPoly:
     return char_poly(2 * n - ell).poly.shift_up(ell)
 
 
-def inverse_column(ell: int, n: int) -> InverseColumn:
-    """Closed-form candidate for the (scaled) last inverse column of the
-    parity block of size n.  With p = ell, entry j is
+def inverse_column(ell: int, n: int) -> tuple[RatPoly, ...]:
+    """Closed-form candidate for the last column of the inverse parity block
+    of size n, scaled so that the block times it collapses to the single
+    monic entry parity_target(ell, n).  With p = ell, entry j is
 
         4^(j-1) (4n-1-2p)!! (n+1/2-p)_{j-1} / ((n-1)! (2j-1-p)!)
         * sum_m (-1)^(j+m) x^m sum_k (2m+1-p)_{2k} / (4^(m+k) k! (2m+k-n-j+2)!)
@@ -170,7 +154,7 @@ def inverse_column(ell: int, n: int) -> InverseColumn:
                         for k in range(max(0, n + j - 2 - 2 * m), 2 * n - 2 * m - 1))
             coeffs.append((-1) ** (j + m) * total)
         entries.append(prefactor * RatPoly(coeffs))
-    return InverseColumn(ell=ell, n=n, entries=tuple(entries))
+    return tuple(entries)
 
 
 def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
@@ -183,12 +167,12 @@ def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
     for i in range(n):
         acc = RatPoly()
         for j in range(n):
-            acc = acc + block[i, j] * column.entries[j]
+            acc = acc + block[i, j] * column[j]
         expected = target if i == n - 1 else RatPoly()
         residual = acc - expected
         if not residual.is_zero():
             failures.append((i + 1, residual))
-    return IdentityReport(ok=not failures, failures=tuple(failures))
+    return IdentityReport(tuple(failures))
 
 
 def recurrence_residual(n: int) -> RatPoly:
@@ -218,4 +202,4 @@ def verify_recurrence(n_max: int) -> IdentityReport:
         residual = recurrence_residual(n)
         if not residual.is_zero():
             failures.append((n, residual))
-    return IdentityReport(ok=not failures, failures=tuple(failures))
+    return IdentityReport(tuple(failures))

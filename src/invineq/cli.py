@@ -255,7 +255,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _figure_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
     # The decimal root is the canonical value: JSON holds it too.
     return [{"n": n, "root": format_decimal(enc.mid, digits), "parity": n % 2}
-            for enc in all_roots(n, tol).roots]
+            for enc in all_roots(n, tol)]
 
 
 def cmd_figure(args: argparse.Namespace) -> int:

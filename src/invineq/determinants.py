@@ -148,7 +148,7 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
 
 def _thm31_rhs(ell: int, n: int) -> RatPoly:
     """(-1)^n det_prefactor(ell, n) P_{2n-ell} x^ell, for n >= ell."""
-    return (-1) ** n * det_prefactor(ell, n).value * parity_target(ell, n)
+    return (-1) ** n * det_prefactor(ell, n) * parity_target(ell, n)
 
 
 def verify_thm31(n: int) -> list[DetReport]:
@@ -202,7 +202,7 @@ def verify_cauchy(ell: int, n: int) -> DetReport:
     if n < 0:
         raise ValueError("n must be >= 0")
     lhs = det_rational(cauchy_matrix(ell, n))
-    rhs = det_prefactor(ell, n).value
+    rhs = det_prefactor(ell, n)
     return DetReport(
         n=n,
         identity=f"cauchy-{ell}",

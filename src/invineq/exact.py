@@ -133,7 +133,8 @@ def format_decimal(x: Rational, digits: int, rounding: str = "nearest") -> str:
 
     `rounding` is "nearest" (ties away from zero), "down" (towards -inf) or
     "up" (towards +inf).  Rendering a lower endpoint down and an upper
-    endpoint up keeps the printed interval an enclosure.
+    endpoint up keeps the printed interval an enclosure.  A value that
+    rounds to zero prints without a sign.
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
@@ -148,7 +149,7 @@ def format_decimal(x: Rational, digits: int, rounding: str = "nearest") -> str:
         q = abs(-(-num // den))
     else:
         raise ValueError(f"unknown rounding {rounding!r}")
-    sign = "-" if x < 0 else ""
+    sign = "-" if x < 0 and q else ""
     if digits == 0:
         return f"{sign}{q}"
     whole, frac = divmod(q, 10**digits)

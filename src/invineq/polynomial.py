@@ -234,11 +234,6 @@ def _as_poly(v: RatPoly | Rational | int) -> RatPoly:
     return RatPoly((v,))
 
 
-def poly_eval(p: RatPoly, x: Rational | int) -> Fraction:
-    """Exact value p(x)."""
-    return p(x)
-
-
 def poly_interpolate(points: Sequence[tuple[Rational | int, Rational | int]]) -> RatPoly:
     """Unique polynomial of degree < len(points) through the given points.
 
@@ -254,7 +249,7 @@ def poly_interpolate(points: Sequence[tuple[Rational | int, Rational | int]]) ->
     if not points:
         return RatPoly()
     d, X = clear_denominators(xs)
-    e, Y = clear_denominators([Fraction(y) for _, y in points])
+    e, Y = clear_denominators([y for _, y in points])
     node = [1]  # N(t), ascending powers
     for xj in X:
         node = [a - xj * b for a, b in zip([0, *node], [*node, 0])]

@@ -211,35 +211,19 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
     return bisect_sign_change(coeffs, enc.lo, enc.hi, width_target)
 
 
-@dataclass(frozen=True)
-class RootTable:
-    """All real roots of the characteristic polynomial of index n, sorted
-    ascending, with certified enclosures."""
-
-    n: int
-    roots: tuple[Enclosure, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.roots)
-
-
-def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> RootTable:
-    """Isolate all floor(n/2) roots by Sturm counting and refine to tol.
+def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ...]:
+    """Certified enclosures of all floor(n/2) real roots of the
+    characteristic polynomial of index n, sorted ascending: isolated in
+    (0, f1] by Sturm counting and refined to tol.
 
     A count different from floor(n/2) raises RootIsolationError (it would
     contradict the real-rootedness forced by the symmetric origin).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    tol = Fraction(tol)
-    nu = n // 2
     poly = char_poly(n).poly
     f1 = char_coeff(1, n)
-    enclosures = isolate_all(poly, Fraction(0), f1, tol, expected=nu)
-    if enclosures and enclosures[0].lo < 0:
-        raise RootIsolationError("nonpositive root enclosure")
-    return RootTable(n=n, roots=tuple(enclosures))
+    return tuple(isolate_all(poly, Fraction(0), f1, Fraction(tol), expected=n // 2))
 
 
 @lru_cache(maxsize=None)

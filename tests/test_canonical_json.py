@@ -42,6 +42,9 @@ GATE_RANGES = {
         "3fe82da9585c0fa73a8aa881a1153b431979e2f30b189f7931c0e08f786a6b35",
     "bounds --range 2..200":
         "70ef3343ee2d6ece229ef88d29f76649017b05332b012d7ed69a88b4025f6f3f",
+    # At tol 1 the bounds need ensure_disjoint's refinement (n = 8..11, 13).
+    "bounds --tol 1 --range 2..60":
+        "57d08d9e77d1c11af7040d2152e9fb3c95837524950645c2ce4df725193e9a9c",
     "verify all --range 0..14":
         "eabf543446934f90e38f8f305d6224678b3a005aaabba815710bc41a98bc1eb5",
     "boundary --range 1..26":

@@ -121,12 +121,16 @@ class TestFormatting:
 
     def test_rounding(self):
         assert format_decimal(F(2, 3), 2) == "0.67"
+        assert format_decimal(F(-1, 200), 2) == "-0.01"
+        assert format_decimal(F(-1, 1000), 2) == "0.00"
 
     def test_directed_rounding(self):
         assert format_decimal(F(2, 3), 2, "down") == "0.66"
         assert format_decimal(F(1, 3), 2, "up") == "0.34"
         assert format_decimal(F(-2, 3), 2, "down") == "-0.67"
         assert format_decimal(F(-2, 3), 2, "up") == "-0.66"
+        assert format_decimal(F(-1, 3), 0, "up") == "0"
+        assert format_decimal(F(-1, 3), 0, "down") == "-1"
         assert format_decimal(F(1, 4), 2, "down") == format_decimal(F(1, 4), 2, "up") == "0.25"
         with pytest.raises(ValueError):
             format_decimal(F(1, 3), 2, "sideways")

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from invineq.polynomial import RatPoly, poly_eval, poly_interpolate
+from invineq.polynomial import RatPoly, poly_interpolate
 from invineq.roots import int_coeffs
 
 coeff = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12)
@@ -44,13 +44,13 @@ class TestRatPolyBasics:
 
 class TestEvaluation:
     def test_root_of_linear(self):
-        assert poly_eval(RatPoly((-3, 1)), F(3)) == 0
+        assert RatPoly((-3, 1))(F(3)) == 0
 
     def test_zero_polynomial(self):
-        assert poly_eval(RatPoly(), F(7)) == 0
+        assert RatPoly()(F(7)) == 0
 
     def test_quadratic_constant_term(self):
-        assert poly_eval(RatPoly((105, -45, 1)), F(0)) == 105
+        assert RatPoly((105, -45, 1))(F(0)) == 105
 
     @given(small_polys, coeff)
     def test_horner_matches_power_sum(self, p, x):

@@ -149,7 +149,7 @@ class TestMaxRoot:
 
     def test_agrees_with_full_isolation(self):
         for n in range(2, 13):
-            assert max_root(n).overlaps(all_roots(n).roots[-1])
+            assert max_root(n).overlaps(all_roots(n)[-1])
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -159,21 +159,20 @@ class TestMaxRoot:
 class TestAllRoots:
     def test_counts(self):
         for n in range(2, 16):
-            table = all_roots(n)
-            assert table.count == n // 2
+            assert len(all_roots(n)) == n // 2
 
     def test_positive_and_sorted(self):
-        table = all_roots(12)
-        assert table.roots[0].lo > 0
-        for a, b in zip(table.roots, table.roots[1:]):
+        roots = all_roots(12)
+        assert roots[0].lo > 0
+        for a, b in zip(roots, roots[1:]):
             assert a.hi < b.lo
 
     def test_n4_roots(self):
-        table = all_roots(4)
+        roots = all_roots(4)
         lo_surd = QuadraticSurd(F(45, 2), F(1605, 4))
-        hi_root = table.roots[1]
+        hi_root = roots[1]
         assert lo_surd.compare(hi_root.lo) >= 0 and lo_surd.compare(hi_root.hi) <= 0
-        assert abs(float(table.roots[0].mid) - 2.46877) < 1e-4
+        assert abs(float(roots[0].mid) - 2.46877) < 1e-4
 
 
 class TestBoundReport:

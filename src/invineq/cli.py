@@ -330,8 +330,11 @@ def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
         # Imported here: a serial run need not load the process machinery.
         from concurrent.futures import ProcessPoolExecutor
 
+        # Contiguous runs of n, about four per worker: a worker that handles
+        # n - 1 just before n lets all_roots(n) read its table.
+        chunksize = -(-len(ns) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(worker, ns))
+            chunks = list(pool.map(worker, ns, chunksize=chunksize))
     else:
         chunks = [worker(n) for n in ns]
     return [row for chunk in chunks for row in chunk]

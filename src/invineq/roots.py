@@ -1,19 +1,24 @@
 """Certified real-root machinery over exact rationals.
 
 Every routine reads the primitive integer part of a `RatPoly` (its content
-is positive, so it cannot change a sign); all sign evaluations are the
-integer Horner pass of `invineq.polynomial`.  Root counting uses Sturm
-sequences built by integer pseudo-division (`_pdiv`) as a primitive
-pseudo-remainder sequence (each element is a positive rational multiple of
-the classical Sturm chain element, which preserves sign variations while
-keeping coefficients integral).
+is positive, so it cannot change a sign); all sign evaluations are integer
+Horner passes.  Root counting uses Sturm sequences built by integer
+pseudo-division (`_pdiv`) as a primitive pseudo-remainder sequence (each
+element is a positive rational multiple of the classical Sturm chain
+element, which preserves sign variations while keeping coefficients
+integral).
 
-One path serves every caller: `_isolating` halves (lo, hi] under Sturm
-counts into isolating intervals for `isolate_all`, `largest_root` and
-`smallest_root`, and `_grid_refine` is the only refinement loop, behind
-`refine` and `bisect_sign_change`.  It finds the cell that bisection to the
-tolerance would end in, on the same fixed dyadic grid, by safeguarded Newton
-steps on the grid's integers, with no `Fraction` arithmetic in the loop.
+Two isolation routes end on the same cells.  `_isolating` halves (lo, hi]
+under Sturm counts into isolating intervals for `isolate_all`,
+`largest_root` and `smallest_root`.  `isolate_interlaced` needs no Sturm
+count: given separators, it certifies all roots of a degree-d polynomial
+when d of the brackets they cut show a sign change, and otherwise reports
+failure so that the caller falls back to `isolate_all`.  `_grid_refine` is
+the only refinement loop, behind `refine`, `bisect_sign_change` and
+`isolate_interlaced`.  It takes a global dyadic grid (`_Grid`) and an index
+bracket on it, and finds the cell that bisection to the tolerance would end
+in by safeguarded Newton steps on the grid's integers, with no `Fraction`
+arithmetic in the loop.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .exact import Rational
 from .polynomial import RatPoly, horner, primitive_split
@@ -166,66 +171,93 @@ def count_roots(chain: list[IntPoly], lo: Rational, hi: Rational) -> int:
     return variations_at(chain, lo) - variations_at(chain, hi)
 
 
-def _grid_refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
-                 tol: Fraction) -> Enclosure:
-    """The cell of width <= tol that halving (lo, hi] ends in, given the sign
-    s_hi != 0 at hi and the opposite sign just right of lo.
+def _level(width: Fraction, tol: Fraction) -> int:
+    """The least level m >= 0 with width / 2^m <= tol, from bit lengths."""
+    need, have = width.numerator * tol.denominator, tol.numerator * width.denominator
+    m = max(need.bit_length() - have.bit_length(), 0)
+    return m + 1 if have << m < need else m
 
-    Halving ends on the level-m dyadic grid of (lo, hi], m the least level
-    with (hi - lo) / 2^m <= tol.  With lo = A/D and hi = B/D, grid point j is
-    N_j / M, N_j = A 2^m + j (B - A) and M = D 2^m.  The coefficients are
-    scaled once by powers of M, so one integer Horner pass over N_j gives
-    M^d p(N_j / M) and its derivative in N together.
 
-    The bracket (jlo, jhi] shrinks by Newton steps in grid units from the
-    last point evaluated, rounded past the root (floor from the right end,
-    ceil from the left).  A step is taken only if it lands strictly inside
-    the bracket and is at most half the step before it; otherwise the
-    midpoint is evaluated.  After m points only midpoints are evaluated, so
-    at most 2m points are evaluated in all, at multiple roots too.
+class _Grid:
+    """An integer polynomial p of degree d on the dyadic grid base + j * step
+    / 2^level.  With base = A/D and step = S/D, grid point j is N_j / M with
+    N_j = A 2^level + j S and M = D 2^level.  The coefficients are scaled
+    once by powers of M, so one integer Horner pass over N_j gives M^d p(N_j
+    / M), which has the sign of p, and its derivative in N together."""
+
+    __slots__ = ("origin", "stride", "scale", "lead", "rest")
+
+    def __init__(self, coeffs: IntPoly, base: Fraction, step: Fraction, level: int):
+        den = base.denominator * step.denominator // gcd(base.denominator, step.denominator)
+        self.origin = base.numerator * (den // base.denominator) << level
+        self.stride = step.numerator * (den // step.denominator)
+        self.scale = den << level
+        scaled, power = [], 1
+        for c in reversed(coeffs):
+            scaled.append(c * power)
+            power *= self.scale
+        self.lead, self.rest = scaled[0], scaled[1:]
+
+    def point(self, j: int) -> Fraction:
+        return Fraction(self.origin + j * self.stride, self.scale)
+
+    def at(self, j: int) -> tuple[int, int]:
+        """M^d p and its derivative in N, at grid point j."""
+        x = self.origin + j * self.stride
+        v, dv = self.lead, 0
+        for c in self.rest:
+            dv = dv * x + v
+            v = v * x + c
+        return v, dv
+
+
+def _grid_refine(grid: _Grid, jlo: int, jhi: int, s_hi: int) -> Enclosure:
+    """The grid cell (j - 1, j] of the bracket (jlo, jhi] that halving ends
+    in, or the grid point where p vanishes, given the sign s_hi != 0 at jhi
+    and the opposite sign just right of jlo.
+
+    The bracket shrinks by Newton steps in grid units from the last point
+    evaluated, rounded past the root (floor from the right end, ceil from
+    the left).  A step is taken only if it lands strictly inside the bracket
+    and is at most half the step before it; otherwise the midpoint is
+    evaluated.  After h points, h the halvings that take the bracket to one
+    cell, only midpoints are evaluated, so at most 2h points are evaluated
+    in all, at multiple roots too.
 
     The returned cell has values of opposite sign at its ends, so it holds a
-    root; when (lo, hi] isolates that root, it is the cell halving returns,
-    and a root on a grid point is met exactly and returned exactly.
+    root.  When the bracket holds one root, which path reaches it does not
+    matter: a root on a grid point stays strictly inside the bracket until it
+    is evaluated, and is returned exactly; any other root ends in the one
+    cell that holds it.
     """
-    den = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    step = hi.numerator * (den // hi.denominator) - a
-    # m from bit lengths: the least m >= 0 with step * tol_d <= tol_n * den * 2^m.
-    need, have = step * tol.denominator, tol.numerator * den
-    m = max(need.bit_length() - have.bit_length(), 0)
-    if have << m < need:
-        m += 1
-    scale, base = den << m, a << m
-    scaled, power = [], 1
-    for c in reversed(coeffs):
-        scaled.append(c * power)
-        power *= scale
-    lead, rest = scaled[0], scaled[1:]
-    jlo, jhi = 0, 1 << m
-    jc, reach, evals = jhi, jhi, 0  # last point, the step that reached it
+    halvings = (jhi - jlo - 1).bit_length()
+    jc, reach, evals = jhi, jhi - jlo, 0  # last point, the step that reached it
     while jhi - jlo > 1:
         j = (jlo + jhi) >> 1
-        if 0 < evals < m:
-            slope = dv * step
+        if 0 < evals < halvings:
+            slope = dv * grid.stride
             if slope:
                 t = jc + (-v) // slope if jc == jhi else jc - v // slope
                 if jlo < t < jhi and 2 * abs(t - jc) <= reach:
                     j = t
-        x = base + j * step
-        v, dv = lead, 0
-        for c in rest:
-            dv = dv * x + v
-            v = v * x + c
+        v, dv = grid.at(j)
         if not v:
-            return Enclosure(Fraction(x, scale), Fraction(x, scale))
+            return Enclosure(grid.point(j), grid.point(j))
         if (v > 0) == (s_hi > 0):
             jhi = j
         else:
             jlo = j
         jc, reach, evals = j, abs(j - jc), evals + 1
-    return Enclosure(Fraction(base + jlo * step, scale),
-                     Fraction(base + jhi * step, scale))
+    return Enclosure(grid.point(jlo), grid.point(jhi))
+
+
+def _halve(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
+           tol: Fraction) -> Enclosure:
+    """`_grid_refine` on (lo, hi] and its level-m dyadic grid, m the least
+    level with cells of width <= tol: the cells that halving (lo, hi] ends
+    in."""
+    level = _level(hi - lo, tol)
+    return _grid_refine(_Grid(coeffs, lo, hi - lo, level), 0, 1 << level, s_hi)
 
 
 def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
@@ -240,7 +272,51 @@ def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclos
     s_hi = sign_at(coeffs, hi)
     if s_hi == 0:
         return Enclosure(hi, hi)
-    return _grid_refine(coeffs, lo, hi, s_hi, tol)
+    return _halve(coeffs, lo, hi, s_hi, tol)
+
+
+def isolate_interlaced(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction,
+                       separators: Iterable[Fraction]) -> list[Enclosure] | None:
+    """Every root of the integer polynomial, certified in (lo, hi] and
+    refined to tol with no Sturm count, or None when the separators do not
+    certify them.
+
+    The grid is lo + j (hi - lo) / 2^K, K the least level with cells of
+    width <= tol.  Each separator moves to the grid point at or below it,
+    and with lo and hi they cut (lo, hi] into brackets (a, b].  A bracket
+    holds a root when p(b) = 0 or p(a) p(b) < 0.  When as many brackets as
+    the degree d do, each holds exactly one root, it is simple, and p has
+    no other root.  Then the result is what `isolate_all(poly, lo, hi, tol)`
+    returns: no two roots share a cell of the grid, so each comes back as
+    its grid point b when p(b) = 0, else as the one cell of the grid that
+    holds it (`_grid_refine` on its bracket).
+
+    None, for the caller to fall back to Sturm isolation, when the
+    separators do not land strictly inside (lo, hi) and strictly increasing
+    on the grid, or fewer than d brackets hold a root.
+    """
+    if not coeffs:
+        raise ValueError("zero polynomial has no roots to isolate")
+    degree = len(coeffs) - 1
+    level = _level(hi - lo, tol)
+    ends = [0]
+    for x in separators:
+        j = (x - lo) * (1 << level) // (hi - lo)
+        if not ends[-1] < j < 1 << level:
+            return None
+        ends.append(j)
+    ends.append(1 << level)
+    if len(ends) <= degree:
+        return None
+    grid = _Grid(coeffs, lo, hi - lo, level)
+    values = [grid.at(j)[0] for j in ends]
+    brackets = [(ja, jb, vb) for ja, jb, va, vb in zip(ends, ends[1:], values, values[1:])
+                if not vb or va * vb < 0]
+    if len(brackets) != degree:
+        return None
+    return [_grid_refine(grid, ja, jb, vb) if vb
+            else Enclosure(grid.point(jb), grid.point(jb))
+            for ja, jb, vb in brackets]
 
 
 def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction, total: int,
@@ -330,7 +406,7 @@ def bisect_sign_change(coeffs: IntPoly, lo: Fraction, hi: Fraction,
         return Enclosure(hi, hi)
     if s_lo == s_hi:
         raise RootIsolationError(f"no sign change on [{lo}, {hi}]")
-    return _grid_refine(coeffs, lo, hi, s_hi, tol)
+    return _halve(coeffs, lo, hi, s_hi, tol)
 
 
 def interval_eval(poly: RatPoly, box: Enclosure) -> tuple[Fraction, Fraction]:

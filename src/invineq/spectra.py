@@ -25,6 +25,7 @@ from .roots import (
     int_coeffs,
     interval_eval,
     isolate_all,
+    isolate_interlaced,
     largest_root,
     sign_at,
     smallest_root,
@@ -211,19 +212,42 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
     return bisect_sign_change(coeffs, enc.lo, enc.hi, width_target)
 
 
+# The last root table all_roots computed, {(n, tol): tuple of Enclosure};
+# the table of n + 1 at the same tol reads its cells.  One slot, so a
+# sweep's memory does not grow with its range.
+_last_table = {}
+
+
 def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ...]:
     """Certified enclosures of all floor(n/2) real roots of the
-    characteristic polynomial of index n, sorted ascending: isolated in
-    (0, f1] by Sturm counting and refined to tol.
+    characteristic polynomial of index n, sorted ascending: each the cell
+    that holds it of the dyadic grid of (0, f1] with cells of width <= tol,
+    or the root itself when it lies on that grid (Sturm halving goes finer
+    only for two roots in one cell).
 
-    A count different from floor(n/2) raises RootIsolationError (it would
+    When the last table computed is that of n - 1 at the same tol, as in a
+    sweep over n, the midpoints of its cells are the separators of
+    `isolate_interlaced`.  The roots of consecutive indices interlace, so
+    floor(n/2) brackets show a sign change and certify every root with no
+    Sturm count; the certificate itself does not assume the interlacing.
+    Otherwise, or when fewer brackets do, the roots are isolated in (0, f1]
+    by Sturm counting.  Both routes return the same enclosures; a Sturm
+    count different from floor(n/2) raises RootIsolationError (it would
     contradict the real-rootedness forced by the symmetric origin).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    tol = Fraction(tol)
     poly = char_poly(n).poly
     f1 = char_coeff(1, n)
-    return tuple(isolate_all(poly, Fraction(0), f1, Fraction(tol), expected=n // 2))
+    previous = _last_table.get((n - 1, tol), ())
+    roots = isolate_interlaced(int_coeffs(poly), Fraction(0), f1, tol,
+                               (enc.mid for enc in previous))
+    if roots is None:
+        roots = isolate_all(poly, Fraction(0), f1, tol, expected=n // 2)
+    _last_table.clear()
+    _last_table[n, tol] = table = tuple(roots)
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -40,6 +40,9 @@ def test_rows_match_committed_digests(workload, capsys):
 GATE_RANGES = {
     "figure --tol 1e-12 --range 2..100":
         "3fe82da9585c0fa73a8aa881a1153b431979e2f30b189f7931c0e08f786a6b35",
+    # Recorded with every n on the Sturm route (isolate_all).
+    "figure --tol 1e-12 --range 2..150":
+        "4450f16eae4b29e56fab51674ccd287b47e806513fb64da4672423848cb95764",
     "bounds --range 2..200":
         "70ef3343ee2d6ece229ef88d29f76649017b05332b012d7ed69a88b4025f6f3f",
     # At tol 1 the bounds need ensure_disjoint's refinement (n = 8..11, 13).

@@ -266,6 +266,13 @@ class TestParallelDeterminism:
         _, parallel = run_cli(capsys, "bounds", "--range", "2..8", "--jobs", "2")
         assert serial == parallel
 
+    def test_figure_jobs_identical(self, capsys):
+        # Each worker sweeps contiguous runs of n, so its all_roots reads the
+        # table of n - 1; the rows must not depend on where the runs split.
+        _, serial = run_cli(capsys, "figure", "--range", "2..30")
+        _, parallel = run_cli(capsys, "figure", "--range", "2..30", "--jobs", "2")
+        assert serial == parallel
+
 
 class TestFlagValidation:
     def test_bits_minimum(self):

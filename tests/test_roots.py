@@ -17,6 +17,7 @@ from invineq.roots import (
     int_coeffs,
     interval_eval,
     isolate_all,
+    isolate_interlaced,
     largest_root,
     refine,
     sign_at,
@@ -301,16 +302,22 @@ class TestPseudoDivision:
 # -- the grid kernel against a Fraction bisection oracle -----------------------
 
 
-def bisect_oracle(coeffs, lo, hi, s_hi, tol):
-    """Halve (lo, hi] on Fraction midpoints to width <= tol, given the sign
-    s_hi != 0 at hi and the opposite sign just right of lo; a midpoint root
-    is returned exactly.  The refinement loop the grid kernel replaces."""
-    while hi - lo > tol:
+def bisect_oracle(grid, jlo, jhi, s_hi):
+    """Halve the bracket (jlo, jhi] of the grid on Fraction midpoints to one
+    cell, given the sign s_hi != 0 at jhi and the opposite sign just right
+    of jlo; a midpoint root is returned exactly.  The refinement loop the
+    grid kernel replaces.  It reads the polynomial only through its grid
+    values, which TestGridValues checks against `RatPoly` evaluation."""
+    lo, hi = grid.point(jlo), grid.point(jhi)
+    cell = grid.point(1) - grid.point(0)
+    while hi - lo > cell:
         mid = (lo + hi) / 2
-        s_mid = sign_at(coeffs, mid)
-        if s_mid == 0:
+        j = (mid - grid.point(0)) / cell
+        assert j.denominator == 1, "a power-of-two bracket halves on grid points"
+        v, _ = grid.at(int(j))
+        if v == 0:
             return Enclosure(mid, mid)
-        if s_mid == s_hi:
+        if (v > 0) == (s_hi > 0):
             hi = mid
         else:
             lo = mid
@@ -434,3 +441,129 @@ class TestGridKernel:
         with mock.patch.object(roots, "sign_at", side_effect=AssertionError):
             enc = bisect_sign_change(coeffs, F(1), F(2), TOL, s_lo=-1, s_hi=1)
         assert enc == bisect_sign_change(coeffs, F(1), F(2), TOL)
+
+
+class TestGridValues:
+    """At grid point j = N / M the scaled Horner pass gives M^d p and, as
+    its derivative in N, M^(d-1) p'."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_polys(), interval_end, interval_end, st.integers(0, 12),
+           st.integers(-20, 4200))
+    def test_values_and_derivative(self, planted, base, step, level, j):
+        poly, _ = planted
+        if step == 0 or not poly.primitive:
+            return
+        coeffs = int_coeffs(poly)
+        grid = roots._Grid(coeffs, base, step, level)
+        x = grid.point(j)
+        assert x == base + j * step / 2**level
+        v, dv = grid.at(j)
+        degree = len(coeffs) - 1
+        assert F(v, grid.scale**degree) == RatPoly(coeffs)(x)
+        if degree > 0:
+            assert F(dv, grid.scale ** (degree - 1)) == RatPoly(coeffs).derivative()(x)
+
+
+# -- the Sturm-free route against the Sturm route ------------------------------
+
+
+rarely = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def interlaced_cases(draw):
+    """(poly, lo, hi, tol, separators) on a grid of 2^level cells.  Roots sit
+    in distinct cells, on grid points (hi among them) or inside; rarely two
+    share a cell, one lies outside (lo, hi] or a factor without real roots
+    joins.  Each gap between roots gets a separator at its middle, on or
+    next to one of its roots; rarely a stray separator joins anywhere in the
+    order."""
+    lo, hi = sorted(draw(st.lists(interval_end, min_size=2, max_size=2, unique=True)))
+    level = draw(st.one_of(st.integers(4, 9), st.integers(0, 3)))
+    top = 2**level
+    cell = (hi - lo) / top
+    # Any tol in [cell, 2 cell) gives this grid.
+    tol = cell * draw(st.fractions(1, 2, max_denominator=9).filter(lambda f: f < 2))
+    # Roots in distinct cells (j - 1, j], on the grid point j or inside.
+    offsets = st.one_of(st.just(F(0)), st.fractions(0, 1, max_denominator=10**4)
+                        .filter(lambda f: 0 < f < 1))
+    cells = draw(st.lists(st.integers(1, top), min_size=1, max_size=5, unique=True))
+    us = [j - draw(offsets) for j in cells]
+    if draw(rarely):  # a second root in one of those cells
+        us.append(draw(st.sampled_from(cells)) - draw(offsets) / 2)
+    if draw(rarely):
+        us.append(draw(st.sampled_from([F(0), F(-1, 3), F(top + 1)])))
+    us = sorted(set(us))
+    separators = []
+    for a, b in zip(us, us[1:]):
+        tiny = F(1, 10 ** draw(st.integers(1, 6)))
+        near = draw(rarely)
+        separators.append(draw(st.sampled_from([a, b, a + tiny, b - tiny])) if near
+                          else (a + b) / 2)
+    if draw(rarely):
+        separators.insert(draw(st.integers(0, len(separators))),
+                          draw(st.fractions(-1, top + 1, max_denominator=50)))
+    poly = RatPoly.one()
+    for u in us:
+        for _ in range(2 if draw(rarely) else 1):
+            poly = poly * RatPoly((-(lo + u * cell), 1))
+    if draw(rarely):
+        poly = poly * RatPoly((draw(st.integers(1, 20)), 0, 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return poly * RatPoly((sign,)), lo, hi, tol, [lo + u * cell for u in separators]
+
+
+class TestInterlaced:
+    """`isolate_interlaced` returns the Sturm route's enclosures or None,
+    never anything else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(interlaced_cases())
+    def test_certified_or_none(self, case):
+        poly, lo, hi, tol, separators = case
+        got = isolate_interlaced(int_coeffs(poly), lo, hi, tol, separators)
+        if got is not None:
+            assert len(got) == poly.degree
+            assert got == isolate_all(poly, lo, hi, tol)
+
+    def test_roots_on_grid_points(self):
+        p = poly_from_roots(F(1, 4), F(3, 4))
+        got = isolate_interlaced(int_coeffs(p), F(0), F(1), F(1, 8), [F(1, 2)])
+        assert got == [Enclosure(F(1, 4), F(1, 4)), Enclosure(F(3, 4), F(3, 4))]
+        assert got == isolate_all(p, F(0), F(1), F(1, 8))
+
+    def test_root_at_hi_and_on_a_separator(self):
+        # The brackets (0, 1/2], (1/2, 5/8], (5/8, 1]: the first ends on a
+        # root and the last at hi on another; the middle one has 0 at its
+        # left end, so it certifies nothing.
+        p = poly_from_roots(F(1, 2), F(1))
+        got = isolate_interlaced(int_coeffs(p), F(0), F(1), F(1, 8), [F(1, 2), F(5, 8)])
+        assert got == [Enclosure(F(1, 2), F(1, 2)), Enclosure(F(1), F(1))]
+        assert got == isolate_all(p, F(0), F(1), F(1, 8))
+
+    def test_separator_moves_down_onto_the_grid(self):
+        # 0.3 moves to the grid point 1/4, below the root 0.26.
+        p = poly_from_roots(F(26, 100), F(7, 10))
+        args = (int_coeffs(p), F(0), F(1), F(1, 8))
+        assert isolate_interlaced(*args, [F(3, 10)]) is None
+        assert isolate_interlaced(*args, [F(4, 10)]) == isolate_all(p, F(0), F(1), F(1, 8))
+
+    def test_failures_report_none(self):
+        args = (F(0), F(1), F(1, 8))
+        pair = int_coeffs(poly_from_roots(F(1, 3), F(34, 100)))  # one cell
+        assert isolate_interlaced(pair, *args, [F(1, 3) + F(1, 200)]) is None
+        triple = int_coeffs(poly_from_roots(F(1, 8), F(1, 2), F(3, 4)))
+        # 1/8 and 1/2 share the bracket that ends on the root 1/2.
+        assert isolate_interlaced(triple, *args, [F(1, 2), F(5, 8)]) is None
+        assert isolate_interlaced(triple, *args, [F(1, 4), F(5, 8)]) is not None
+        for bad in ([F(5, 8), F(1, 4)], [F(1, 4), F(9, 32)], [F(0), F(5, 8)],
+                    [F(1, 4), F(1)]):
+            assert isolate_interlaced(triple, *args, bad) is None
+        assert isolate_interlaced(triple, *args, [F(1, 4)]) is None  # too few
+        complex_pair = int_coeffs(RatPoly((1, 0, 1)) * poly_from_roots(F(1, 2)))
+        assert isolate_interlaced(complex_pair, *args, [F(1, 4)]) is None
+
+    def test_zero_polynomial(self):
+        with pytest.raises(ValueError):
+            isolate_interlaced([], F(0), F(1), F(1, 8), [])

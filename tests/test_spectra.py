@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import invineq.spectra as spectra
 from invineq.determinants import det_poly
 from invineq.matrices import build_boundary
-from invineq.charpoly import char_poly
-from invineq.roots import Enclosure
+from invineq.charpoly import char_coeff, char_poly
+from invineq.roots import Enclosure, int_coeffs, isolate_all, isolate_interlaced
 from invineq.spectra import (
     QuadraticSurd,
     all_roots,
@@ -173,6 +174,41 @@ class TestAllRoots:
         hi_root = roots[1]
         assert lo_surd.compare(hi_root.lo) >= 0 and lo_surd.compare(hi_root.hi) <= 0
         assert abs(float(roots[0].mid) - 2.46877) < 1e-4
+
+
+class TestInterlacedRoots:
+    """The Sturm-free route of `all_roots` against the Sturm route."""
+
+    @pytest.mark.parametrize("tol", [F(1, 10**3), F(1, 10**12), F(1, 10**24)])
+    def test_separators_certify_the_sturm_enclosures(self, tol):
+        previous = ()
+        sturm = {}
+        for n in range(2, 61):
+            poly, f1 = char_poly(n).poly, char_coeff(1, n)
+            sturm[n] = tuple(isolate_all(poly, F(0), f1, tol, expected=n // 2))
+            interlaced = isolate_interlaced(int_coeffs(poly), F(0), f1, tol,
+                                            [enc.mid for enc in previous])
+            assert interlaced is not None, f"no certificate at n={n}"
+            assert tuple(interlaced) == sturm[n]
+            previous = sturm[n]
+        # A sweep reads the table of n - 1 and never falls back to Sturm.
+        spectra._last_table.clear()
+        assert all_roots(2, tol) == sturm[2]
+        with mock.patch.object(spectra, "isolate_all", side_effect=AssertionError):
+            for n in range(3, 61):
+                assert all_roots(n, tol) == sturm[n]
+        # A lone n, with a cold cache, agrees: n = 2, 3 certify on the one
+        # bracket (0, f1], a larger n falls back to Sturm.
+        for n in (2, 3, 4, 17, 60):
+            spectra._last_table.clear()
+            assert all_roots(n, tol) == sturm[n]
+
+    def test_cache_holds_one_table(self):
+        for n in range(2, 9):
+            all_roots(n, TOL)
+        assert list(spectra._last_table) == [(8, TOL)]
+        all_roots(5, F(1, 10**6))
+        assert list(spectra._last_table) == [(5, F(1, 10**6))]
 
 
 class TestBoundReport:

@@ -261,7 +261,10 @@ def _figure_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
 def cmd_figure(args: argparse.Namespace) -> int:
     ns = _in_domain("figure", parse_range(args.range), 2)
     worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
-    rows = _run_mapped(worker, ns, args.jobs)
+    # One run of consecutive n per worker: all_roots(n) reads the table of
+    # n - 1 only when the same worker has just made it, and the first n of
+    # each run falls back to Sturm counting.
+    rows = _run_mapped(worker, ns, args.jobs, chunksize=-(-len(ns) // args.jobs))
     rows.sort(key=lambda r: (r["n"], Fraction(r["root"])))
     _emit(rows, args, ("n", "root", "parity"), default_format="csv")
     return EXIT_OK
@@ -325,14 +328,13 @@ def _in_domain(what: str, ns: list[int], lo: int, hi: float = inf) -> list[int]:
 
 
 def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
-                jobs: int) -> list[dict]:
+                jobs: int, chunksize: int = 1) -> list[dict]:
+    """The rows of `worker(n)` over ns, in order; with jobs > 1 a process
+    pool hands each worker `chunksize` consecutive n at a time."""
     if jobs > 1 and len(ns) > 1:
         # Imported here: a serial run need not load the process machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        # Contiguous runs of n, about four per worker: a worker that handles
-        # n - 1 just before n lets all_roots(n) read its table.
-        chunksize = -(-len(ns) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(worker, ns, chunksize=chunksize))
     else:

@@ -212,10 +212,10 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
     return bisect_sign_change(coeffs, enc.lo, enc.hi, width_target)
 
 
-# The last root table all_roots computed, {(n, tol): tuple of Enclosure};
-# the table of n + 1 at the same tol reads its cells.  One slot, so a
-# sweep's memory does not grow with its range.
-_last_table = {}
+# The last root table all_roots computed, as (n, tol, table); the table of
+# n + 1 at the same tol reads its cells.  One slot, so a sweep's memory does
+# not grow with its range.
+_last = (0, None, ())
 
 
 def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ...]:
@@ -240,13 +240,14 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     tol = Fraction(tol)
     poly = char_poly(n).poly
     f1 = char_coeff(1, n)
-    previous = _last_table.get((n - 1, tol), ())
-    roots = isolate_interlaced(int_coeffs(poly), Fraction(0), f1, tol,
-                               (enc.mid for enc in previous))
+    global _last
+    last_n, last_tol, previous = _last
+    separators = (enc.mid for enc in previous) if (last_n, last_tol) == (n - 1, tol) else ()
+    roots = isolate_interlaced(int_coeffs(poly), Fraction(0), f1, tol, separators)
     if roots is None:
         roots = isolate_all(poly, Fraction(0), f1, tol, expected=n // 2)
-    _last_table.clear()
-    _last_table[n, tol] = table = tuple(roots)
+    table = tuple(roots)
+    _last = (n, tol, table)
     return table
 
 

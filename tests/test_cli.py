@@ -267,8 +267,8 @@ class TestParallelDeterminism:
         assert serial == parallel
 
     def test_figure_jobs_identical(self, capsys):
-        # Each worker sweeps contiguous runs of n, so its all_roots reads the
-        # table of n - 1; the rows must not depend on where the runs split.
+        # Each worker sweeps one run of consecutive n, so its all_roots reads
+        # the table of n - 1; the rows must not depend on where runs split.
         _, serial = run_cli(capsys, "figure", "--range", "2..30")
         _, parallel = run_cli(capsys, "figure", "--range", "2..30", "--jobs", "2")
         assert serial == parallel

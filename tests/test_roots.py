@@ -302,22 +302,16 @@ class TestPseudoDivision:
 # -- the grid kernel against a Fraction bisection oracle -----------------------
 
 
-def bisect_oracle(grid, jlo, jhi, s_hi):
-    """Halve the bracket (jlo, jhi] of the grid on Fraction midpoints to one
-    cell, given the sign s_hi != 0 at jhi and the opposite sign just right
-    of jlo; a midpoint root is returned exactly.  The refinement loop the
-    grid kernel replaces.  It reads the polynomial only through its grid
-    values, which TestGridValues checks against `RatPoly` evaluation."""
-    lo, hi = grid.point(jlo), grid.point(jhi)
-    cell = grid.point(1) - grid.point(0)
-    while hi - lo > cell:
+def bisect_oracle(coeffs, lo, hi, s_hi, tol):
+    """Halve (lo, hi] on Fraction midpoints to width <= tol, given the sign
+    s_hi != 0 at hi and the opposite sign just right of lo; a midpoint root
+    is returned exactly.  The refinement loop the grid kernel replaces."""
+    while hi - lo > tol:
         mid = (lo + hi) / 2
-        j = (mid - grid.point(0)) / cell
-        assert j.denominator == 1, "a power-of-two bracket halves on grid points"
-        v, _ = grid.at(int(j))
-        if v == 0:
+        s_mid = sign_at(coeffs, mid)
+        if s_mid == 0:
             return Enclosure(mid, mid)
-        if (v > 0) == (s_hi > 0):
+        if s_mid == s_hi:
             hi = mid
         else:
             lo = mid
@@ -325,9 +319,27 @@ def bisect_oracle(grid, jlo, jhi, s_hi):
 
 
 def with_oracle(fn, *args):
-    """`fn(*args)` with the bisection oracle in place of the grid kernel."""
-    with mock.patch.object(roots, "_grid_refine", bisect_oracle):
+    """`fn(*args)` with the bisection oracle in place of the grid kernel:
+    neither `_level` nor `_Grid` is used on the oracle's side."""
+    with mock.patch.object(roots, "_halve", bisect_oracle):
         return fn(*args)
+
+
+def index_oracle(coeffs, grid, jlo, jhi, s_hi):
+    """Halve the index bracket (jlo, jhi] to one cell, reading signs with
+    `sign_at` at `grid.point(j)`; a root on a grid point is returned
+    exactly.  The loop `_grid_refine` replaces, for brackets whose length is
+    not a power of two."""
+    while jhi - jlo > 1:
+        j = (jlo + jhi) >> 1
+        s = sign_at(coeffs, grid.point(j))
+        if s == 0:
+            return Enclosure(grid.point(j), grid.point(j))
+        if s == s_hi:
+            jhi = j
+        else:
+            jlo = j
+    return Enclosure(grid.point(jlo), grid.point(jhi))
 
 
 def grid_level(lo, hi, tol):
@@ -443,6 +455,49 @@ class TestGridKernel:
         assert enc == bisect_sign_change(coeffs, F(1), F(2), TOL)
 
 
+@st.composite
+def index_cases(draw):
+    """(coeffs, grid, jlo, jhi): an index bracket of any length on a rising
+    grid, holding one distinct root of odd multiplicity strictly inside, on
+    a grid point or between two; other roots lie outside, one perhaps at
+    the point jlo."""
+    base, step = draw(interval_end), draw(interval_end.filter(lambda f: f > 0))
+    level = draw(st.integers(0, 12))
+    jlo = draw(st.integers(-20, 1 << level))
+    jhi = jlo + draw(st.integers(2, 600))
+    if draw(st.booleans()):
+        u = F(draw(st.integers(jlo + 1, jhi - 1)))
+    else:
+        u = draw(st.fractions(jlo, jhi, max_denominator=10**4)
+                 .filter(lambda f: jlo < f < jhi and f.denominator > 1))
+    outside = draw(st.lists(st.one_of(
+        st.just(F(jlo)),
+        st.fractions(jlo - 50, jlo, max_denominator=97),
+        st.fractions(jhi, jhi + 50, max_denominator=97).filter(lambda f: f > jhi),
+    ), max_size=3))
+    poly = RatPoly.one()
+    for k, v in enumerate([u, *outside]):
+        for _ in range(draw(st.sampled_from([1, 3])) if k == 0 else draw(st.integers(1, 2))):
+            poly = poly * RatPoly((-(base + v * step / 2**level), 1))
+    poly = poly * RatPoly((draw(st.sampled_from([1, -1])),))
+    coeffs = int_coeffs(poly)
+    return coeffs, roots._Grid(coeffs, base, step, level), jlo, jhi
+
+
+class TestGridIndexBrackets:
+    """On an index bracket whose length need not be a power of two, as
+    `isolate_interlaced` passes it, the kernel returns the cell or grid
+    point that halving the indices under `sign_at` ends in."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_cases())
+    def test_matches_index_halving(self, case):
+        coeffs, grid, jlo, jhi = case
+        s_hi = sign_at(coeffs, grid.point(jhi))
+        got = roots._grid_refine(grid, jlo, jhi, s_hi)
+        assert got == index_oracle(coeffs, grid, jlo, jhi, s_hi)
+
+
 class TestGridValues:
     """At grid point j = N / M the scaled Horner pass gives M^d p and, as
     its derivative in N, M^(d-1) p'."""
@@ -525,13 +580,13 @@ class TestInterlaced:
         got = isolate_interlaced(int_coeffs(poly), lo, hi, tol, separators)
         if got is not None:
             assert len(got) == poly.degree
-            assert got == isolate_all(poly, lo, hi, tol)
+            assert got == with_oracle(isolate_all, poly, lo, hi, tol)
 
     def test_roots_on_grid_points(self):
         p = poly_from_roots(F(1, 4), F(3, 4))
         got = isolate_interlaced(int_coeffs(p), F(0), F(1), F(1, 8), [F(1, 2)])
         assert got == [Enclosure(F(1, 4), F(1, 4)), Enclosure(F(3, 4), F(3, 4))]
-        assert got == isolate_all(p, F(0), F(1), F(1, 8))
+        assert got == with_oracle(isolate_all, p, F(0), F(1), F(1, 8))
 
     def test_root_at_hi_and_on_a_separator(self):
         # The brackets (0, 1/2], (1/2, 5/8], (5/8, 1]: the first ends on a
@@ -540,14 +595,14 @@ class TestInterlaced:
         p = poly_from_roots(F(1, 2), F(1))
         got = isolate_interlaced(int_coeffs(p), F(0), F(1), F(1, 8), [F(1, 2), F(5, 8)])
         assert got == [Enclosure(F(1, 2), F(1, 2)), Enclosure(F(1), F(1))]
-        assert got == isolate_all(p, F(0), F(1), F(1, 8))
+        assert got == with_oracle(isolate_all, p, F(0), F(1), F(1, 8))
 
     def test_separator_moves_down_onto_the_grid(self):
         # 0.3 moves to the grid point 1/4, below the root 0.26.
         p = poly_from_roots(F(26, 100), F(7, 10))
         args = (int_coeffs(p), F(0), F(1), F(1, 8))
         assert isolate_interlaced(*args, [F(3, 10)]) is None
-        assert isolate_interlaced(*args, [F(4, 10)]) == isolate_all(p, F(0), F(1), F(1, 8))
+        assert isolate_interlaced(*args, [F(4, 10)]) == with_oracle(isolate_all, p, *args[1:])
 
     def test_failures_report_none(self):
         args = (F(0), F(1), F(1, 8))

@@ -286,7 +286,9 @@ def _asymptotics_projection(digits: int, row: dict) -> dict:
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     ns = _in_domain("asymptotics", parse_range(args.range), 2)
-    rows = _run_mapped(partial(_asymptotics_worker, parse_tolerance(args.tol)), ns, args.jobs)
+    # One run of consecutive n per worker, as in figure (all_roots tables).
+    worker = partial(_asymptotics_worker, parse_tolerance(args.tol))
+    rows = _run_mapped(worker, ns, args.jobs, chunksize=-(-len(ns) // args.jobs))
     _emit(rows, args, ("n", *RATIOS), project=_asymptotics_projection)
     return EXIT_OK
 

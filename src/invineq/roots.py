@@ -9,8 +9,8 @@ element, which preserves sign variations while keeping coefficients
 integral).
 
 Two isolation routes end on the same cells.  `_isolating` halves (lo, hi]
-under Sturm counts into isolating intervals for `isolate_all`,
-`largest_root` and `smallest_root`.  `isolate_interlaced` needs no Sturm
+under Sturm counts into isolating intervals, rightmost first, for
+`isolate_all` and `largest_root`.  `isolate_interlaced` needs no Sturm
 count: given separators, it certifies all roots of a degree-d polynomial
 when d of the brackets they cut show a sign change, and otherwise reports
 failure so that the caller falls back to `isolate_all`.  `_grid_refine` is
@@ -319,14 +319,13 @@ def isolate_interlaced(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fractio
             for ja, jb, vb in brackets]
 
 
-def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction, total: int,
-               rightmost: bool) -> Iterator[tuple[Fraction, Fraction]]:
+def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction,
+               total: int) -> Iterator[tuple[Fraction, Fraction]]:
     """Isolating intervals (a, b] of the `total` distinct roots in (lo, hi],
-    found by halving under Sturm counts, rightmost first or leftmost first.
-    Lazy: a caller that wants only the extreme root stops after one.  Each
-    interval carries the variation count at its right end (None until the
-    first halving needs it), so a halving evaluates the chain once, at the
-    midpoint."""
+    found by halving under Sturm counts, rightmost first.  Lazy: a caller
+    that wants only the largest root stops after one.  Each interval carries
+    the variation count at its right end (None until the first halving needs
+    it), so a halving evaluates the chain once, at the midpoint."""
     stack = [(lo, hi, total, None)]
     while stack:
         a, b, k, v_b = stack.pop()
@@ -341,7 +340,7 @@ def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction, total: int,
         v_mid = variations_at(chain, mid)
         k_right = v_mid - v_b
         left, right = (a, mid, k - k_right, v_mid), (mid, b, k_right, v_b)
-        stack.extend((left, right) if rightmost else (right, left))
+        stack.extend((left, right))
 
 
 def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
@@ -358,29 +357,27 @@ def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
             f"found {total} roots in ({lo}, {hi}], expected {expected}"
         )
     enclosures = [refine(chain[0], a, b, tol)
-                  for a, b in _isolating(chain, lo, hi, total, rightmost=True)]
+                  for a, b in _isolating(chain, lo, hi, total)]
     enclosures.sort(key=lambda e: (e.lo, e.hi))
     return enclosures
 
 
-def _extreme_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
-                  rightmost: bool) -> Enclosure:
+def largest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
+    """Certified enclosure of the largest root in (lo, hi]."""
     chain = sturm_chain(int_coeffs(poly))
     total = count_roots(chain, lo, hi)
     if total < 1:
         raise RootIsolationError(f"no roots in ({lo}, {hi}]")
-    a, b = next(_isolating(chain, lo, hi, total, rightmost))
+    a, b = next(_isolating(chain, lo, hi, total))
     return refine(chain[0], a, b, tol)
-
-
-def largest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
-    """Certified enclosure of the largest root in (lo, hi]."""
-    return _extreme_root(poly, lo, hi, tol, rightmost=True)
 
 
 def smallest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
     """Certified enclosure of the smallest root in (lo, hi]."""
-    return _extreme_root(poly, lo, hi, tol, rightmost=False)
+    enclosures = isolate_all(poly, lo, hi, tol)
+    if not enclosures:
+        raise RootIsolationError(f"no roots in ({lo}, {hi}]")
+    return enclosures[0]
 
 
 def bisect_sign_change(coeffs: IntPoly, lo: Fraction, hi: Fraction,

@@ -28,7 +28,6 @@ from .roots import (
     isolate_interlaced,
     largest_root,
     sign_at,
-    smallest_root,
 )
 
 REFINEMENT_CAP = 256
@@ -254,12 +253,10 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
 @lru_cache(maxsize=None)
 def smallest_root_of_index(n: int, tol: Fraction = Fraction(1, 10**9)) -> Enclosure:
     """Certified enclosure of the smallest root of the characteristic
-    polynomial of index n."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    poly = char_poly(n).poly
-    f1 = char_coeff(1, n)
-    return smallest_root(poly, Fraction(0), f1, tol)
+    polynomial of index n: the lowest cell of `all_roots(n, tol)`.  Cached,
+    since `asymptotic_table` asks for 2k again at n = 2k + 1, when the
+    one-slot table of `all_roots` no longer holds 2k - 1."""
+    return all_roots(n, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -334,9 +331,10 @@ def bound_report(n: int, tol: Rational = Fraction(1, 10**12)) -> BoundReport:
         cubic = cubic_bound_poly(n)
 
         def refine_upper(e: Enclosure) -> Enclosure:
+            # e isolates the cubic's largest root: no Sturm count is needed.
             if e.is_exact:
                 return e
-            return largest_root(cubic, e.lo, e.hi, e.width / 2**8)
+            return bisect_sign_change(int_coeffs(cubic), e.lo, e.hi, e.width / 2**8)
 
         verdict, lam, upper = ensure_disjoint(
             lam, upper, lambda e: refine_max_root(n, e, 8), refine_upper,

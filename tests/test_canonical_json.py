@@ -52,6 +52,14 @@ GATE_RANGES = {
         "eabf543446934f90e38f8f305d6224678b3a005aaabba815710bc41a98bc1eb5",
     "boundary --range 1..26":
         "e035a1251a1f77f600da891acda51af232a4831ec94dab78d987a4be4bf62e80",
+    # Recorded with the smallest roots on the Sturm route (smallest_root).
+    "asymptotics --range 2..80":
+        "02263a849886cfe9e847536af73a2227f546951f0accbbe5f9c07e28c44c4caf",
+    # At tol >= f1 the upper bound is the cell (0, f1] (or (f1/2, f1]) that
+    # isolates the cubic's largest root, and ensure_disjoint refines it
+    # from there: 65 refinements of the cubic over the range.
+    "bounds --tol 1000000 --range 2..40":
+        "808662277829e4b35c4df59be12b70af4a66ac70eac8189eaf67983953702f7c",
 }
 
 

@@ -267,11 +267,13 @@ class TestParallelDeterminism:
         assert serial == parallel
 
     def test_figure_jobs_identical(self, capsys):
-        # Each worker sweeps one run of consecutive n, so its all_roots reads
-        # the table of n - 1; the rows must not depend on where runs split.
-        _, serial = run_cli(capsys, "figure", "--range", "2..30")
-        _, parallel = run_cli(capsys, "figure", "--range", "2..30", "--jobs", "2")
-        assert serial == parallel
+        # Each figure worker sweeps one run of consecutive n, so its all_roots
+        # reads the table of n - 1, and asymptotics reads the lowest cells of
+        # the same tables; the rows must not depend on how n is split.
+        for command in ("figure", "asymptotics"):
+            _, serial = run_cli(capsys, command, "--range", "2..30")
+            _, parallel = run_cli(capsys, command, "--range", "2..30", "--jobs", "2")
+            assert serial == parallel
 
 
 class TestFlagValidation:

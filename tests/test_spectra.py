@@ -8,7 +8,8 @@ import invineq.spectra as spectra
 from invineq.determinants import det_poly
 from invineq.matrices import build_boundary
 from invineq.charpoly import char_coeff, char_poly
-from invineq.roots import Enclosure, int_coeffs, isolate_all, isolate_interlaced
+from invineq.roots import (Enclosure, int_coeffs, isolate_all, isolate_interlaced,
+                           smallest_root)
 from invineq.spectra import (
     QuadraticSurd,
     all_roots,
@@ -352,6 +353,23 @@ class TestAsymptotics:
     def test_smallest_root_even_near_target(self):
         enc = smallest_root_of_index(2)
         assert enc.lo == enc.hi == 3  # the single root of index 2
+
+    def test_smallest_root_of_index_is_the_sturm_smallest_root(self):
+        tol = F(1, 10**9)
+        sturm = {n: smallest_root(char_poly(n).poly, F(0), char_coeff(1, n), tol)
+                 for n in range(2, 61)}
+        # An ascending sweep reads each lowest cell off the root table of
+        # all_roots, which never falls back to Sturm.
+        spectra._last = (0, None, ())
+        smallest_root_of_index.cache_clear()
+        with mock.patch.object(spectra, "isolate_all", side_effect=AssertionError):
+            for n in range(2, 61):
+                assert smallest_root_of_index(n) == sturm[n]
+        # A lone n, with cold caches, agrees.
+        for n in range(2, 61):
+            spectra._last = (0, None, ())
+            smallest_root_of_index.cache_clear()
+            assert smallest_root_of_index(n) == sturm[n]
 
     def test_targets_present(self):
         (row,) = asymptotic_table([4])

@@ -8,7 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from itertools import zip_longest
+from math import factorial, lcm, prod
+from operator import mul
 
 from .exact import pochhammer
 from .matrices import build_parity_block
@@ -135,43 +137,84 @@ def inverse_column(ell: int, n: int) -> tuple[RatPoly, ...]:
 
     over the k >= 0 with 2m+k-n-j+2 >= 0 (the reciprocal factorial of a
     negative integer is zero).
+
+    The inner sums run over the integers.  With a = 2m+1-p and
+    c = 2m-n-j+2, k runs from max(0, -c) to K = 2n-2m-2, and c + K = n - j,
+    so D_j = 4^(2n-2) (2n-2)! (n-j)! is a common denominator of every term
+    of entry j.  The terms times D_j are integers, stepped by the term ratio
+    (a+2k)(a+2k+1) / (4(k+1)(c+k+1)), whose division is exact.  The first
+    term's rising factorial is a forward product, which is 0, not a division
+    by 0, at a = 0 (m = 0, p = 1).  Each entry is then one Fraction, its
+    prefactor over D_j, times an integer polynomial.
     """
     if ell not in (0, 1):
         raise ValueError("ell must be 0 or 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    double_factorial = prod(range(4 * n - 1 - 2 * ell, 0, -2))
+    p, top = ell, 2 * n - 2
+    facts = [1]
+    for i in range(1, 2 * n - p):
+        facts.append(facts[-1] * i)
+    double_factorial = prod(range(4 * n - 1 - 2 * p, 0, -2))
     entries = []
     for j in range(1, n + 1):
-        prefactor = (4 ** (j - 1) * double_factorial
-                     * pochhammer(Fraction(2 * n + 1 - 2 * ell, 2), j - 1)
-                     / (factorial(n - 1) * factorial(2 * j - 1 - ell)))
+        # 4^(j-1) (n+1/2-p)_{j-1} = 2^(j-1) (2n+1-2p)(2n+3-2p)...(2n+2j-3-2p)
+        prefactor = (double_factorial
+                     * prod(range(2 * n + 1 - 2 * p, 2 * n + 2 * j - 2 - 2 * p, 2)) << (j - 1))
+        denominator = (facts[n - 1] * facts[2 * j - 1 - p]
+                       * (facts[top] * facts[n - j] << 2 * top))
         coeffs = []
         for m in range(n):
-            low = 2 * m + 1 - ell
-            total = sum(Fraction(prod(range(low, low + 2 * k)),
-                                 4 ** (m + k) * factorial(k) * factorial(2 * m + k - n - j + 2))
-                        for k in range(max(0, n + j - 2 - 2 * m), 2 * n - 2 * m - 1))
-            coeffs.append((-1) ** (j + m) * total)
-        entries.append(prefactor * RatPoly(coeffs))
+            a, c = 2 * m + 1 - p, 2 * m - n - j + 2
+            k = max(0, -c)
+            term = (prod(range(a, a + 2 * k)) * (facts[top] // facts[k])
+                    * (facts[n - j] // facts[c + k]) << 2 * (top - m - k))
+            total = term
+            while k < 2 * n - 2 * m - 2:
+                term = term * (a + 2 * k) * (a + 2 * k + 1) // (4 * (k + 1) * (c + k + 1))
+                total += term
+                k += 1
+            coeffs.append(-total if (j + m) % 2 else total)
+        entries.append(Fraction(prefactor, denominator) * RatPoly(coeffs))
     return tuple(entries)
 
 
 def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
     """Check that the parity block times the candidate inverse column equals
-    (0, ..., 0, parity_target(ell, n)) exactly."""
-    block = build_parity_block(ell, n)
+    (0, ..., 0, parity_target(ell, n)) exactly.
+
+    Over the integers: row i of the block, scaled by the lcm d_i of its
+    const and slope denominators, is A_i + x B_i, and the column over one
+    common denominator e is the integer polynomials C_j.  Row i of the
+    product is then R_i / (d_i e) with R_i = sum_j (A_ij + x B_ij) C_j an
+    integer coefficient list, compared exactly with 0 or with the target.
+    Only a failing row is built as a RatPoly residual.
+    """
+    scales, const, slope = build_parity_block(ell, n).scaled_rows()
     column = inverse_column(ell, n)
     target = parity_target(ell, n)
+    e = lcm(*(entry.content.denominator for entry in column))
+    width = max(len(entry.primitive) for entry in column)
+    # by_power[m + 1][j]: the x^m coefficient of e * column[j], with zero
+    # rows for x^-1 and x^width, which the slope and const parts reach.
+    by_power = [[0] * n for _ in range(width + 2)]
+    for j, entry in enumerate(column):
+        factor = entry.content.numerator * (e // entry.content.denominator)
+        for m, c in enumerate(entry.primitive):
+            by_power[m + 1][j] = factor * c
+    t_num, t_den = target.content.numerator, target.content.denominator
     failures = []
-    for i in range(n):
-        acc = RatPoly()
-        for j in range(n):
-            acc = acc + block[i, j] * column[j]
-        expected = target if i == n - 1 else RatPoly()
-        residual = acc - expected
-        if not residual.is_zero():
-            failures.append((i + 1, residual))
+    for i, (d, a_row, b_row) in enumerate(zip(scales, const, slope)):
+        row = [sum(map(mul, a_row, by_power[m + 1])) + sum(map(mul, b_row, by_power[m]))
+               for m in range(width + 1)]
+        if i == n - 1:
+            ok = all(r * t_den == t * t_num * d * e
+                     for r, t in zip_longest(row, target.primitive, fillvalue=0))
+        else:
+            ok = not any(row)
+        if not ok:
+            expected = target if i == n - 1 else RatPoly()
+            failures.append((i + 1, RatPoly(Fraction(r, d * e) for r in row) - expected))
     return IdentityReport(tuple(failures))
 
 

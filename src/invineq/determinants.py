@@ -8,19 +8,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 
 from .charpoly import char_poly, det_prefactor, parity_target
 from .exact import Rational, pochhammer
 from .matrices import (
+    IntRows,
     PolyMatrix,
     RatMatrix,
     build_boundary,
     build_legendre_hook,
-    build_mass,
     build_mass_1d,
     build_parity_block,
     build_pencil,
-    build_stiffness,
+    gram_rows,
 )
 from .polynomial import RatPoly, clear_denominators, poly_interpolate
 
@@ -106,23 +107,6 @@ def det_rational(matrix: RatMatrix) -> Fraction:
     return Fraction(_bareiss(rows), scale)
 
 
-IntRows = tuple[tuple[int, ...], ...]
-
-
-def _scaled_pencil(a: RatMatrix, b: RatMatrix) -> tuple[int, IntRows, IntRows]:
-    """(scale, A, B): row i of a and b scaled together by the lcm d_i of its
-    denominators, so A = D*a and B = D*b are integer and scale = det D."""
-    n = a.dim
-    scale = 1
-    a_rows, b_rows = [], []
-    for a_row, b_row in zip(a.entries, b.entries):
-        denom, ints = clear_denominators(a_row + b_row)
-        scale *= denom
-        a_rows.append(tuple(ints[:n]))
-        b_rows.append(tuple(ints[n:]))
-    return scale, tuple(a_rows), tuple(b_rows)
-
-
 def det_poly(matrix: PolyMatrix) -> RatPoly:
     """Exact determinant polynomial of the pencil const + x*slope via
     evaluation and interpolation.
@@ -137,13 +121,13 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     n = matrix.dim
     if n == 0:
         return RatPoly.one()
-    scale, const, slope = _scaled_pencil(matrix.const, matrix.slope)
+    scales, const, slope = matrix.scaled_rows()
     scaled = PolyMatrix(RatMatrix(const), RatMatrix(slope))
     dets = poly_interpolate([
         (x, _bareiss([list(row) for row in scaled.eval_at(x).entries]))
         for x in range(n + 1)
     ])
-    return dets * Fraction(1, scale)
+    return dets * Fraction(1, prod(scales))
 
 
 def _thm31_rhs(ell: int, n: int) -> RatPoly:
@@ -281,10 +265,22 @@ def verify_legendre_hooks(n: int) -> list[DetReport]:
 
 
 @lru_cache(maxsize=None)
-def _kron_pencil(n: int) -> tuple[int, IntRows, IntRows]:
-    """`_scaled_pencil` of stiffness(n) and mass(n), built once per n; only
-    n in 1..6 reaches it."""
-    return _scaled_pencil(build_stiffness(n), build_mass(n))
+def _kron_pencil(n: int) -> tuple[Fraction, IntRows, IntRows]:
+    """(scale, S, M): row i of S and M is r_i times row i of stiffness(n) and
+    mass(n), and scale is the product of the r_i; built once per n, and only
+    n in 1..6 reaches it.
+
+    The rows are the integer Gram rows of `gram_rows`, each divided by the
+    gcd of its stiffness and mass entries.
+    """
+    moment_scale, stiffness, mass = gram_rows(n)
+    gcds, s_rows, m_rows = [], [], []
+    for s_row, m_row in zip(stiffness, mass):
+        g = gcd(*s_row, *m_row)
+        gcds.append(g)
+        s_rows.append(tuple(v // g for v in s_row))
+        m_rows.append(tuple(v // g for v in m_row))
+    return Fraction(moment_scale ** (n * n), prod(gcds)), tuple(s_rows), tuple(m_rows)
 
 
 def verify_kron_factorization(n: int, sample: Rational | int) -> bool:
@@ -304,7 +300,7 @@ def verify_kron_factorization(n: int, sample: Rational | int) -> bool:
     scale, stiffness, mass = _kron_pencil(n)
     rows = [[q * a - p * b for a, b in zip(s_row, m_row)]
             for s_row, m_row in zip(stiffness, mass)]
-    lhs = Fraction(_bareiss(rows), scale * q ** (n * n))
+    lhs = _bareiss(rows) / (scale * q ** (n * n))
     pencil_at_s = det_rational(build_pencil(n).eval_at(s))
     rhs = det_rational(build_mass_1d(n)) ** n * pencil_at_s**n
     return lhs == rhs

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .exact import Rational
-from .polynomial import RatPoly
+from .polynomial import RatPoly, clear_denominators
+
+IntRows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,19 @@ class PolyMatrix:
             for const_row, slope_row in zip(self.const.entries, self.slope.entries)
         ))
 
+    def scaled_rows(self) -> tuple[tuple[int, ...], IntRows, IntRows]:
+        """(d, A, B): row i of const and slope scaled together by the lcm
+        d_i of its denominators, so A = D*const and B = D*slope are integer
+        rows, D = diag(d)."""
+        n = self.dim
+        scales, a_rows, b_rows = [], [], []
+        for a_row, b_row in zip(self.const.entries, self.slope.entries):
+            denom, ints = clear_denominators(a_row + b_row)
+            scales.append(denom)
+            a_rows.append(tuple(ints[:n]))
+            b_rows.append(tuple(ints[n:]))
+        return tuple(scales), tuple(a_rows), tuple(b_rows)
+
     def to_json_dict(self) -> dict:
         n = self.dim
         return {
@@ -103,43 +119,53 @@ def index_split(k: int, n: int) -> tuple[int, int]:
     return (k - 1) // n, (k - 1) % n
 
 
-def _gram_tables(n: int) -> tuple[list[tuple[int, int]], list[list[Fraction]]]:
-    """The 0-based tensor indices (chi, rho) of 1..n*n, in `index_split`
-    order, and the table m[s][t] = I(s) * I(t) for s, t in 0..2n-2, where
-    I(s), the integral of x^s over (-1, 1), is 2/(s+1) for even s, else 0."""
-    moments = [Fraction(2, s + 1) if s % 2 == 0 else Fraction(0) for s in range(2 * n - 1)]
-    return [divmod(k, n) for k in range(n * n)], [[a * b for b in moments] for a in moments]
+def gram_rows(n: int) -> tuple[int, IntRows, IntRows]:
+    """(s, S, M): the Gram matrices of the n*n monomial basis
+    x^rho * t^chi, in `index_split` order, under the x-derivative product (S)
+    and the L2 product (M), times a scale s, as integer rows.
+
+    Both read the table m[a][b] = s * I(a) * I(b) for a, b in 0..2n-2, where
+    I(a), the integral of x^a over (-1, 1), is 2/(a+1) for even a, else 0.
+    With L the lcm of the odd numbers up to 2n-1 the moments L * I(a) are
+    integers, and s = L^2.  Stiffness entries with rho(i) + rho(j) <= 1
+    vanish (a constant factor in x is differentiated away), which also
+    sidesteps the 0/0 in the closed form.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    odd_lcm = lcm(*range(1, 2 * n, 2))
+    moments = [2 * odd_lcm // (a + 1) if a % 2 == 0 else 0 for a in range(2 * n - 1)]
+    m = [[a * b for b in moments] for a in moments]
+    index = [divmod(k, n) for k in range(n * n)]
+    stiffness = tuple(
+        tuple(
+            rho_i * rho_j * m[rho_i + rho_j - 2][chi_i + chi_j]
+            if rho_i + rho_j > 1 else 0
+            for chi_j, rho_j in index
+        )
+        for chi_i, rho_i in index
+    )
+    mass = tuple(
+        tuple(m[rho_i + rho_j][chi_i + chi_j] for chi_j, rho_j in index)
+        for chi_i, rho_i in index
+    )
+    return odd_lcm * odd_lcm, stiffness, mass
+
+
+def _unscaled(scale: int, rows: IntRows) -> RatMatrix:
+    return RatMatrix(tuple(tuple(Fraction(v, scale) for v in row) for row in rows))
 
 
 def build_mass(n: int) -> RatMatrix:
     """Gram matrix of the n*n monomial basis x^rho * t^chi under the L2 product."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    index, m = _gram_tables(n)
-    return RatMatrix(tuple(
-        tuple(m[rho_i + rho_j][chi_i + chi_j] for chi_j, rho_j in index)
-        for chi_i, rho_i in index
-    ))
+    scale, _, mass = gram_rows(n)
+    return _unscaled(scale, mass)
 
 
 def build_stiffness(n: int) -> RatMatrix:
-    """Gram matrix of the same basis under the x-derivative product.
-
-    Entries with rho(i) + rho(j) <= 1 vanish (a constant factor in x is
-    differentiated away), which also sidesteps the 0/0 in the closed form.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    index, m = _gram_tables(n)
-    zero = Fraction(0)
-    return RatMatrix(tuple(
-        tuple(
-            rho_i * rho_j * m[rho_i + rho_j - 2][chi_i + chi_j]
-            if rho_i + rho_j > 1 else zero
-            for chi_j, rho_j in index
-        )
-        for chi_i, rho_i in index
-    ))
+    """Gram matrix of the same basis under the x-derivative product."""
+    scale, stiffness, _ = gram_rows(n)
+    return _unscaled(scale, stiffness)
 
 
 def _mass_1d_entry(i: int, j: int) -> Fraction:

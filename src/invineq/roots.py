@@ -201,6 +201,14 @@ class _Grid:
     def point(self, j: int) -> Fraction:
         return Fraction(self.origin + j * self.stride, self.scale)
 
+    def value(self, j: int) -> int:
+        """M^d p at grid point j."""
+        x = self.origin + j * self.stride
+        v = self.lead
+        for c in self.rest:
+            v = v * x + c
+        return v
+
     def at(self, j: int) -> tuple[int, int]:
         """M^d p and its derivative in N, at grid point j."""
         x = self.origin + j * self.stride
@@ -309,7 +317,7 @@ def isolate_interlaced(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fractio
     if len(ends) <= degree:
         return None
     grid = _Grid(coeffs, lo, hi - lo, level)
-    values = [grid.at(j)[0] for j in ends]
+    values = [grid.value(j) for j in ends]
     brackets = [(ja, jb, vb) for ja, jb, va, vb in zip(ends, ends[1:], values, values[1:])
                 if not vb or va * vb < 0]
     if len(brackets) != degree:

@@ -499,7 +499,10 @@ class AsymptoticRow:
     targets: dict[str, Fraction]
 
 
+@lru_cache(maxsize=None)
 def asymptotic_targets(tol: Rational = Fraction(1, 10**30)) -> dict[str, Fraction]:
+    """The limits of the diagnostics, from a pi enclosure of width tol;
+    computed once per tol and shared, so callers must not modify it."""
     pi_lo, pi_hi = pi_bounds(Fraction(tol))
     pi_mid = (pi_lo + pi_hi) / 2
     pi_sq = pi_mid * pi_mid

@@ -60,6 +60,11 @@ GATE_RANGES = {
     # from there: 65 refinements of the cubic over the range.
     "bounds --tol 1000000 --range 2..40":
         "808662277829e4b35c4df59be12b70af4a66ac70eac8189eaf67983953702f7c",
+    # Recorded with the Fraction inner sums and the RatPoly block-times-
+    # column loop.  n = 1..30 reaches twice the verify-all band, where the
+    # inverse column's terms run to about 600 bits, at under a second.
+    "verify lemma32 --range 1..30":
+        "23b9ce48ef7aa4f6b7d811b638dc245dfbccac61ebfb01310fb147f12632b8c8",
 }
 
 

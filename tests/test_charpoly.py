@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 import invineq.charpoly as charpoly
+import invineq.cli as cli
 from invineq.charpoly import (
     char_coeff,
     char_coeffs,
@@ -11,11 +12,13 @@ from invineq.charpoly import (
     char_poly_by_summation,
     det_prefactor,
     inverse_column,
+    parity_target,
     recurrence_residual,
     verify_inverse_identity,
     verify_recurrence,
 )
 from invineq.exact import pochhammer
+from invineq.matrices import build_parity_block
 from invineq.polynomial import RatPoly
 
 
@@ -176,7 +179,7 @@ def two_branch_inverse_column(ell: int, n: int) -> tuple[RatPoly, ...]:
 
 
 @pytest.mark.parametrize("ell", [0, 1])
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 20, 24])
 def test_inverse_column_matches_the_two_branch_form(ell, n):
     assert inverse_column(ell, n) == two_branch_inverse_column(ell, n)
 
@@ -192,9 +195,46 @@ class TestInverseIdentity:
         report = verify_inverse_identity(ell, n)
         assert report.ok, report.failures
 
-    def test_failure_reports_row_and_residual(self):
-        # Sanity on the reporting shape via a healthy case
+    def test_healthy_case_has_no_failures(self):
         assert verify_inverse_identity(0, 3).failures == ()
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("perturb", [
+        # one entry off by a constant: every row fails
+        lambda col: (col[0] + F(1, 3), *col[1:]),
+        # the whole column times 1 - 2x/7: only the last row fails
+        lambda col: tuple(RatPoly((1, F(-2, 7))) * entry for entry in col),
+    ])
+    def test_failure_reports_row_and_residual(self, monkeypatch, ell, n, perturb):
+        column = perturb(inverse_column(ell, n))
+        monkeypatch.setattr(charpoly, "inverse_column", lambda e, m: column)
+        expected = block_times_column_failures(ell, n, column)
+        assert expected
+        report = verify_inverse_identity(ell, n)
+        assert report.failures == expected
+        assert not report.ok
+        row = cli._lemma32_rows(n)[ell]
+        assert row["identity"] == f"lemma32-parity{ell}" and row["equal"] is False
+        assert row["failures"] == [
+            {"row": idx, "residual": res.coeff_strings()} for idx, res in expected
+        ]
+
+
+def block_times_column_failures(ell, n, column):
+    """(row, residual) of every row where the parity block times the column
+    misses (0, ..., 0, parity_target): RatPoly products, one per entry."""
+    block = build_parity_block(ell, n)
+    target = parity_target(ell, n)
+    failures = []
+    for i in range(n):
+        acc = RatPoly()
+        for j in range(n):
+            acc = acc + block[i, j] * column[j]
+        residual = acc - (target if i == n - 1 else RatPoly())
+        if not residual.is_zero():
+            failures.append((i + 1, residual))
+    return tuple(failures)
 
 
 class TestRecurrence:

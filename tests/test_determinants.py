@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from invineq.charpoly import det_prefactor
 from invineq.determinants import (
     IDENTITY_IDS,
+    _kron_pencil,
     cauchy_matrix,
     det_poly,
     det_rational,
@@ -292,3 +294,21 @@ class TestKroneckerSamples:
         # degree n^2 in s, so it differs from rhs(s') for one of n^2 + 1
         # distinct s'.
         assert any(lhs != kron_rhs(n, s + k) for k in range(1, n * n + 2))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kron_pencil_rows_are_scaled_gram_rows(n):
+    """Each integer row of `_kron_pencil` is one positive rational r_i times
+    the same row of build_stiffness / build_mass, the rows are primitive,
+    and the scale is the product of the r_i."""
+    scale, stiffness, mass = _kron_pencil(n)
+    gram = zip(build_stiffness(n).entries, build_mass(n).entries)
+    ratios = []
+    for i, (s_row, m_row, (s_fracs, m_fracs)) in enumerate(zip(stiffness, mass, gram)):
+        ints, fracs = s_row + m_row, s_fracs + m_fracs
+        r = ints[i + n * n] / fracs[i + n * n]  # the positive mass diagonal
+        assert r > 0
+        assert all(v == r * f for v, f in zip(ints, fracs))
+        assert gcd(*ints) == 1
+        ratios.append(r)
+    assert scale == prod(ratios)

@@ -65,6 +65,13 @@ GATE_RANGES = {
     # inverse column's terms run to about 600 bits, at under a second.
     "verify lemma32 --range 1..30":
         "23b9ce48ef7aa4f6b7d811b638dc245dfbccac61ebfb01310fb147f12632b8c8",
+    # Recorded with the boundary and hook determinants on the Bareiss route
+    # (det_poly).  They pin the printed lhs coefficients past `verify all`'s
+    # 0..14; the `boundary` command prints only mu and booleans.
+    "verify boundary --range 15..50":
+        "cc4349aeeb5781953f761a679dedfc77132cd98b08a2dfb0ee8ab0e0d192bd74",
+    "verify legendre --range 15..30":
+        "51c8df9a05d91dc98846aa785bb0f87c5455e595725493151614c0a8e94ecb8a",
 }
 
 

@@ -5,11 +5,13 @@ from math import gcd, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from invineq import determinants
 from invineq.charpoly import det_prefactor
 from invineq.determinants import (
     IDENTITY_IDS,
     _kron_pencil,
     cauchy_matrix,
+    det_diagonal_pencil,
     det_poly,
     det_rational,
     verify_boundary,
@@ -22,6 +24,8 @@ from invineq.determinants import (
 from invineq.matrices import (
     PolyMatrix,
     RatMatrix,
+    build_boundary,
+    build_legendre_hook,
     build_mass,
     build_mass_1d,
     build_parity_block,
@@ -141,6 +145,83 @@ class TestDetPoly:
                 d = det_poly(build_parity_block(ell, n))
                 assert d.degree == n
                 assert d.leading == (-1) ** n * det_prefactor(ell, n)
+
+
+DIAGONAL_FAMILIES = {
+    "boundary-0": lambda n: build_boundary(0, n),
+    "boundary-1": lambda n: build_boundary(1, n),
+    "boundary-full": lambda n: build_boundary("full", n),
+    "legendre-0": lambda n: build_legendre_hook(0, n),
+    "legendre-1": lambda n: build_legendre_hook(1, n),
+}
+
+
+@st.composite
+def diagonal_pencils(draw) -> PolyMatrix:
+    """Pencils const + x*diag(b) of dim 0..7: rational const rows, some of
+    them zero or a repeat of an earlier row, and a nonzero rational diagonal
+    with negative and repeated values (sometimes one value throughout)."""
+    dim = draw(st.integers(0, 7))
+    entry = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+    rows = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        kind = draw(st.sampled_from(["plain", "zero", "repeat"]))
+        if kind == "zero":
+            rows[i] = [F(0)] * dim
+        elif kind == "repeat" and i:
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+    nonzero = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    diagonal = draw(st.lists(nonzero, min_size=dim, max_size=dim))
+    if dim and draw(st.booleans()):
+        diagonal = [diagonal[0]] * dim
+    slope = tuple(tuple(diagonal[i] if i == j else F(0) for j in range(dim)) for i in range(dim))
+    return PolyMatrix(RatMatrix(tuple(tuple(row) for row in rows)), RatMatrix(slope))
+
+
+class TestDetDiagonalPencil:
+    @pytest.mark.parametrize("family", sorted(DIAGONAL_FAMILIES))
+    def test_matches_det_poly_on_families(self, family):
+        for n in range(0, 25):
+            m = DIAGONAL_FAMILIES[family](n)
+            assert det_diagonal_pencil(m) == det_poly(m), (family, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(diagonal_pencils())
+    def test_matches_det_poly_on_random_pencils(self, m):
+        assert det_diagonal_pencil(m) == det_poly(m)
+
+    def test_rejects_off_diagonal_slope(self):
+        m = PolyMatrix(RatMatrix(((F(1), F(2)), (F(3), F(4)))),
+                       RatMatrix(((F(1), F(0)), (F(1, 2), F(1)))))
+        with pytest.raises(ValueError, match="diagonal"):
+            det_diagonal_pencil(m)
+
+    def test_rejects_zero_on_the_diagonal(self):
+        m = PolyMatrix(RatMatrix(((F(1), F(2)), (F(3), F(4)))),
+                       RatMatrix(((F(1), F(0)), (F(0), F(0)))))
+        with pytest.raises(ValueError, match="zero"):
+            det_diagonal_pencil(m)
+
+    def test_small_prime_fallback_and_lift(self, monkeypatch):
+        """With the prime 3 the modulus is a power of 3, the prime divides
+        some slope entries and some Hessenberg columns have no unit pivot:
+        those pencils go to `det_poly`, the rest are lifted from Z/3^k, and
+        every result still equals `det_poly`."""
+        monkeypatch.setattr(determinants, "_PRIME", 3)
+        fallbacks = []
+        monkeypatch.setattr(determinants, "det_poly",
+                            lambda m: fallbacks.append(m) or det_poly(m))
+        # Row 0 has b_0 = 3, a multiple of the prime.
+        pencils = [PolyMatrix(RatMatrix(((F(1), F(2)), (F(3), F(4)))),
+                              RatMatrix(((F(3), F(0)), (F(0), F(-1)))))]
+        pencils += [family(n) for family in DIAGONAL_FAMILIES.values() for n in range(1, 13)]
+        modular = 0
+        for m in pencils:
+            before = len(fallbacks)
+            assert det_diagonal_pencil(m) == det_poly(m)
+            modular += len(fallbacks) == before
+        assert pencils[0] in fallbacks
+        assert len(fallbacks) > 1 and modular > 0
 
 
 class TestParityIdentity:

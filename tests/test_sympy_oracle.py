@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from invineq.charpoly import char_poly
-from invineq.determinants import det_poly
+from invineq.determinants import det_diagonal_pencil, det_poly
 from invineq.matrices import (
     PolyMatrix,
     build_boundary,
@@ -37,6 +37,7 @@ FAMILIES = {
     "kron": (lambda n: PolyMatrix(build_stiffness(n), build_mass(n)), range(1, 3)),
 }
 CASES = [(name, n) for name, (_, ns) in FAMILIES.items() for n in ns]
+DIAGONAL = [(name, n) for name, n in CASES if name.startswith(("boundary", "legendre"))]
 
 
 def rat(value: F) -> sympy.Rational:
@@ -52,6 +53,13 @@ def test_det_poly_matches_sympy(name, n):
     m = FAMILIES[name][0](n)
     expected = sympy.Poly(symbolic(m).det().expand(), x).all_coeffs()[::-1]
     assert [rat(c) for c in det_poly(m).coeffs] == expected
+
+
+@pytest.mark.parametrize("name,n", DIAGONAL)
+def test_det_diagonal_pencil_matches_sympy(name, n):
+    m = FAMILIES[name][0](n)
+    expected = sympy.Poly(symbolic(m).det().expand(), x).all_coeffs()[::-1]
+    assert [rat(c) for c in det_diagonal_pencil(m).coeffs] == expected
 
 
 @pytest.mark.parametrize("name,n", CASES)

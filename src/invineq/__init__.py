@@ -48,7 +48,7 @@ from .charpoly import (
 from .determinants import (
     DetReport,
     cauchy_matrix,
-    det_diagonal_pencil,
+    det_hook_pencil,
     det_poly,
     det_rational,
     verify_boundary,

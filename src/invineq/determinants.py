@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .charpoly import char_poly, det_prefactor, parity_target
 from .exact import Rational, pochhammer
@@ -22,6 +22,7 @@ from .matrices import (
     build_parity_block,
     build_pencil,
     gram_rows,
+    split_parity_blocks,
 )
 from .polynomial import RatPoly, clear_denominators, poly_interpolate
 
@@ -130,111 +131,50 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     return dets * Fraction(1, prod(scales))
 
 
-# The Mersenne prime 2^61 - 1.  `det_diagonal_pencil` works modulo its least
-# power above twice the coefficient bound.
-_PRIME = 2**61 - 1
+def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
+    """Exact determinant polynomial of a hook pencil A + x*diag(b) with
+    A[i][j] = g_min(i, j), in O(dim^2) coefficient operations; any other
+    pencil raises ValueError.  The boundary-parity and hook matrices are
+    hook pencils; g and b may hold zeros and repeats.
 
+    With L the lower-triangular all-ones matrix, A = L*diag(dg)*L^T for the
+    differences dg_k = g_k - g_{k-1} (g_{-1} = 0), and det L = 1, so the
+    determinant is that of the tridiagonal matrix diag(dg) + x*L^-1 diag(b)
+    L^-T: diagonal dg_k + x(b_k + b_{k-1}), off-diagonal -x b_{k-1}
+    (b_{-1} = 0).  That is the continuant (Muir, *A Treatise on the Theory
+    of Determinants*)
 
-def _hessenberg_charpoly(h: list[list[int]], prime: int, modulus: int) -> list[int] | None:
-    """Coefficients, constant first, of det(xI - H) modulo `modulus`, a power
-    of `prime`; the rows of H, reduced modulo `modulus`, are overwritten.
+        D_k = (dg_k + x(b_k + b_{k-1})) D_{k-1} - x^2 b_{k-1}^2 D_{k-2}.
 
-    H is brought to upper Hessenberg form by similarity steps whose pivot, in
-    each column, is the first entry on or below the subdiagonal that `prime`
-    does not divide: a unit, so the steps keep the characteristic polynomial
-    over Z/modulus.  A column that is zero on and below the subdiagonal is
-    skipped; one with nonzero entries there but no unit gives None.  The polynomial is then read
-    off the Hessenberg recurrence (Cohen, *A Course in Computational
-    Algebraic Number Theory*, Alg. 2.2.9).
-    """
-    n = len(h)
-    for m in range(1, n - 1):
-        col = m - 1
-        pivot_row = next((i for i in range(m, n) if h[i][col] % prime), None)
-        if pivot_row is None:
-            if any(h[i][col] for i in range(m, n)):
-                return None
-            continue
-        if pivot_row != m:
-            h[m], h[pivot_row] = h[pivot_row], h[m]
-            for row in h:
-                row[m], row[pivot_row] = row[pivot_row], row[m]
-        row_m = h[m]
-        inverse = pow(row_m[col], -1, modulus)
-        factors = []
-        for i in range(m + 1, n):
-            u = h[i][col] * inverse % modulus
-            if u:
-                h[i][col:] = [(a - u * b) % modulus for a, b in zip(h[i][col:], row_m[col:])]
-                factors.append((i, u))
-        if factors:
-            for row in h:
-                row[m] = (row[m] + sum(u * row[i] for i, u in factors)) % modulus
-    # polys[k] is the characteristic polynomial of the leading k x k block.
-    polys = [[1]]
-    for m in range(n):
-        prev = polys[m]
-        acc = [0, *prev]
-        diag = h[m][m]
-        for k, c in enumerate(prev):
-            acc[k] -= diag * c
-        subdiag = 1
-        for i in range(1, m + 1):
-            subdiag = subdiag * h[m - i + 1][m - i] % modulus
-            if not subdiag:
-                break
-            factor = h[m - i][m] * subdiag % modulus
-            if factor:
-                for k, c in enumerate(polys[m - i]):
-                    acc[k] -= factor * c
-        polys.append([c % modulus for c in acc])
-    return polys[n]
-
-
-def det_diagonal_pencil(matrix: PolyMatrix) -> RatPoly:
-    """Exact determinant polynomial of a pencil const + x*slope whose slope is
-    diagonal with no zero on the diagonal, in O(dim^3) operations; any other
-    slope raises ValueError.
-
-    With (d, A, B) = matrix.scaled_rows() and b_i = B[i][i], the determinant
-    is det(A + xB) / prod(d), and det(A + xB) = prod(b) * det(xI - C) with
-    C = -B^-1 A.  The x^k coefficient of det(A + xB) is a sum over k-subsets
-    S of prod_{i in S} b_i times a principal minor of A, so by Hadamard's
-    bound every coefficient is at most H = prod_i (isqrt(sum_j a_ij^2) + 1 +
-    |b_i|).  The characteristic polynomial of C is computed modulo the least
-    power M > 2H of the prime 2^61 - 1 (`_hessenberg_charpoly`), and the
-    symmetric residues of prod(b) times it are the integer coefficients.  If
-    the prime divides some b_i, or the Hessenberg reduction meets a column
-    without a unit pivot, the result comes from `det_poly`.
+    Each tridiagonal row is scaled to integers once, the recurrence runs on
+    integer coefficient lists, and the result is divided once by the
+    product of the row scales.
     """
     n = matrix.dim
-    slope = matrix.slope.entries
-    if any(v for i, row in enumerate(slope) for j, v in enumerate(row) if i != j):
-        raise ValueError("slope must be diagonal")
-    if not all(slope[i][i] for i in range(n)):
-        raise ValueError("slope must have no zero on its diagonal")
-    if n == 0:
-        return RatPoly.one()
-    scales, a_rows, b_rows = matrix.scaled_rows()
-    b = [row[i] for i, row in enumerate(b_rows)]
-    prime = _PRIME
-    if any(bi % prime == 0 for bi in b):
-        return det_poly(matrix)
-    bound = prod(isqrt(sum(a * a for a in row)) + 1 + abs(bi) for row, bi in zip(a_rows, b))
-    modulus = prime
-    while modulus <= 2 * bound:
-        modulus *= prime
-    h = []
-    for row, bi in zip(a_rows, b):
-        c = -pow(bi, -1, modulus)
-        h.append([c * a % modulus for a in row])
-    charpoly = _hessenberg_charpoly(h, prime, modulus)
-    if charpoly is None:
-        return det_poly(matrix)
-    det_b = prod(b) % modulus
-    half = modulus // 2
-    coeffs = [c * det_b % modulus for c in charpoly]
-    return RatPoly(c - modulus if c > half else c for c in coeffs) * Fraction(1, prod(scales))
+    const, slope = matrix.const.entries, matrix.slope.entries
+    g = tuple(row[i] for i, row in enumerate(const))
+    b = tuple(row[i] for i, row in enumerate(slope))
+    zeros = (0,) * n
+    for i in range(n):
+        if const[i][:i] != g[:i] or const[i][i:] != (g[i],) * (n - i):
+            raise ValueError(f"const row {i} is not constant along hooks")
+        if slope[i][:i] != zeros[:i] or slope[i][i + 1:] != zeros[i + 1:]:
+            raise ValueError("slope must be diagonal")
+    # prev, cur = D_{k-2}, D_{k-1}.  With s_k the scale of row k, `lower` is
+    # s_k * b_{k-1} (row k, left of the diagonal) and `upper` is
+    # s_{k-1} * b_{k-1} (row k - 1, right of it), each times -x.
+    prev, cur = [], [1]
+    scale, g_prev, b_prev, upper = 1, 0, 0, 0
+    for g_k, b_k in zip(g, b):
+        s, (dg, lower, b_row) = clear_denominators((g_k - g_prev, b_prev, b_k))
+        scale *= s
+        diag, couple = lower + b_row, upper * lower
+        cur, prev = [
+            dg * c0 + diag * c1 - couple * c2
+            for c0, c1, c2 in zip(cur + [0], [0] + cur, [0, 0] + prev)
+        ], cur
+        g_prev, b_prev, upper = g_k, b_k, b_row
+    return RatPoly(cur) * Fraction(1, scale)
 
 
 def _thm31_rhs(ell: int, n: int) -> RatPoly:
@@ -331,24 +271,27 @@ def _boundary_full_rhs(n: int) -> RatPoly:
 def verify_boundary(n: int) -> list[DetReport]:
     """Boundary determinant identities: both parity blocks for n >= 0, and
     the full matrix for n >= 2 (below that it is the parity-1 block of size
-    n, already checked)."""
+    n, already checked).  The parity permutation makes the full matrix the
+    direct sum of its parity blocks (`split_parity_blocks` checks that the
+    blocks between them are zero), so its determinant is their product."""
     if n < 0:
         raise ValueError("n must be >= 0")
     reports = [
         DetReport(
             n=n,
             identity=f"boundary-{ell}",
-            lhs=det_diagonal_pencil(build_boundary(ell, n)),
+            lhs=det_hook_pencil(build_boundary(ell, n)),
             rhs=_boundary_parity_rhs(ell, n),
         )
         for ell in (0, 1)
     ]
     if n >= 2:
+        _, top, bottom = split_parity_blocks(build_boundary("full", n))
         reports.append(
             DetReport(
                 n=n,
                 identity="boundary-full",
-                lhs=det_diagonal_pencil(build_boundary("full", n)),
+                lhs=det_hook_pencil(top) * det_hook_pencil(bottom),
                 rhs=_boundary_full_rhs(n),
             )
         )
@@ -364,7 +307,7 @@ def verify_legendre_hooks(n: int) -> list[DetReport]:
         DetReport(
             n=n,
             identity=f"legendre-{ell}",
-            lhs=det_diagonal_pencil(build_legendre_hook(ell, n)),
+            lhs=det_hook_pencil(build_legendre_hook(ell, n)),
             rhs=_hook_scalar(ell, n) * char_poly(2 * n + 1 - ell).poly,
         )
         for ell in (0, 1)

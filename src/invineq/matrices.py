@@ -287,19 +287,24 @@ def parity_permutation(n: int) -> tuple[int, ...]:
 
 def split_parity_blocks(matrix: PolyMatrix) -> tuple[tuple[int, ...], PolyMatrix, PolyMatrix]:
     """Apply the parity permutation to rows and columns and cut out the two
-    diagonal blocks.
+    diagonal blocks; raise ValueError if an off-diagonal block of const or
+    slope is nonzero, so the determinant is the product of the two blocks'.
 
     Returns (perm, top_left, bottom_right) where top_left is floor(n/2) wide
-    and bottom_right is ceil(n/2) wide. The permutation is returned so callers
-    can verify the block structure rather than trust it.
+    and bottom_right is ceil(n/2) wide.
     """
     perm = parity_permutation(matrix.dim)
     half = matrix.dim // 2
+    evens, odds = perm[:half], perm[half:]
+    parts = (matrix.const, matrix.slope)
+
+    def block(part: RatMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
+        return tuple(tuple(part.entries[p][q] for q in cols) for p in rows)
 
     def cut(index: tuple[int, ...]) -> PolyMatrix:
-        return PolyMatrix(*(
-            RatMatrix(tuple(tuple(part.entries[p][q] for q in index) for p in index))
-            for part in (matrix.const, matrix.slope)
-        ))
+        return PolyMatrix(*(RatMatrix(block(part, index, index)) for part in parts))
 
-    return perm, cut(perm[:half]), cut(perm[half:])
+    for part in parts:
+        if any(any(row) for row in block(part, evens, odds) + block(part, odds, evens)):
+            raise ValueError("the off-diagonal parity blocks must be zero")
+    return perm, cut(evens), cut(odds)

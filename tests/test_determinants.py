@@ -5,13 +5,12 @@ from math import gcd, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from invineq import determinants
 from invineq.charpoly import det_prefactor
 from invineq.determinants import (
     IDENTITY_IDS,
     _kron_pencil,
     cauchy_matrix,
-    det_diagonal_pencil,
+    det_hook_pencil,
     det_poly,
     det_rational,
     verify_boundary,
@@ -31,6 +30,7 @@ from invineq.matrices import (
     build_parity_block,
     build_pencil,
     build_stiffness,
+    split_parity_blocks,
 )
 from invineq.polynomial import RatPoly
 
@@ -147,7 +147,7 @@ class TestDetPoly:
                 assert d.leading == (-1) ** n * det_prefactor(ell, n)
 
 
-DIAGONAL_FAMILIES = {
+HOOK_FAMILIES = {
     "boundary-0": lambda n: build_boundary(0, n),
     "boundary-1": lambda n: build_boundary(1, n),
     "boundary-full": lambda n: build_boundary("full", n),
@@ -156,72 +156,90 @@ DIAGONAL_FAMILIES = {
 }
 
 
+def hook_pencil(g: list[F], b: list[F]) -> PolyMatrix:
+    """The pencil g_min(i, j) + x*diag(b)."""
+    dim = len(g)
+    return PolyMatrix(
+        RatMatrix(tuple(tuple(g[min(i, j)] for j in range(dim)) for i in range(dim))),
+        RatMatrix(tuple(tuple(b[i] if i == j else F(0) for j in range(dim)) for i in range(dim))),
+    )
+
+
 @st.composite
-def diagonal_pencils(draw) -> PolyMatrix:
-    """Pencils const + x*diag(b) of dim 0..7: rational const rows, some of
-    them zero or a repeat of an earlier row, and a nonzero rational diagonal
-    with negative and repeated values (sometimes one value throughout)."""
-    dim = draw(st.integers(0, 7))
+def hook_pencils(draw) -> PolyMatrix:
+    """Hook pencils of dim 0..9 with rational g and b, each value drawn
+    afresh, zero, or a repeat of the one before (a zero difference of g)."""
+    dim = draw(st.integers(0, 9))
     entry = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
-    rows = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        kind = draw(st.sampled_from(["plain", "zero", "repeat"]))
-        if kind == "zero":
-            rows[i] = [F(0)] * dim
-        elif kind == "repeat" and i:
-            rows[i] = list(rows[draw(st.integers(0, i - 1))])
-    nonzero = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
-    diagonal = draw(st.lists(nonzero, min_size=dim, max_size=dim))
-    if dim and draw(st.booleans()):
-        diagonal = [diagonal[0]] * dim
-    slope = tuple(tuple(diagonal[i] if i == j else F(0) for j in range(dim)) for i in range(dim))
-    return PolyMatrix(RatMatrix(tuple(tuple(row) for row in rows)), RatMatrix(slope))
+
+    def values() -> list[F]:
+        out: list[F] = []
+        for _ in range(dim):
+            kind = draw(st.sampled_from(["plain", "zero", "repeat"]))
+            out.append(F(0) if kind == "zero" else out[-1] if kind == "repeat" and out
+                       else draw(entry))
+        return out
+
+    return hook_pencil(values(), values())
 
 
-class TestDetDiagonalPencil:
-    @pytest.mark.parametrize("family", sorted(DIAGONAL_FAMILIES))
+class TestDetHookPencil:
+    @pytest.mark.parametrize("family", sorted(HOOK_FAMILIES))
     def test_matches_det_poly_on_families(self, family):
         for n in range(0, 25):
-            m = DIAGONAL_FAMILIES[family](n)
-            assert det_diagonal_pencil(m) == det_poly(m), (family, n)
+            m = HOOK_FAMILIES[family](n)
+            if family == "boundary-full":
+                _, top, bottom = split_parity_blocks(m)
+                got = det_hook_pencil(top) * det_hook_pencil(bottom)
+            else:
+                got = det_hook_pencil(m)
+            assert got == det_poly(m), (family, n)
 
     @settings(max_examples=200, deadline=None)
-    @given(diagonal_pencils())
+    @given(hook_pencils())
+    @example(hook_pencil([F(1), F(1)], [F(1), F(0)]))
+    @example(hook_pencil([F(0), F(0), F(0)], [F(0), F(0), F(0)]))
     def test_matches_det_poly_on_random_pencils(self, m):
-        assert det_diagonal_pencil(m) == det_poly(m)
+        assert det_hook_pencil(m) == det_poly(m)
+
+    def test_rejects_perturbed_hook_const(self):
+        """A change to any const entry but the last on the diagonal breaks the
+        hook structure; that one only changes g_{n-1}."""
+        m = build_legendre_hook(1, 4)
+        rows = [list(row) for row in m.const.entries]
+        for i in range(4):
+            for j in range(4):
+                rows[i][j] += 1
+                perturbed = PolyMatrix(RatMatrix(tuple(map(tuple, rows))), m.slope)
+                if (i, j) == (3, 3):
+                    assert det_hook_pencil(perturbed) == det_poly(perturbed)
+                else:
+                    with pytest.raises(ValueError, match="hooks"):
+                        det_hook_pencil(perturbed)
+                rows[i][j] -= 1
 
     def test_rejects_off_diagonal_slope(self):
-        m = PolyMatrix(RatMatrix(((F(1), F(2)), (F(3), F(4)))),
-                       RatMatrix(((F(1), F(0)), (F(1, 2), F(1)))))
-        with pytest.raises(ValueError, match="diagonal"):
-            det_diagonal_pencil(m)
+        const = RatMatrix(((F(1), F(1)), (F(1), F(4))))
+        for slope in (((F(1), F(0)), (F(1, 2), F(1))), ((F(1), F(1, 2)), (F(0), F(1)))):
+            with pytest.raises(ValueError, match="diagonal"):
+                det_hook_pencil(PolyMatrix(const, RatMatrix(slope)))
 
-    def test_rejects_zero_on_the_diagonal(self):
-        m = PolyMatrix(RatMatrix(((F(1), F(2)), (F(3), F(4)))),
-                       RatMatrix(((F(1), F(0)), (F(0), F(0)))))
-        with pytest.raises(ValueError, match="zero"):
-            det_diagonal_pencil(m)
+    def test_zero_on_the_diagonal(self):
+        m = hook_pencil([F(1), F(4)], [F(1), F(0)])
+        assert det_hook_pencil(m) == det_poly(m) == RatPoly((3, 4))
 
-    def test_small_prime_fallback_and_lift(self, monkeypatch):
-        """With the prime 3 the modulus is a power of 3, the prime divides
-        some slope entries and some Hessenberg columns have no unit pivot:
-        those pencils go to `det_poly`, the rest are lifted from Z/3^k, and
-        every result still equals `det_poly`."""
-        monkeypatch.setattr(determinants, "_PRIME", 3)
-        fallbacks = []
-        monkeypatch.setattr(determinants, "det_poly",
-                            lambda m: fallbacks.append(m) or det_poly(m))
-        # Row 0 has b_0 = 3, a multiple of the prime.
-        pencils = [PolyMatrix(RatMatrix(((F(1), F(2)), (F(3), F(4)))),
-                              RatMatrix(((F(3), F(0)), (F(0), F(-1)))))]
-        pencils += [family(n) for family in DIAGONAL_FAMILIES.values() for n in range(1, 13)]
-        modular = 0
-        for m in pencils:
-            before = len(fallbacks)
-            assert det_diagonal_pencil(m) == det_poly(m)
-            modular += len(fallbacks) == before
-        assert pencils[0] in fallbacks
-        assert len(fallbacks) > 1 and modular > 0
+
+class TestLargeN:
+    """The continuant reaches n = 100 in well under a second; the right-hand
+    sides come from `char_poly` and the closed forms."""
+
+    def test_legendre_hooks_100(self):
+        assert all(rep.equal for rep in verify_legendre_hooks(100))
+
+    def test_boundary_100(self):
+        reports = verify_boundary(100)
+        assert [rep.identity for rep in reports] == ["boundary-0", "boundary-1", "boundary-full"]
+        assert all(rep.equal for rep in reports)
 
 
 class TestParityIdentity:

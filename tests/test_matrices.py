@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -209,6 +211,16 @@ class TestBoundary:
             half = n // 2
             assert top == build_boundary(0, half)
             assert bottom == build_boundary(1, n - half)
+
+    def test_split_rejects_cross_parity_entry(self):
+        full = build_boundary("full", 5)
+        # 0-based (1, 2) and (2, 1): an even row and an odd column, and back.
+        for part, (i, j) in product(("const", "slope"), ((1, 2), (2, 1))):
+            rows = [list(row) for row in getattr(full, part).entries]
+            rows[i][j] = F(1, 3)
+            broken = replace(full, **{part: RatMatrix(tuple(map(tuple, rows)))})
+            with pytest.raises(ValueError, match="off-diagonal"):
+                split_parity_blocks(broken)
 
 
 class TestLegendreHooks:

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from invineq.charpoly import char_poly
-from invineq.determinants import det_diagonal_pencil, det_poly
+from invineq.determinants import det_hook_pencil, det_poly
 from invineq.matrices import (
     PolyMatrix,
     build_boundary,
@@ -18,6 +18,7 @@ from invineq.matrices import (
     build_pencil,
     build_stiffness,
     build_stiffness_1d,
+    split_parity_blocks,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -57,9 +58,15 @@ def test_det_poly_matches_sympy(name, n):
 
 @pytest.mark.parametrize("name,n", DIAGONAL)
 def test_det_diagonal_pencil_matches_sympy(name, n):
+    """`det_hook_pencil`, through the parity split for the full boundary."""
     m = FAMILIES[name][0](n)
     expected = sympy.Poly(symbolic(m).det().expand(), x).all_coeffs()[::-1]
-    assert [rat(c) for c in det_diagonal_pencil(m).coeffs] == expected
+    if name == "boundary-full":
+        _, top, bottom = split_parity_blocks(m)
+        got = det_hook_pencil(top) * det_hook_pencil(bottom)
+    else:
+        got = det_hook_pencil(m)
+    assert [rat(c) for c in got.coeffs] == expected
 
 
 @pytest.mark.parametrize("name,n", CASES)

@@ -72,15 +72,17 @@ def char_coeff(j: int, n: int) -> Fraction:
 @lru_cache(maxsize=None)
 def char_poly(n: int) -> CharPoly:
     """Monic characteristic polynomial of degree floor(n/2), built from the
-    alternating closed-form coefficients."""
+    alternating closed-form coefficients.  They are integers and the
+    leading one is 1, so the signed list is already the primitive part."""
     if n < 0:
         raise ValueError("n must be >= 0")
     nu = n // 2
     # The coefficient of x^(nu-j) is (-1)^j f_j.
-    signed = [(-1) ** j * f for j, f in enumerate(char_coeffs(n))]
-    poly = RatPoly(reversed(signed))
-    assert poly.degree == nu and poly.leading == 1
-    return CharPoly(n=n, nu=nu, poly=poly)
+    signed = [-f.numerator if j % 2 else f.numerator for j, f in enumerate(char_coeffs(n))]
+    if len(signed) != nu + 1 or signed[0] != 1:
+        raise ArithmeticError(f"char_poly is not monic of degree {nu} at n={n}")
+    signed.reverse()
+    return CharPoly(n=n, nu=nu, poly=RatPoly._make(Fraction(1), tuple(signed)))
 
 
 def char_poly_by_summation(n: int) -> CharPoly:
@@ -101,7 +103,8 @@ def char_poly_by_summation(n: int) -> CharPoly:
         )
         coeffs.append(c)
     poly = RatPoly(coeffs)
-    assert poly.degree == nu and poly.leading == 1
+    if poly.degree != nu or poly.leading != 1:
+        raise ArithmeticError(f"char_poly_by_summation is not monic of degree {nu} at n={n}")
     return CharPoly(n=n, nu=nu, poly=poly)
 
 
@@ -117,7 +120,8 @@ def det_prefactor(ell: int, n: int) -> Fraction:
     value = Fraction(1, 2**n)
     for i in range(1, n + 1):
         value *= Fraction(factorial(i - 1)) ** 2 / pochhammer(Fraction(2 * i - 2 * ell + 1, 2), n)
-    assert value > 0
+    if value <= 0:
+        raise ArithmeticError(f"det_prefactor is not positive at ell={ell}, n={n}")
     return value
 
 

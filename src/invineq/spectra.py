@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Sequence
 
 from .charpoly import char_coeff, char_coeffs, char_poly
@@ -70,23 +71,40 @@ class QuadraticSurd:
 
 
 def surd_sign_of_poly(poly: RatPoly, surd: QuadraticSurd) -> int:
-    """Exact sign of poly(u + sqrt(v)), via Horner in Q[sqrt(v)] over the
-    primitive part (the positive content cannot change the sign)."""
-    a, b = Fraction(0), Fraction(0)  # value = a + b*sqrt(v)
+    """Exact sign of poly(u + sqrt(v)), decided on integers.
+
+    With q = lcm(den u, den v), u + sqrt(v) = (p + sqrt(r)) / q for the
+    integers p = q u and r = q^2 v.  One homogenised Horner pass over the
+    primitive part (whose positive content cannot change the sign) gives
+    q^d poly(u + sqrt(v)) = a + b sqrt(r), and the sign of a + b sqrt(r)
+    needs no division: when a and b differ in sign it is sign(a) times
+    sign(a^2 - b^2 r).
+    """
+    u, v = surd.u, surd.v
+    q = lcm(u.denominator, v.denominator)
+    p = u.numerator * (q // u.denominator)
+    r = v.numerator * (q // v.denominator) * q
+    a = b = 0
+    qk = 1
     for c in reversed(poly.primitive):
-        a, b = a * surd.u + b * surd.v + c, a + b * surd.u
-    if b == 0 or surd.v == 0:
-        return (a > 0) - (a < 0)
-    # a + b*sqrt(v) = b * ((u + sqrt(v)) - (u - a/b)).
-    return (1 if b > 0 else -1) * surd.compare(surd.u - a / b)
+        a, b = a * p + b * r + c * qk, a + b * p
+        qk *= q
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0 or r == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    d = a * a - b * b * r
+    return sa * ((d > 0) - (d < 0))
 
 
 def coefficient_dominance_holds(n: int) -> bool:
     """Exact check that (f1/2) * f_j > f_{j+1} for 1 <= j <= nu-1, the
-    inequality behind every truncation bound used here."""
-    f = char_coeffs(n)
-    half_f1 = char_coeff(1, n) / 2
-    return all(half_f1 * f[j] > f[j + 1] for j in range(1, n // 2))
+    inequality behind every truncation bound used here, tested as
+    f1 * f_j > 2 * f_{j+1} on the integers f_j."""
+    f1 = char_coeff(1, n).numerator
+    f = [c.numerator for c in char_coeffs(n)]
+    return all(f1 * f[j] > 2 * f[j + 1] for j in range(1, n // 2))
 
 
 def _coeff_or_zero(j: int, n: int) -> Fraction:
@@ -94,20 +112,25 @@ def _coeff_or_zero(j: int, n: int) -> Fraction:
     return char_coeff(j, n) if j <= n // 2 else Fraction(0)
 
 
+@lru_cache(maxsize=None)
 def bound_lower(n: int) -> QuadraticSurd:
     """Lower bound on the maximal root from the quadratic truncation:
-    f1/2 + sqrt(f1^2/4 - f2)."""
+    f1/2 + sqrt(f1^2/4 - f2).  Cached, since `bound_report` and the
+    maximal-root bracket both read it."""
     if n < 2:
         raise ValueError("n must be >= 2")
     f1 = char_coeff(1, n)
     v = f1 * f1 / 4 - _coeff_or_zero(2, n)
-    assert v > 0
+    if v <= 0:
+        raise RootIsolationError(f"quadratic truncation radicand is not positive at n={n}")
     return QuadraticSurd(u=f1 / 2, v=v)
 
 
+@lru_cache(maxsize=None)
 def cubic_bound_poly(n: int) -> RatPoly:
     """Cubic truncation x^3 - f1 x^2 + f2 x - f3 whose largest real root is
-    the upper bound on the maximal root."""
+    the upper bound on the maximal root.  Cached, since `bound_report` reads
+    it for the enclosure, the small-n equality and the refinement."""
     if n < 2:
         raise ValueError("n must be >= 2")
     f1 = char_coeff(1, n)
@@ -317,10 +340,10 @@ def bound_report(n: int, tol: Rational = Fraction(1, 10**12)) -> BoundReport:
     m_le = s_at_m <= 0
     m_strict = s_at_m < 0
 
-    # f1: exact endpoint evaluation, with strictness from dominance.
-    val_f1 = cp.poly(f1)
-    f1_le = val_f1 >= 0
-    f1_strict = val_f1 > 0 and coefficient_dominance_holds(n)
+    # f1: exact endpoint sign, with strictness from dominance.
+    s_f1 = sign_at(cp.poly.primitive, f1)
+    f1_le = s_f1 >= 0
+    f1_strict = s_f1 > 0 and coefficient_dominance_holds(n)
 
     # Cubic upper bound: structural equality for small n, disjoint
     # enclosures otherwise.
@@ -458,9 +481,10 @@ def inverse_constant(n: int, tol: Rational = Fraction(1, 10**12)) -> InverseCons
     cp = char_poly(n)
     surd = bound_lower(n)
     # lambda_n >= m(n) > f1/2, certified by the exact surd sign; the upper
-    # edge is the exact endpoint evaluation.
+    # edge is the exact endpoint sign.
     low_ok = surd_sign_of_poly(cp.poly, surd) <= 0 and surd.compare(f1 / 2) > 0
-    high_ok = cp.poly(f1) >= 0 and (cp.poly(f1) == 0 or coefficient_dominance_holds(n))
+    s_f1 = sign_at(cp.poly.primitive, f1)
+    high_ok = s_f1 == 0 or (s_f1 > 0 and coefficient_dominance_holds(n))
     return InverseConstantReport(
         n=n, value=Enclosure(lo, hi),
         window_low_holds=low_ok, window_high_holds=high_ok,

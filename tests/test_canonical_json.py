@@ -45,6 +45,11 @@ GATE_RANGES = {
         "4450f16eae4b29e56fab51674ccd287b47e806513fb64da4672423848cb95764",
     "bounds --range 2..200":
         "70ef3343ee2d6ece229ef88d29f76649017b05332b012d7ed69a88b4025f6f3f",
+    # Recorded with the lower-bound sign from Horner on Fractions in
+    # Q[sqrt(v)].  It pins the certificates past 2..200, where the Z[sqrt(r)]
+    # integers of the lower-bound sign are largest.
+    "bounds --range 300..320":
+        "2173498c1fb6968cc5adddb241574e703254dc03861b734b14c99e3f6a8816b8",
     # At tol 1 the bounds need ensure_disjoint's refinement (n = 8..11, 13).
     "bounds --tol 1 --range 2..60":
         "57d08d9e77d1c11af7040d2152e9fb3c95837524950645c2ce4df725193e9a9c",

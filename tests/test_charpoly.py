@@ -95,6 +95,32 @@ class TestCharPoly:
         for n in range(0, 50):
             assert all(c.denominator == 1 for c in char_poly(n).poly.coeffs)
 
+    def test_trusted_build_is_canonical(self):
+        # The signed integer list goes in as the primitive part unchecked;
+        # the canonical constructor must give the same content and tuple.
+        for n in range(0, 301):
+            poly = char_poly(n).poly
+            canonical = RatPoly(reversed([(-1) ** j * f for j, f in enumerate(char_coeffs(n))]))
+            assert poly.content == canonical.content == 1
+            assert poly.primitive == canonical.primitive
+            assert hash(poly) == hash(canonical) and poly == canonical
+
+    @pytest.mark.parametrize("broken", [
+        lambda f: (F(2),) + f[1:],   # leading coefficient 2
+        lambda f: f + (F(1),),       # one coefficient too many
+        lambda f: f[:-1],            # one coefficient too few
+    ])
+    def test_not_monic_of_degree_nu_raises(self, monkeypatch, broken):
+        f = char_coeffs(10)
+        monkeypatch.setattr(charpoly, "char_coeffs", lambda n: broken(f))
+        with pytest.raises(ArithmeticError, match="n=10"):
+            char_poly.__wrapped__(10)
+
+    def test_summation_not_monic_raises(self, monkeypatch):
+        monkeypatch.setattr(charpoly, "pochhammer", lambda a, k: 2 * pochhammer(a, k))
+        with pytest.raises(ArithmeticError, match="n=9"):
+            char_poly_by_summation(9)
+
 
 class TestCoefficientDominance:
     def test_exact_dominance(self):
@@ -116,6 +142,11 @@ class TestPrefactor:
         for ell in (0, 1):
             for n in range(0, 20):
                 assert det_prefactor(ell, n) > 0
+
+    def test_non_positive_raises(self, monkeypatch):
+        monkeypatch.setattr(charpoly, "pochhammer", lambda a, k: -pochhammer(a, k))
+        with pytest.raises(ArithmeticError, match="ell=0, n=3"):
+            det_prefactor.__wrapped__(0, 3)
 
 
 class TestInverseLastColumn:

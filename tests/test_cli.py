@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,16 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err == "error: internal: RootIsolationError: no sign change at n=2\n"
         assert "Traceback" not in err
+
+    def test_optimized_interpreter_prints_the_same_bytes(self):
+        # The certified invariants are explicit raises, not asserts, so
+        # `python -O` runs the same checks and prints the same rows.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        command = ["-m", "invineq.cli", "bounds", "--range", "2..30", "--format", "json"]
+        outputs = [subprocess.run([sys.executable, *flags, *command], env=env,
+                                  capture_output=True, check=True).stdout
+                   for flags in ((), ("-O",))]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestFigureCommand:

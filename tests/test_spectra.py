@@ -1,13 +1,15 @@
 from fractions import Fraction as F
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import invineq.spectra as spectra
 from invineq.determinants import det_poly
 from invineq.matrices import build_boundary
-from invineq.charpoly import char_coeff, char_poly
+from invineq.charpoly import char_coeff, char_coeffs, char_poly
+from invineq.polynomial import RatPoly
 from invineq.roots import (Enclosure, int_coeffs, isolate_all, isolate_interlaced,
                            smallest_root)
 from invineq.spectra import (
@@ -20,6 +22,7 @@ from invineq.spectra import (
     bound_upper_radical,
     boundary_factor_roots,
     check_monotone,
+    coefficient_dominance_holds,
     comparison_check,
     cubic_bound_poly,
     ensure_disjoint,
@@ -33,6 +36,28 @@ from invineq.spectra import (
 )
 
 TOL = F(1, 10**12)
+NON_SQUARES = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
+
+
+def _fraction_surd_sign(poly: RatPoly, surd: QuadraticSurd) -> int:
+    """Oracle: Horner in Q[sqrt(v)] on Fractions, then a comparison with
+    the conjugate point u - a/b."""
+    a, b = F(0), F(0)  # value = a + b*sqrt(v)
+    for c in reversed(poly.primitive):
+        a, b = a * surd.u + b * surd.v + c, a + b * surd.u
+    if b == 0 or surd.v == 0:
+        return (a > 0) - (a < 0)
+    # a + b*sqrt(v) = b * ((u + sqrt(v)) - (u - a/b)).
+    return (1 if b > 0 else -1) * surd.compare(surd.u - a / b)
+
+
+def _sympy_sign(poly: RatPoly, u: F, v: F) -> int:
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Rational(u.numerator, u.denominator) + sympy.sqrt(
+        sympy.Rational(v.numerator, v.denominator))
+    value = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                for i, c in enumerate(poly.coeffs))
+    return int(sympy.sign(sympy.expand(value)))
 
 
 class TestQuadraticSurd:
@@ -62,24 +87,77 @@ class TestQuadraticSurd:
         planted=st.booleans(),
     )
     def test_sign_of_poly_matches_sympy(self, coeffs, u, v, planted):
-        sympy = pytest.importorskip("sympy")
-        from invineq.polynomial import RatPoly
-
         p = RatPoly(coeffs)
         if planted:  # make u + sqrt(v) a root: multiply by (x - u)^2 - v
             p = p * RatPoly((u * u - v, -2 * u, 1))
         if p.is_zero():
             return
-        x = sympy.Rational(u.numerator, u.denominator) + sympy.sqrt(
-            sympy.Rational(v.numerator, v.denominator))
-        value = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-                    for i, c in enumerate(p.coeffs))
-        assert surd_sign_of_poly(p, QuadraticSurd(u, v)) == sympy.sign(sympy.expand(value))
+        assert surd_sign_of_poly(p, QuadraticSurd(u, v)) == _sympy_sign(p, u, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=8),
+        un=st.integers(min_value=-10**4, max_value=10**4),
+        ud=st.sampled_from(NON_SQUARES),
+        vn=st.integers(min_value=1, max_value=10**5),
+        vd=st.sampled_from(NON_SQUARES),
+        planted=st.booleans(),
+    )
+    def test_sign_of_poly_coprime_non_square_denominators(self, coeffs, un, ud, vn, vd,
+                                                           planted):
+        # q = lcm(den u, den v) = den u * den v, and r = q^2 v is not a square.
+        assume(gcd(ud, vd) == 1 and gcd(un, ud) == 1 and gcd(vn, vd) == 1)
+        u, v = F(un, ud), F(vn, vd)
+        p = RatPoly(coeffs)
+        if planted:
+            p = p * RatPoly((u * u - v, -2 * u, 1))
+        if p.is_zero():
+            return
+        assert surd_sign_of_poly(p, QuadraticSurd(u, v)) == _sympy_sign(p, u, v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=50),
+                        min_size=1, max_size=6),
+        u=st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        w=st.fractions(min_value=0, max_value=20, max_denominator=30),
+        plus=st.booleans(),
+        minus=st.booleans(),
+    )
+    def test_sign_of_poly_at_rational_square_and_zero(self, coeffs, u, w, plus, minus):
+        # v = w^2 makes u + sqrt(v) = u + w rational (u itself at w = 0).
+        # The planted factors vanish at u + w and at u - w, which is the
+        # surd (u - 2w) + sqrt(v).
+        v = w * w
+        p = RatPoly(coeffs)
+        if plus:
+            p = p * RatPoly((-(u + w), 1))
+        if minus:
+            p = p * RatPoly((-(u - w), 1))
+        if p.is_zero():
+            return
+        for surd in (QuadraticSurd(u, v), QuadraticSurd(u - 2 * w, v), QuadraticSurd(u, F(0))):
+            expected = _sympy_sign(p, surd.u, surd.v)
+            assert _fraction_surd_sign(p, surd) == expected
+            assert surd_sign_of_poly(p, surd) == expected
+        if plus:
+            assert surd_sign_of_poly(p, QuadraticSurd(u, v)) == 0
+        if minus:
+            assert surd_sign_of_poly(p, QuadraticSurd(u - 2 * w, v)) == 0
+
+    def test_sign_of_poly_matches_fraction_horner_at_the_lower_bound(self):
+        # At m(n) itself and at m(n) moved by 1e-30 either way, for every n
+        # up to 300, where r and the Horner integers run to thousands of bits.
+        nudge = F(1, 10**30)
+        for n in range(2, 301):
+            poly, surd = char_poly(n).poly, bound_lower(n)
+            for du in (0, nudge, -nudge):
+                moved = QuadraticSurd(surd.u + du, surd.v)
+                assert surd_sign_of_poly(poly, moved) == _fraction_surd_sign(poly, moved), \
+                    (n, du)
 
     def test_sign_of_poly(self):
         # p(x) = x^2 - 2 at sqrt(2) is exactly 0
-        from invineq.polynomial import RatPoly
-
         p = RatPoly((-2, 0, 1))
         assert surd_sign_of_poly(p, QuadraticSurd(F(0), F(2))) == 0
         assert surd_sign_of_poly(p, QuadraticSurd(F(1), F(2))) == 1
@@ -105,6 +183,28 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             bound_lower(1)
 
+    def test_non_positive_radicand_raises(self, monkeypatch):
+        # f2 >= f1^2/4 would make the quadratic truncation's roots complex.
+        monkeypatch.setattr(spectra, "_coeff_or_zero", lambda j, n: char_coeff(1, n) ** 2)
+        with pytest.raises(spectra.RootIsolationError, match="n=12"):
+            bound_lower.__wrapped__(12)
+
+
+class TestCoefficientDominance:
+    def test_matches_fraction_oracle(self):
+        for n in range(2, 401):
+            f = char_coeffs(n)
+            half_f1 = f[1] / 2
+            expected = all(half_f1 * f[j] > f[j + 1] for j in range(1, n // 2))
+            assert coefficient_dominance_holds(n) is expected, n
+
+    def test_failing_pair_is_seen(self, monkeypatch):
+        # f1 f_j == 2 f_{j+1} is not strict dominance.
+        f = list(char_coeffs(12))
+        f[4] = f[1] * f[3] / 2
+        monkeypatch.setattr(spectra, "char_coeffs", lambda n: tuple(f))
+        assert not coefficient_dominance_holds(12)
+
 
 class TestUpperBound:
     def test_n2_equals_lambda(self):
@@ -112,8 +212,6 @@ class TestUpperBound:
         assert enc.is_exact and enc.lo == 3
 
     def test_n6_cubic(self):
-        from invineq.polynomial import RatPoly
-
         assert cubic_bound_poly(6) == RatPoly((-10395, 4725, -210, 1))
         enc = bound_upper(6)
         assert 184 < enc.lo and enc.hi < 185
@@ -226,6 +324,13 @@ class TestBoundReport:
             assert fl.upper_strict == (n >= 8)
             assert fl.upper_equal == (n <= 7)
 
+    def test_builds_each_bound_once(self):
+        bound_lower.cache_clear()
+        cubic_bound_poly.cache_clear()
+        bound_report(23, F(1, 10**12 + 1))  # a tolerance no other test uses
+        assert bound_lower.cache_info().misses == 1
+        assert cubic_bound_poly.cache_info().misses == 1
+
     def test_enclosure_relations(self):
         rep = bound_report(10)
         assert rep.m_enclosure.lo <= rep.lam.hi
@@ -315,6 +420,13 @@ class TestInverseConstant:
         rep = inverse_constant(6)
         assert abs(float(rep.value.mid) - 13.59) < 0.01
         assert rep.window_low_holds and rep.window_high_holds
+
+    def test_high_edge_needs_dominance_only_off_the_root(self, monkeypatch):
+        # lambda_2 = f1 exactly (a zero sign at f1); lambda_6 < f1 (a positive
+        # sign), where the upper edge rests on coefficient dominance.
+        monkeypatch.setattr(spectra, "coefficient_dominance_holds", lambda n: False)
+        assert inverse_constant(2).window_high_holds
+        assert not inverse_constant(6).window_high_holds
 
 
 class TestBoundaryEigenvalue:

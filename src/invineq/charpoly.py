@@ -73,12 +73,17 @@ def char_coeff(j: int, n: int) -> Fraction:
 def char_poly(n: int) -> CharPoly:
     """Monic characteristic polynomial of degree floor(n/2), built from the
     alternating closed-form coefficients.  They are integers and the
-    leading one is 1, so the signed list is already the primitive part."""
+    leading one is 1, so the signed list is already the primitive part.
+    Raises ArithmeticError unless the signs strictly alternate (every
+    magnitude f_j positive) and the result is monic of degree floor(n/2)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     nu = n // 2
+    f = char_coeffs(n)
+    if min(f) <= 0:
+        raise ArithmeticError(f"char_poly's coefficients do not strictly alternate at n={n}")
     # The coefficient of x^(nu-j) is (-1)^j f_j.
-    signed = [-f.numerator if j % 2 else f.numerator for j, f in enumerate(char_coeffs(n))]
+    signed = [-c.numerator if j % 2 else c.numerator for j, c in enumerate(f)]
     if len(signed) != nu + 1 or signed[0] != 1:
         raise ArithmeticError(f"char_poly is not monic of degree {nu} at n={n}")
     signed.reverse()

@@ -117,11 +117,9 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     scaled to integers once; every evaluation of the scaled pencil is then an
     integer matrix, eliminated by `_bareiss`.  The integer determinants are
     interpolated and the result divided once by the product of the row
-    scales, which changes only its content.
+    scales, which changes only its content.  The empty pencil gives 1.
     """
     n = matrix.dim
-    if n == 0:
-        return RatPoly.one()
     scales, const, slope = matrix.scaled_rows()
     scaled = PolyMatrix(RatMatrix(const), RatMatrix(slope))
     dets = poly_interpolate([
@@ -204,13 +202,17 @@ def verify_thm31(n: int) -> list[DetReport]:
 
 def verify_corollary_full(n: int) -> DetReport:
     """Full pencil determinant against the product of the two parity-block
-    closed forms of sizes floor(n/2) and ceil(n/2), times 2^n."""
+    closed forms of sizes floor(n/2) and ceil(n/2), times 2^n.  The parity
+    permutation makes the pencil the direct sum of its parity blocks
+    (`split_parity_blocks` checks that the blocks between them are zero), so
+    its determinant is the product of theirs."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _, top, bottom = split_parity_blocks(build_pencil(n))
     return DetReport(
         n=n,
         identity="corollary-full",
-        lhs=det_poly(build_pencil(n)),
+        lhs=det_poly(top) * det_poly(bottom),
         rhs=2**n * _thm31_rhs(0, n // 2) * _thm31_rhs(1, (n + 1) // 2),
     )
 

@@ -105,8 +105,9 @@ def _pencil(n: int, const: Callable[[int, int], Fraction],
 
 def _diagonal_slope(step: int, offset: int) -> Callable[[int, int], Fraction]:
     """Entry formula of the diagonal slope -2/(step*i + offset) shared by the
-    boundary and hook matrices."""
-    return lambda i, j: Fraction(-2, step * i + offset) if i == j else Fraction(0)
+    boundary and hook matrices; every off-diagonal entry is one shared zero."""
+    zero = Fraction(0)
+    return lambda i, j: Fraction(-2, step * i + offset) if i == j else zero
 
 
 def index_split(k: int, n: int) -> tuple[int, int]:
@@ -248,10 +249,12 @@ def build_boundary(variant: str | int, n: int) -> PolyMatrix:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    # The constant parts share their values: 1 + (-1)^(i+j) is 2 or 0.
+    pair = (Fraction(2), Fraction(0))
     if variant == "full":
-        return _pencil(n, lambda i, j: Fraction(1 + (-1) ** (i + j)), _diagonal_slope(2, 1))
+        return _pencil(n, lambda i, j: pair[(i + j) % 2], _diagonal_slope(2, 1))
     if variant in (0, 1):
-        return _pencil(n, lambda i, j: Fraction(2), _diagonal_slope(4, 1 - 2 * variant))
+        return _pencil(n, lambda i, j: pair[0], _diagonal_slope(4, 1 - 2 * variant))
     raise ValueError("variant must be 'full', 0 or 1")
 
 
@@ -266,12 +269,9 @@ def build_legendre_hook(parity: int, n: int) -> PolyMatrix:
         raise ValueError("parity must be 0 or 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def const(i: int, j: int) -> Fraction:
-        m = min(i, j)
-        return Fraction(2 * m * (2 * m + 1 - 2 * parity))
-
-    return _pencil(n, const, _diagonal_slope(4, 1 - 2 * parity))
+    # One value per hook, shared by its entries.
+    g = [Fraction(2 * m * (2 * m + 1 - 2 * parity)) for m in range(n + 1)]
+    return _pencil(n, lambda i, j: g[min(i, j)], _diagonal_slope(4, 1 - 2 * parity))
 
 
 def parity_permutation(n: int) -> tuple[int, ...]:

@@ -23,7 +23,6 @@ from .roots import (
     Enclosure,
     RootIsolationError,
     bisect_sign_change,
-    int_coeffs,
     interval_eval,
     isolate_all,
     isolate_interlaced,
@@ -182,37 +181,6 @@ def bound_upper_radical(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosur
     return Enclosure(f1 / 3 + lo1 + lo2, f1 / 3 + hi1 + hi2)
 
 
-def _assert_alternating(n: int) -> None:
-    prim = char_poly(n).poly.primitive
-    if any((-1) ** j * c <= 0 for j, c in enumerate(reversed(prim))):
-        raise RootIsolationError(f"coefficient alternation fails at n={n}")
-
-
-@lru_cache(maxsize=None)
-def _max_root_cached(n: int, tol: Fraction) -> Enclosure:
-    cp = char_poly(n)
-    f1 = char_coeff(1, n)
-    _assert_alternating(n)
-    coeffs = int_coeffs(cp.poly)
-    # The maximal root lies in (f1/2, f1]; there is at most one root above
-    # f1/2 (the roots are real and positive and sum to f1), so a sign-change
-    # bracket there pins it down.
-    s_f1 = sign_at(coeffs, f1)
-    if s_f1 == 0:
-        return Enclosure(f1, f1)
-    surd = bound_lower(n)
-    lo_sqrt, _ = sqrt_bounds(surd.v, Fraction(1, 4))
-    a0 = surd.u + lo_sqrt
-    s_a0 = sign_at(coeffs, a0)
-    if s_a0 == 0:
-        return Enclosure(a0, a0)
-    if s_a0 > 0:
-        raise RootIsolationError(
-            f"bracket sign check failed at n={n}: expected negative value"
-        )
-    return bisect_sign_change(coeffs, a0, f1, tol, s_lo=s_a0, s_hi=s_f1)
-
-
 def max_root(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosure:
     """Certified enclosure of width <= tol for the maximal root of the
     characteristic polynomial of index n."""
@@ -221,17 +189,33 @@ def max_root(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosure:
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    return _max_root_cached(n, tol)
+    coeffs = char_poly(n).poly.primitive
+    # The maximal root lies in (f1/2, f1]; there is at most one root above
+    # f1/2 (the roots are real and positive and sum to f1), so a sign-change
+    # bracket [a0, f1], with f1/2 <= a0 <= m(n), pins it down.
+    surd = bound_lower(n)
+    lo_sqrt, _ = sqrt_bounds(surd.v, Fraction(1, 4))
+    a0 = surd.u + lo_sqrt
+    s_a0 = sign_at(coeffs, a0)
+    if s_a0 > 0:
+        raise RootIsolationError(
+            f"bracket sign check failed at n={n}: expected negative value"
+        )
+    return bisect_sign_change(coeffs, a0, char_coeff(1, n), tol, s_lo=s_a0)
+
+
+def _narrow(coeffs: Sequence[int], enc: Enclosure, halvings: int) -> Enclosure:
+    """The cell of `enc`, which brackets a sign change of the integer
+    polynomial, that `halvings` more halvings reach."""
+    if enc.is_exact or halvings <= 0:
+        return enc
+    return bisect_sign_change(coeffs, enc.lo, enc.hi, enc.width / 2**halvings)
 
 
 def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
     """Shrink a maximal-root enclosure to the cell that up to `extra_steps`
     more halvings reach."""
-    if enc.is_exact or extra_steps <= 0:
-        return enc
-    coeffs = int_coeffs(char_poly(n).poly)
-    width_target = enc.width / 2**extra_steps
-    return bisect_sign_change(coeffs, enc.lo, enc.hi, width_target)
+    return _narrow(char_poly(n).poly.primitive, enc, extra_steps)
 
 
 # The last root table all_roots computed, as (n, tol, table); the table of
@@ -265,7 +249,7 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     global _last
     last_n, last_tol, previous = _last
     separators = (enc.mid for enc in previous) if (last_n, last_tol) == (n - 1, tol) else ()
-    roots = isolate_interlaced(int_coeffs(poly), Fraction(0), f1, tol, separators)
+    roots = isolate_interlaced(poly.primitive, Fraction(0), f1, tol, separators)
     if roots is None:
         roots = isolate_all(poly, Fraction(0), f1, tol, expected=n // 2)
     table = tuple(roots)
@@ -351,17 +335,11 @@ def bound_report(n: int, tol: Rational = Fraction(1, 10**12)) -> BoundReport:
     if _cubic_is_shifted_charpoly(n):
         upper_le, upper_strict, upper_eq = True, False, True
     else:
-        cubic = cubic_bound_poly(n)
-
-        def refine_upper(e: Enclosure) -> Enclosure:
-            # e isolates the cubic's largest root: no Sturm count is needed.
-            if e.is_exact:
-                return e
-            return bisect_sign_change(int_coeffs(cubic), e.lo, e.hi, e.width / 2**8)
-
+        # upper isolates the cubic's largest root: no Sturm count is needed.
+        cubic = cubic_bound_poly(n).primitive
         verdict, lam, upper = ensure_disjoint(
-            lam, upper, lambda e: refine_max_root(n, e, 8), refine_upper,
-            cap=REFINEMENT_CAP // 8)
+            lam, upper, lambda e: refine_max_root(n, e, 8),
+            lambda e: _narrow(cubic, e, 8), cap=REFINEMENT_CAP // 8)
         upper_le = upper_strict = verdict is True
         upper_eq = False
         decided = verdict is not None

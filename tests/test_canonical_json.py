@@ -77,6 +77,15 @@ GATE_RANGES = {
         "cc4349aeeb5781953f761a679dedfc77132cd98b08a2dfb0ee8ab0e0d192bd74",
     "verify legendre --range 15..30":
         "51c8df9a05d91dc98846aa785bb0f87c5455e595725493151614c0a8e94ecb8a",
+    # Recorded with the corollary's lhs from det_poly on the full pencil and
+    # with dim² fresh Fractions in the boundary and hook builders.  They pin
+    # those routes past the gates above, at under a second each.
+    "verify corollary --range 15..24":
+        "b8b7beb5feadcaf9e119af9d897a7f1a21a5fd2ff68aaa17bf0b1a5f9996895c",
+    "verify legendre --range 31..60":
+        "282e09c79aa5e342329eb66e31640975bec3605a1743e35981f544ea649deba0",
+    "boundary --range 27..50":
+        "996445517cc4de9c06c3b0971815f37637a81e77ae2ad74afc05d5fea8149b94",
 }
 
 

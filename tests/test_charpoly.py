@@ -116,6 +116,16 @@ class TestCharPoly:
         with pytest.raises(ArithmeticError, match="n=10"):
             char_poly.__wrapped__(10)
 
+    @pytest.mark.parametrize("broken", [
+        lambda f: f[:2] + (F(0),) + f[3:],   # f_2 = 0
+        lambda f: f[:3] + (-f[3],) + f[4:],  # f_3 < 0
+    ])
+    def test_not_alternating_raises(self, monkeypatch, broken):
+        f = char_coeffs(10)
+        monkeypatch.setattr(charpoly, "char_coeffs", lambda n: broken(f))
+        with pytest.raises(ArithmeticError, match="alternate at n=10"):
+            char_poly.__wrapped__(10)
+
     def test_summation_not_monic_raises(self, monkeypatch):
         monkeypatch.setattr(charpoly, "pochhammer", lambda a, k: 2 * pochhammer(a, k))
         with pytest.raises(ArithmeticError, match="n=9"):

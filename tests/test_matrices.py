@@ -223,6 +223,39 @@ class TestBoundary:
                 split_parity_blocks(broken)
 
 
+def _assert_entries(matrix, const, slope, n):
+    """The pencil's parts equal the 1-based entry formulas, as Fractions."""
+    assert matrix.dim == n
+    for part, formula in ((matrix.const, const), (matrix.slope, slope)):
+        expected = [[F(formula(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        assert [list(row) for row in part.entries] == expected
+        assert all(type(e) is F for row in part.entries for e in row)
+
+
+def _diag(i, j, value):
+    return value if i == j else 0
+
+
+class TestDocstringFormulas:
+    @pytest.mark.parametrize("n", range(13))
+    def test_boundary(self, n):
+        _assert_entries(build_boundary("full", n), lambda i, j: 1 + (-1) ** (i + j),
+                        lambda i, j: _diag(i, j, F(-2, 2 * i + 1)), n)
+        _assert_entries(build_boundary(0, n), lambda i, j: 2,
+                        lambda i, j: _diag(i, j, F(-2, 4 * i + 1)), n)
+        _assert_entries(build_boundary(1, n), lambda i, j: 2,
+                        lambda i, j: _diag(i, j, F(-2, 4 * i - 1)), n)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_legendre_hook(self, n):
+        _assert_entries(build_legendre_hook(0, n),
+                        lambda i, j: 2 * min(i, j) * (2 * min(i, j) + 1),
+                        lambda i, j: _diag(i, j, F(-2, 4 * i + 1)), n)
+        _assert_entries(build_legendre_hook(1, n),
+                        lambda i, j: 2 * min(i, j) * (2 * min(i, j) - 1),
+                        lambda i, j: _diag(i, j, F(-2, 4 * i - 1)), n)
+
+
 class TestLegendreHooks:
     def test_displayed_matrix_parity1(self):
         h = build_legendre_hook(1, 2)

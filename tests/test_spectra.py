@@ -237,6 +237,13 @@ class TestMaxRoot:
         assert max_root(2) == Enclosure(F(3), F(3))
         assert max_root(3) == Enclosure(F(15), F(15))
 
+    def test_bracket_sign_check(self, monkeypatch):
+        # A lower end at f1, where P_n > 0, is no bracket of the maximal root.
+        monkeypatch.setattr(spectra, "bound_lower",
+                            lambda n: QuadraticSurd(char_coeff(1, n), F(0)))
+        with pytest.raises(spectra.RootIsolationError, match="n=10"):
+            max_root(10)
+
     def test_n4_surd(self):
         enc = max_root(4)
         s = QuadraticSurd(F(45, 2), F(1605, 4))  # (45+sqrt(1605))/2

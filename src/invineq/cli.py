@@ -37,8 +37,10 @@ from .determinants import (
     verify_thm31,
 )
 from .exact import bits_to_digits, format_decimal
+from .polynomial import RatPoly
 from .roots import Enclosure
 from .spectra import (
+    SMALLEST_ROOT_TOL,
     asymptotic_table,
     bound_report,
     boundary_factor_roots,
@@ -97,17 +99,6 @@ def _report_rows(reports: Iterable[DetReport]) -> list[dict]:
     return [rep.to_json_dict() for rep in reports]
 
 
-def _recurrence_rows(n: int) -> list[dict]:
-    residual = recurrence_residual(n)
-    return [{
-        "n": n,
-        "identity": "recurrence",
-        "lhs": residual.coeff_strings(),
-        "rhs": [],
-        "equal": residual.is_zero(),
-    }]
-
-
 def _lemma32_rows(n: int) -> list[dict]:
     rows = []
     for ell in (0, 1):
@@ -155,7 +146,8 @@ VERIFY_IDENTITIES: dict[str, tuple[int, float, Callable[[int], list[dict]]]] = {
     "corollary": (1, inf, lambda n: _report_rows([verify_corollary_full(n)])),
     "lemma32": (1, inf, _lemma32_rows),
     "cauchy": (0, inf, lambda n: _report_rows([verify_cauchy(0, n), verify_cauchy(1, n)])),
-    "recurrence": (0, inf, _recurrence_rows),
+    "recurrence": (0, inf, lambda n: _report_rows(
+        [DetReport(n, "recurrence", recurrence_residual(n), RatPoly())])),
     "kron": (1, 6, _kron_rows),
     "legendre": (0, inf, lambda n: _report_rows(verify_legendre_hooks(n))),
     "boundary": (0, inf, lambda n: _report_rows(verify_boundary(n))),
@@ -189,14 +181,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- bounds --------------------------------------------------------------------
 
 
+def _supported_digits(width: Fraction, digits: int) -> int:
+    """`digits`, capped at the largest d >= 0 with 10^-d >= width > 0."""
+    ratio = width.denominator // width.numerator
+    return min(digits, len(str(ratio)) - 1 if ratio else 0)
+
+
 def _format_mid(enc: Enclosure, digits: int) -> str:
     """The midpoint of `enc` to at most `digits` decimals, and to no more
-    than its width supports: the largest d >= 0 with 10^-d >= width.  An
-    exact enclosure keeps all `digits`."""
+    than its width supports.  An exact enclosure keeps all `digits`."""
     if not enc.is_exact:
-        width = enc.width
-        ratio = width.denominator // width.numerator
-        digits = min(digits, len(str(ratio)) - 1 if ratio else 0)
+        digits = _supported_digits(enc.width, digits)
     return format_decimal(enc.mid, digits)
 
 
@@ -280,16 +275,21 @@ def _asymptotics_worker(tol: Fraction, n: int) -> list[dict]:
     return [{"n": n, **{k: getattr(row, k) for k in RATIOS}, "targets": row.targets}]
 
 
-def _asymptotics_projection(digits: int, row: dict) -> dict:
-    return {"n": row["n"], **{k: format_decimal(row[k], digits) for k in RATIOS}}
+def _asymptotics_projection(tol: Fraction, digits: int, row: dict) -> dict:
+    # Midpoints of enclosures at most tol wide for the lambda ratios (lambda's
+    # cell over n^4 or f1, both > 1) and SMALLEST_ROOT_TOL for the roots.
+    widths = (tol, tol, SMALLEST_ROOT_TOL, SMALLEST_ROOT_TOL)
+    return {"n": row["n"], **{k: format_decimal(row[k], _supported_digits(w, digits))
+                              for k, w in zip(RATIOS, widths)}}
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     ns = _in_domain("asymptotics", parse_range(args.range), 2)
+    tol = parse_tolerance(args.tol)
     # One run of consecutive n per worker, as in figure (all_roots tables).
-    worker = partial(_asymptotics_worker, parse_tolerance(args.tol))
+    worker = partial(_asymptotics_worker, tol)
     rows = _run_mapped(worker, ns, args.jobs, chunksize=-(-len(ns) // args.jobs))
-    _emit(rows, args, ("n", *RATIOS), project=_asymptotics_projection)
+    _emit(rows, args, ("n", *RATIOS), project=partial(_asymptotics_projection, tol))
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ from .matrices import (
     build_parity_block,
     build_pencil,
     gram_rows,
+    hook_pencil,
     split_parity_blocks,
 )
 from .polynomial import RatPoly, clear_denominators, poly_interpolate
@@ -51,7 +52,7 @@ class DetReport:
 
     @property
     def equal(self) -> bool:
-        return (self.lhs - self.rhs).is_zero()
+        return self.lhs == self.rhs
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,9 +132,10 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
 
 def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
     """Exact determinant polynomial of a hook pencil A + x*diag(b) with
-    A[i][j] = g_min(i, j), in O(dim^2) coefficient operations; any other
-    pencil raises ValueError.  The boundary-parity and hook matrices are
-    hook pencils; g and b may hold zeros and repeats.
+    A[i][j] = g_min(i, j), in O(dim^2) coefficient operations; g and b are
+    read off the diagonals, and a pencil other than `hook_pencil(g, b)`
+    raises ValueError.  The boundary-parity and hook matrices are hook
+    pencils; g and b may hold zeros and repeats.
 
     With L the lower-triangular all-ones matrix, A = L*diag(dg)*L^T for the
     differences dg_k = g_k - g_{k-1} (g_{-1} = 0), and det L = 1, so the
@@ -148,16 +150,13 @@ def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
     integer coefficient lists, and the result is divided once by the
     product of the row scales.
     """
-    n = matrix.dim
-    const, slope = matrix.const.entries, matrix.slope.entries
-    g = tuple(row[i] for i, row in enumerate(const))
-    b = tuple(row[i] for i, row in enumerate(slope))
-    zeros = (0,) * n
-    for i in range(n):
-        if const[i][:i] != g[:i] or const[i][i:] != (g[i],) * (n - i):
-            raise ValueError(f"const row {i} is not constant along hooks")
-        if slope[i][:i] != zeros[:i] or slope[i][i + 1:] != zeros[i + 1:]:
-            raise ValueError("slope must be diagonal")
+    g = [row[i] for i, row in enumerate(matrix.const.entries)]
+    b = [row[i] for i, row in enumerate(matrix.slope.entries)]
+    hook = hook_pencil(g, b)
+    if matrix.const != hook.const:
+        raise ValueError("const is not constant along hooks")
+    if matrix.slope != hook.slope:
+        raise ValueError("slope must be diagonal")
     # prev, cur = D_{k-2}, D_{k-1}.  With s_k the scale of row k, `lower` is
     # s_k * b_{k-1} (row k, left of the diagonal) and `upper` is
     # s_{k-1} * b_{k-1} (row k - 1, right of it), each times -x.

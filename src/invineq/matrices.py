@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable
+from typing import Callable, Sequence
 
 from .exact import Rational
 from .polynomial import RatPoly, clear_denominators
 
 IntRows = tuple[tuple[int, ...], ...]
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -37,12 +38,6 @@ class RatMatrix:
     def is_symmetric(self) -> bool:
         n = self.dim
         return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(i))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [str(e) for row in self.entries for e in row],
-        }
 
 
 @dataclass(frozen=True)
@@ -82,13 +77,6 @@ class PolyMatrix:
             b_rows.append(tuple(ints[n:]))
         return tuple(scales), tuple(a_rows), tuple(b_rows)
 
-    def to_json_dict(self) -> dict:
-        n = self.dim
-        return {
-            "dim": n,
-            "entries": [self[i, j].coeff_strings() for i in range(n) for j in range(n)],
-        }
-
 
 def _rat_matrix(n: int, entry: Callable[[int, int], Fraction]) -> RatMatrix:
     """Build an n x n RatMatrix from a 1-based entry formula."""
@@ -103,11 +91,21 @@ def _pencil(n: int, const: Callable[[int, int], Fraction],
     return PolyMatrix(_rat_matrix(n, const), _rat_matrix(n, slope))
 
 
-def _diagonal_slope(step: int, offset: int) -> Callable[[int, int], Fraction]:
-    """Entry formula of the diagonal slope -2/(step*i + offset) shared by the
-    boundary and hook matrices; every off-diagonal entry is one shared zero."""
-    zero = Fraction(0)
-    return lambda i, j: Fraction(-2, step * i + offset) if i == j else zero
+def hook_pencil(g: Sequence[Fraction], b: Sequence[Fraction]) -> PolyMatrix:
+    """The hook pencil A + x*diag(b), A[i][j] = g[min(i, j)], for g and b of
+    one length.  Each row is cut from g, or from b and one shared zero, so
+    equal entries are the same object."""
+    n = len(g)
+    g, zeros = tuple(g), (_ZERO,) * n
+    return PolyMatrix(
+        RatMatrix(tuple(g[:i] + (g[i],) * (n - i) for i in range(n))),
+        RatMatrix(tuple(zeros[:i] + (b[i],) + zeros[i + 1:] for i in range(n))),
+    )
+
+
+def _hook_slope(parity: int, n: int) -> list[Fraction]:
+    """The boundary-parity and hook slopes -2/(4i + 1 - 2*parity), i = 1..n."""
+    return [Fraction(-2, 4 * i + 1 - 2 * parity) for i in range(1, n + 1)]
 
 
 def index_split(k: int, n: int) -> tuple[int, int]:
@@ -249,12 +247,13 @@ def build_boundary(variant: str | int, n: int) -> PolyMatrix:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    # The constant parts share their values: 1 + (-1)^(i+j) is 2 or 0.
-    pair = (Fraction(2), Fraction(0))
     if variant == "full":
-        return _pencil(n, lambda i, j: pair[(i + j) % 2], _diagonal_slope(2, 1))
+        # Not a hook pencil; its parity blocks are.  1 + (-1)^(i+j) is 2 or 0.
+        pair = (Fraction(2), _ZERO)
+        return _pencil(n, lambda i, j: pair[(i + j) % 2],
+                       lambda i, j: Fraction(-2, 2 * i + 1) if i == j else _ZERO)
     if variant in (0, 1):
-        return _pencil(n, lambda i, j: pair[0], _diagonal_slope(4, 1 - 2 * variant))
+        return hook_pencil((Fraction(2),) * n, _hook_slope(variant, n))
     raise ValueError("variant must be 'full', 0 or 1")
 
 
@@ -269,9 +268,8 @@ def build_legendre_hook(parity: int, n: int) -> PolyMatrix:
         raise ValueError("parity must be 0 or 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    # One value per hook, shared by its entries.
-    g = [Fraction(2 * m * (2 * m + 1 - 2 * parity)) for m in range(n + 1)]
-    return _pencil(n, lambda i, j: g[min(i, j)], _diagonal_slope(4, 1 - 2 * parity))
+    g = [Fraction(2 * m * (2 * m + 1 - 2 * parity)) for m in range(1, n + 1)]
+    return hook_pencil(g, _hook_slope(parity, n))
 
 
 def parity_permutation(n: int) -> tuple[int, ...]:

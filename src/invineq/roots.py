@@ -389,8 +389,7 @@ def smallest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> E
 
 
 def bisect_sign_change(coeffs: IntPoly, lo: Fraction, hi: Fraction,
-                       tol: Fraction, s_lo: int | None = None,
-                       s_hi: int | None = None) -> Enclosure:
+                       tol: Fraction, s_lo: int | None = None) -> Enclosure:
     """Certified enclosure of width <= tol of a root in [lo, hi].
 
     A root at lo, else at hi, is returned exactly.  Otherwise the signs at lo
@@ -398,15 +397,14 @@ def bisect_sign_change(coeffs: IntPoly, lo: Fraction, hi: Fraction,
     RootIsolationError is raised.  When (lo, hi) holds one distinct root,
     the result is the dyadic cell that bisection returns, or the root itself
     on a grid point.  When it holds several, the result is a certified
-    enclosure of one of them, and which one is not specified.  `s_lo` and
-    `s_hi` pass signs the caller has already evaluated.
+    enclosure of one of them, and which one is not specified.  `s_lo` passes
+    the sign at lo when the caller has already evaluated it.
     """
     if s_lo is None:
         s_lo = sign_at(coeffs, lo)
     if s_lo == 0:
         return Enclosure(lo, lo)
-    if s_hi is None:
-        s_hi = sign_at(coeffs, hi)
+    s_hi = sign_at(coeffs, hi)
     if s_hi == 0:
         return Enclosure(hi, hi)
     if s_lo == s_hi:

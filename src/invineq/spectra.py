@@ -257,13 +257,16 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     return table
 
 
+SMALLEST_ROOT_TOL = Fraction(1, 10**9)
+
+
 @lru_cache(maxsize=None)
-def smallest_root_of_index(n: int, tol: Fraction = Fraction(1, 10**9)) -> Enclosure:
+def smallest_root_of_index(n: int) -> Enclosure:
     """Certified enclosure of the smallest root of the characteristic
-    polynomial of index n: the lowest cell of `all_roots(n, tol)`.  Cached,
+    polynomial of index n: the lowest cell of its `all_roots` table.  Cached,
     since `asymptotic_table` asks for 2k again at n = 2k + 1, when the
     one-slot table of `all_roots` no longer holds 2k - 1."""
-    return all_roots(n, tol)[0]
+    return all_roots(n, SMALLEST_ROOT_TOL)[0]
 
 
 @dataclass(frozen=True)
@@ -502,10 +505,10 @@ class AsymptoticRow:
 
 
 @lru_cache(maxsize=None)
-def asymptotic_targets(tol: Rational = Fraction(1, 10**30)) -> dict[str, Fraction]:
-    """The limits of the diagnostics, from a pi enclosure of width tol;
-    computed once per tol and shared, so callers must not modify it."""
-    pi_lo, pi_hi = pi_bounds(Fraction(tol))
+def asymptotic_targets() -> dict[str, Fraction]:
+    """The limits of the diagnostics, from a pi enclosure of width 1e-30;
+    computed once and shared, so callers must not modify it."""
+    pi_lo, pi_hi = pi_bounds(Fraction(1, 10**30))
     pi_mid = (pi_lo + pi_hi) / 2
     pi_sq = pi_mid * pi_mid
     return {

@@ -86,6 +86,14 @@ GATE_RANGES = {
         "282e09c79aa5e342329eb66e31640975bec3605a1743e35981f544ea649deba0",
     "boundary --range 27..50":
         "996445517cc4de9c06c3b0971815f37637a81e77ae2ad74afc05d5fea8149b94",
+    # Recorded with the hook builders' per-entry formulas and the row-by-row
+    # hook check in det_hook_pencil.  They pin the printed hook and boundary
+    # determinants past the gates above, where building and checking the
+    # pencils run longest.
+    "verify legendre --range 61..100":
+        "f138894becb6559cb77c8500ee37a4e15d75ea2ce29718d68fd80b72743ab07c",
+    "verify boundary --range 51..80":
+        "15db57a7ed9cfc697a7b643e7c96c4b3fe8fa6f8fa6dd72a3f51564f41c584c7",
 }
 
 

@@ -253,6 +253,14 @@ class TestAsymptoticsCommand:
         cells = lines[1].split(",")
         assert float(cells[2]) == 1.0
 
+    def test_csv_digits_follow_the_enclosure_widths(self, capsys):
+        # The lambda ratios are --tol wide, the smallest roots 1e-9.
+        code, out = run_cli(capsys, "asymptotics", "--range", "10", "--tol", "1e-5",
+                            "--format", "csv")
+        assert code == EXIT_OK
+        cells = out.strip().splitlines()[1].split(",")
+        assert [len(cell.split(".")[1]) for cell in cells[1:]] == [5, 5, 9, 9]
+
 
 class TestBoundaryCommand:
     def test_mu_values(self, capsys):

@@ -32,6 +32,7 @@ from invineq.matrices import (
     build_stiffness,
     split_parity_blocks,
 )
+from invineq.matrices import hook_pencil as build_hook_pencil
 from invineq.polynomial import RatPoly
 
 
@@ -166,10 +167,10 @@ def hook_pencil(g: list[F], b: list[F]) -> PolyMatrix:
 
 
 @st.composite
-def hook_pencils(draw) -> PolyMatrix:
-    """Hook pencils of dim 0..9 with rational g and b, each value drawn
-    afresh, zero, or a repeat of the one before (a zero difference of g)."""
-    dim = draw(st.integers(0, 9))
+def hook_values(draw, min_dim: int = 0) -> tuple[list[F], list[F]]:
+    """(g, b) of one length in min_dim..9, rational, each value drawn afresh,
+    zero, or a repeat of the one before (a zero difference of g)."""
+    dim = draw(st.integers(min_dim, 9))
     entry = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 
     def values() -> list[F]:
@@ -180,7 +181,25 @@ def hook_pencils(draw) -> PolyMatrix:
                        else draw(entry))
         return out
 
-    return hook_pencil(values(), values())
+    return values(), values()
+
+
+def hook_pencils() -> st.SearchStrategy[PolyMatrix]:
+    """Hook pencils of dim 0..9 made by the min formula from `hook_values`."""
+    return hook_values().map(lambda gb: hook_pencil(*gb))
+
+
+def perturbed(part: RatMatrix, i: int, j: int) -> RatMatrix:
+    """`part` with 1 added to entry (i, j)."""
+    rows = [list(row) for row in part.entries]
+    rows[i][j] += 1
+    return RatMatrix(tuple(map(tuple, rows)))
+
+
+def off_cell(dim: int, allowed) -> st.SearchStrategy[tuple[int, int]]:
+    """A cell (i, j) of a dim x dim matrix for which allowed(i, j) holds."""
+    index = st.integers(0, dim - 1)
+    return st.tuples(index, index).filter(lambda ij: allowed(*ij))
 
 
 class TestDetHookPencil:
@@ -202,27 +221,41 @@ class TestDetHookPencil:
     def test_matches_det_poly_on_random_pencils(self, m):
         assert det_hook_pencil(m) == det_poly(m)
 
-    def test_rejects_perturbed_hook_const(self):
+    @given(hook_values(min_dim=2), st.data())
+    def test_rejects_perturbed_hook_const(self, values, data):
         """A change to any const entry but the last on the diagonal breaks the
         hook structure; that one only changes g_{n-1}."""
         m = build_legendre_hook(1, 4)
-        rows = [list(row) for row in m.const.entries]
         for i in range(4):
             for j in range(4):
-                rows[i][j] += 1
-                perturbed = PolyMatrix(RatMatrix(tuple(map(tuple, rows))), m.slope)
+                changed = PolyMatrix(perturbed(m.const, i, j), m.slope)
                 if (i, j) == (3, 3):
-                    assert det_hook_pencil(perturbed) == det_poly(perturbed)
+                    assert det_hook_pencil(changed) == det_poly(changed)
                 else:
                     with pytest.raises(ValueError, match="hooks"):
-                        det_hook_pencil(perturbed)
-                rows[i][j] -= 1
+                        det_hook_pencil(changed)
+        m = build_hook_pencil(*values)
+        last = m.dim - 1
+        i, j = data.draw(off_cell(m.dim, lambda i, j: (i, j) != (last, last)))
+        with pytest.raises(ValueError, match="hooks"):
+            det_hook_pencil(PolyMatrix(perturbed(m.const, i, j), m.slope))
 
-    def test_rejects_off_diagonal_slope(self):
+    @given(hook_values(min_dim=2), st.data())
+    def test_rejects_off_diagonal_slope(self, values, data):
         const = RatMatrix(((F(1), F(1)), (F(1), F(4))))
         for slope in (((F(1), F(0)), (F(1, 2), F(1))), ((F(1), F(1, 2)), (F(0), F(1)))):
             with pytest.raises(ValueError, match="diagonal"):
                 det_hook_pencil(PolyMatrix(const, RatMatrix(slope)))
+        m = build_hook_pencil(*values)
+        i, j = data.draw(off_cell(m.dim, lambda i, j: i != j))
+        with pytest.raises(ValueError, match="diagonal"):
+            det_hook_pencil(PolyMatrix(m.const, perturbed(m.slope, i, j)))
+
+    @given(hook_values())
+    @example(([F(0), F(0), F(0)], [F(0), F(0), F(0)]))
+    @example(([F(2), F(2)], [F(1), F(1)]))
+    def test_builder_matches_the_min_formula(self, values):
+        assert build_hook_pencil(*values) == hook_pencil(*values)
 
     def test_zero_on_the_diagonal(self):
         m = hook_pencil([F(1), F(4)], [F(1), F(0)])

@@ -269,15 +269,3 @@ class TestLegendreHooks:
     def test_symmetry(self):
         for parity in (0, 1):
             assert build_legendre_hook(parity, 5).is_symmetric()
-
-
-class TestSerialization:
-    def test_rat_matrix_json(self):
-        d = build_mass_1d(2).to_json_dict()
-        assert d["dim"] == 2
-        assert d["entries"] == ["2", "0", "0", "2/3"]
-
-    def test_poly_matrix_json(self):
-        d = build_parity_block(0, 1).to_json_dict()
-        assert d["dim"] == 1
-        assert d["entries"] == [["1", "-1/3"]]

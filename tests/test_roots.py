@@ -449,9 +449,11 @@ class TestGridKernel:
             assert enc.lo < F(1, 3) < enc.hi and enc.width <= tol
 
     def test_known_signs_are_not_evaluated_again(self):
+        # With the sign at lo passed in, the only sign evaluated is at hi.
         coeffs = int_coeffs(RatPoly((-2, 0, 1)))
-        with mock.patch.object(roots, "sign_at", side_effect=AssertionError):
-            enc = bisect_sign_change(coeffs, F(1), F(2), TOL, s_lo=-1, s_hi=1)
+        with mock.patch.object(roots, "sign_at", wraps=roots.sign_at) as spy:
+            enc = bisect_sign_change(coeffs, F(1), F(2), TOL, s_lo=-1)
+        spy.assert_called_once_with(coeffs, F(2))
         assert enc == bisect_sign_change(coeffs, F(1), F(2), TOL)
 
 

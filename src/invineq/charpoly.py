@@ -5,7 +5,6 @@ guessed inverse-column vectors with their exact verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -15,25 +14,30 @@ from operator import mul
 from .exact import pochhammer
 from .matrices import build_parity_block
 from .polynomial import RatPoly
+from .records import Record, set_field
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Characteristic polynomial for index n: monic of degree floor(n/2),
     with strictly alternating coefficient signs."""
 
-    n: int
-    nu: int
-    poly: RatPoly
+    __slots__ = ("n", "nu", "poly")
+
+    def __init__(self, n: int, nu: int, poly: RatPoly):
+        set_field(self, "n", n)
+        set_field(self, "nu", nu)
+        set_field(self, "poly", poly)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Outcome of an exact identity check; failures carry the offending
     index and the exact residual polynomial, and the check holds exactly
     when there are none."""
 
-    failures: tuple[tuple[int, RatPoly], ...] = ()
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: tuple[tuple[int, RatPoly], ...] = ()):
+        set_field(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -253,14 +253,21 @@ def _figure_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
             for enc in all_roots(n, tol)]
 
 
+def _numbered(worker: Callable[[int], list[dict]], n: int) -> list[tuple[int, dict]]:
+    return list(enumerate(worker(n)))
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     ns = _in_domain("figure", parse_range(args.range), 2)
     worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
     # One run of consecutive n per worker: all_roots(n) reads the table of
     # n - 1 only when the same worker has just made it, and the first n of
     # each run falls back to Sturm counting.
-    rows = _run_mapped(worker, ns, args.jobs, chunksize=-(-len(ns) // args.jobs))
-    rows.sort(key=lambda r: (r["n"], Fraction(r["root"])))
+    numbered = _run_mapped(partial(_numbered, worker), ns, args.jobs,
+                           chunksize=-(-len(ns) // args.jobs))
+    # Each table ascends, so sorting by (n, position) sorts by (n, root).
+    numbered.sort(key=lambda pair: (pair[1]["n"], pair[0]))
+    rows = [row for _, row in numbered]
     _emit(rows, args, ("n", "root", "parity"), default_format="csv")
     return EXIT_OK
 

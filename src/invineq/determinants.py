@@ -5,7 +5,6 @@ assembly and charpoly layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
@@ -26,6 +25,7 @@ from .matrices import (
     split_parity_blocks,
 )
 from .polynomial import RatPoly, clear_denominators, poly_interpolate
+from .records import Record, set_field
 
 IDENTITY_IDS = (
     "thm31-parity0",
@@ -41,14 +41,16 @@ IDENTITY_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class DetReport:
+class DetReport(Record):
     """One exact determinant-identity comparison."""
 
-    n: int
-    identity: str
-    lhs: RatPoly
-    rhs: RatPoly
+    __slots__ = ("n", "identity", "lhs", "rhs")
+
+    def __init__(self, n: int, identity: str, lhs: RatPoly, rhs: RatPoly):
+        set_field(self, "n", n)
+        set_field(self, "identity", identity)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     @property
     def equal(self) -> bool:

@@ -9,23 +9,25 @@ by quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 from .exact import Rational
 from .polynomial import RatPoly, clear_denominators
+from .records import Record, set_field
 
 IntRows = tuple[tuple[int, ...], ...]
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class RatMatrix:
+class RatMatrix(Record):
     """Immutable square matrix of exact rationals (Fractions or ints)."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
+        set_field(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -40,13 +42,15 @@ class RatMatrix:
         return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(i))
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Record):
     """Immutable linear pencil const + x*slope: a square matrix whose entry
     (i, j) is the polynomial const[i, j] + slope[i, j]*x."""
 
-    const: RatMatrix
-    slope: RatMatrix
+    __slots__ = ("const", "slope")
+
+    def __init__(self, const: RatMatrix, slope: RatMatrix):
+        set_field(self, "const", const)
+        set_field(self, "slope", slope)
 
     @property
     def dim(self) -> int:
@@ -91,16 +95,21 @@ def _pencil(n: int, const: Callable[[int, int], Fraction],
     return PolyMatrix(_rat_matrix(n, const), _rat_matrix(n, slope))
 
 
+def _diagonal(b: Sequence[Fraction]) -> RatMatrix:
+    """diag(b), each row cut from b and one shared zero."""
+    n = len(b)
+    zeros = (_ZERO,) * n
+    return RatMatrix(tuple(zeros[:i] + (b[i],) + zeros[i + 1:] for i in range(n)))
+
+
 def hook_pencil(g: Sequence[Fraction], b: Sequence[Fraction]) -> PolyMatrix:
     """The hook pencil A + x*diag(b), A[i][j] = g[min(i, j)], for g and b of
     one length.  Each row is cut from g, or from b and one shared zero, so
     equal entries are the same object."""
     n = len(g)
-    g, zeros = tuple(g), (_ZERO,) * n
-    return PolyMatrix(
-        RatMatrix(tuple(g[:i] + (g[i],) * (n - i) for i in range(n))),
-        RatMatrix(tuple(zeros[:i] + (b[i],) + zeros[i + 1:] for i in range(n))),
-    )
+    g = tuple(g)
+    return PolyMatrix(RatMatrix(tuple(g[:i] + (g[i],) * (n - i) for i in range(n))),
+                      _diagonal(b))
 
 
 def _hook_slope(parity: int, n: int) -> list[Fraction]:
@@ -248,10 +257,12 @@ def build_boundary(variant: str | int, n: int) -> PolyMatrix:
     if n < 0:
         raise ValueError("n must be >= 0")
     if variant == "full":
-        # Not a hook pencil; its parity blocks are.  1 + (-1)^(i+j) is 2 or 0.
-        pair = (Fraction(2), _ZERO)
-        return _pencil(n, lambda i, j: pair[(i + j) % 2],
-                       lambda i, j: Fraction(-2, 2 * i + 1) if i == j else _ZERO)
+        # Not a hook pencil; its parity blocks are.  Row i of 1 + (-1)^(i+j)
+        # alternates 2 and 0, so every row is one of two shared tuples.
+        alternating = (Fraction(2), _ZERO) * n
+        rows = (alternating[:n], alternating[1:n + 1])
+        return PolyMatrix(RatMatrix(tuple(rows[i % 2] for i in range(n))),
+                          _diagonal([Fraction(-2, 2 * i + 1) for i in range(1, n + 1)]))
     if variant in (0, 1):
         return hook_pencil((Fraction(2),) * n, _hook_slope(variant, n))
     raise ValueError("variant must be 'full', 0 or 1")
@@ -291,18 +302,18 @@ def split_parity_blocks(matrix: PolyMatrix) -> tuple[tuple[int, ...], PolyMatrix
     Returns (perm, top_left, bottom_right) where top_left is floor(n/2) wide
     and bottom_right is ceil(n/2) wide.
     """
-    perm = parity_permutation(matrix.dim)
-    half = matrix.dim // 2
-    evens, odds = perm[:half], perm[half:]
+    # The permutation lists the 0-based indices 1, 3, 5, ... and then
+    # 0, 2, 4, ..., so each block takes every other row and column.
     parts = (matrix.const, matrix.slope)
 
-    def block(part: RatMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
-        return tuple(tuple(part.entries[p][q] for q in cols) for p in rows)
+    def block(part: RatMatrix, row_start: int, col_start: int) -> tuple:
+        return tuple(row[col_start::2] for row in part.entries[row_start::2])
 
-    def cut(index: tuple[int, ...]) -> PolyMatrix:
-        return PolyMatrix(*(RatMatrix(block(part, index, index)) for part in parts))
+    def cut(start: int) -> PolyMatrix:
+        return PolyMatrix(*(RatMatrix(block(part, start, start)) for part in parts))
 
     for part in parts:
-        if any(any(row) for row in block(part, evens, odds) + block(part, odds, evens)):
+        # count compares by identity first: the builders' zeros are one _ZERO.
+        if any(row.count(_ZERO) != len(row) for row in block(part, 1, 0) + block(part, 0, 1)):
             raise ValueError("the off-diagonal parity blocks must be zero")
-    return perm, cut(evens), cut(odds)
+    return parity_permutation(matrix.dim), cut(1), cut(0)

@@ -23,13 +23,13 @@ arithmetic in the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
 from .exact import Rational
 from .polynomial import RatPoly, horner, primitive_split
+from .records import Record, set_field
 
 IntPoly = list[int]
 
@@ -39,16 +39,16 @@ class RootIsolationError(Exception):
     Sturm count); indicates a bug or a violated structural assumption."""
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """Interval [lo, hi] certified to contain a specific real root."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("enclosure needs lo <= hi")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:

@@ -39,6 +39,10 @@ STDOUT_DIGESTS = {
         "03f8fdc63a2b7cb384993575e23706dc07088569d11a2e664bae8dc2c5f3436b",
     "figure --range 2..12 --format text":
         "9861526ec4acab51a4850b6a81107ec183ac94edc259719901609d75fad4583f",
+    # Recorded with the rows sorted by their printed roots parsed back into
+    # Fractions.  A repeated n interleaves its two equal tables.
+    "figure --range 7,5,7,2 --format json":
+        "5ee2103fa79754613f9d1349d444db0a31adf082adafcba28b8fbeb577c4fb28",
     # Recorded with each column cut to the decimals its enclosure supports.
     "asymptotics --range 10,25,50 --format csv":
         "e9d0891744330fe2f0b9da267a9af8db80815873fc5ee0f515687af4a5a217d4",
@@ -100,6 +104,16 @@ def test_serial_import_leaves_the_process_pool_unloaded():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_import_loads_no_dataclass_machinery():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys, invineq.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 # Each layer checks its own input: the CLI's usage errors and the library's

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -17,6 +16,7 @@ from invineq.matrices import (
     kronecker,
     parity_permutation,
     split_parity_blocks,
+    PolyMatrix,
     RatMatrix,
 )
 from invineq.polynomial import RatPoly
@@ -218,7 +218,9 @@ class TestBoundary:
         for part, (i, j) in product(("const", "slope"), ((1, 2), (2, 1))):
             rows = [list(row) for row in getattr(full, part).entries]
             rows[i][j] = F(1, 3)
-            broken = replace(full, **{part: RatMatrix(tuple(map(tuple, rows)))})
+            parts = {"const": full.const, "slope": full.slope,
+                     part: RatMatrix(tuple(map(tuple, rows)))}
+            broken = PolyMatrix(**parts)
             with pytest.raises(ValueError, match="off-diagonal"):
                 split_parity_blocks(broken)
 

@@ -49,6 +49,7 @@ from .determinants import (
     DetReport,
     cauchy_matrix,
     det_hook_pencil,
+    det_parity_block,
     det_poly,
     det_rational,
     verify_boundary,

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import comb, gcd, prod
+from operator import mul
+from typing import Sequence
 
 from .charpoly import char_poly, det_prefactor, parity_target
 from .exact import Rational, pochhammer
@@ -132,12 +134,10 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
     return dets * Fraction(1, prod(scales))
 
 
-def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
-    """Exact determinant polynomial of a hook pencil A + x*diag(b) with
-    A[i][j] = g_min(i, j), in O(dim^2) coefficient operations; g and b are
-    read off the diagonals, and a pencil other than `hook_pencil(g, b)`
-    raises ValueError.  The boundary-parity and hook matrices are hook
-    pencils; g and b may hold zeros and repeats.
+def _continuant(g: Sequence[Rational | int], b: Sequence[Rational | int]) -> RatPoly:
+    """Exact determinant polynomial of `hook_pencil(g, b)` = A + x*diag(b),
+    A[i][j] = g_min(i, j), in O(dim^2) coefficient operations; g and b may
+    hold zeros and repeats.
 
     With L the lower-triangular all-ones matrix, A = L*diag(dg)*L^T for the
     differences dg_k = g_k - g_{k-1} (g_{-1} = 0), and det L = 1, so the
@@ -152,13 +152,6 @@ def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
     integer coefficient lists, and the result is divided once by the
     product of the row scales.
     """
-    g = [row[i] for i, row in enumerate(matrix.const.entries)]
-    b = [row[i] for i, row in enumerate(matrix.slope.entries)]
-    hook = hook_pencil(g, b)
-    if matrix.const != hook.const:
-        raise ValueError("const is not constant along hooks")
-    if matrix.slope != hook.slope:
-        raise ValueError("slope must be diagonal")
     # prev, cur = D_{k-2}, D_{k-1}.  With s_k the scale of row k, `lower` is
     # s_k * b_{k-1} (row k, left of the diagonal) and `upper` is
     # s_{k-1} * b_{k-1} (row k - 1, right of it), each times -x.
@@ -174,6 +167,96 @@ def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
         ], cur
         g_prev, b_prev, upper = g_k, b_k, b_row
     return RatPoly(cur) * Fraction(1, scale)
+
+
+def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
+    """Exact determinant polynomial of a hook pencil A + x*diag(b) with
+    A[i][j] = g_min(i, j) by `_continuant`; g and b are read off the
+    diagonals, and a pencil other than `hook_pencil(g, b)` raises
+    ValueError.  The boundary-parity and hook matrices are hook pencils."""
+    g = [row[i] for i, row in enumerate(matrix.const.entries)]
+    b = [row[i] for i, row in enumerate(matrix.slope.entries)]
+    hook = hook_pencil(g, b)
+    if matrix.const != hook.const:
+        raise ValueError("const is not constant along hooks")
+    if matrix.slope != hook.slope:
+        raise ValueError("slope must be diagonal")
+    return _continuant(g, b)
+
+
+def _upper_congruence(rows: Sequence[Sequence[int]],
+                      cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row i of the upper triangle (columns i..n-1) of C^T W C, for the
+    integer rows of W and the columns of the upper-triangular C, column m
+    given by its entries 0..m; about n^3/2 multiplications."""
+    n = len(cols)
+    # wc[j][a] = (W C)[a][j] for a <= j, the only rows the triangle reads.
+    wc = [[sum(map(mul, rows[a], col)) for a in range(j + 1)] for j, col in enumerate(cols)]
+    return [[sum(map(mul, cols[i], wc[j])) for j in range(i, n)] for i in range(n)]
+
+
+def det_parity_block(ell: int, block: PolyMatrix) -> RatPoly:
+    """Exact determinant polynomial of a parity-ell monomial Gram pencil:
+    block[i][j] = c * (int (x^k_i)' (x^k_j)' - x * int x^k_i x^k_j) over
+    (-1, 1), k_m = 2m + 1 - ell (0-based m), for a scalar c; that is
+    `build_parity_block(ell, n)` (c = 1/2) or the top (ell = 0) or bottom
+    (ell = 1) block of `split_parity_blocks(build_pencil(n))` (c = 1).
+
+    Let column m of the upper-triangular integer matrix C hold the monomial
+    coefficients of 2^k P_k, k = k_m, P_k Legendre:
+
+        2^k P_k = sum_j (-1)^j C(k, j) C(2k - 2j, k) x^(k - 2j).
+
+    Since int P_k' P_l' = l(l+1) for l <= k of one parity and
+    int P_k P_l = delta_kl 2/(2k+1), C^T block C = c D H D, with
+    D = diag(2^k_m) and H = `hook_pencil(g, b)`, g_m = k_m(k_m + 1),
+    b_m = -2/(2k_m + 1).  c is read from the slope entry (0, 0).  The
+    congruence is checked exactly on the integer rows s * block, s the
+    common denominator, first their symmetry and then the upper triangles
+    of the two products.  Hence
+
+        det block = c^n 4^(sum k_m) det H / det(C)^2,
+
+    det C = prod C(2k_m, k_m), and det H is the continuant of g and b.  A
+    block that fails the congruence raises ArithmeticError naming ell and
+    n: a builder is wrong.
+    """
+    if ell not in (0, 1):
+        raise ValueError("ell must be 0 or 1")
+    n = block.dim
+    if n == 0:
+        return RatPoly.one()
+    ks = [2 * m + 1 - ell for m in range(n)]
+    cols = [[(-1) ** (m - a) * comb(k, m - a) * comb(k + ks[a], k) for a in range(m + 1)]
+            for m, k in enumerate(ks)]
+    s, const = clear_denominators([v for row in block.const.entries for v in row])
+    t, slope = clear_denominators([v for row in block.slope.entries for v in row])
+    c = Fraction(-(2 * ks[0] + 1) * slope[0], 2 * t)
+    p, q = c.numerator, c.denominator
+    const_rows = [const[i * n:(i + 1) * n] for i in range(n)]
+    slope_rows = [slope[i * n:(i + 1) * n] for i in range(n)]
+    # c = p/q.  Multiplied through by q, entry (i, j >= i) of
+    # C^T (s * const) C must be s p 2^(k_i + k_j) g_i; multiplied through by
+    # q (2k_i + 1), entry (i, i) of C^T (t * slope) C must be -2 t p 4^k_i,
+    # and the entries right of it 0.
+    powers = [1 << k for k in ks]
+    congruent = (
+        all(rows[i][j] == rows[j][i] for rows in (const_rows, slope_rows)
+            for i in range(n) for j in range(i))
+        and all(q * z == s * p * powers[i] * powers[i + d] * ks[i] * (ks[i] + 1)
+                for i, row in enumerate(_upper_congruence(const_rows, cols))
+                for d, z in enumerate(row))
+        and all(q * (2 * ks[i] + 1) * row[0] == -2 * t * p * powers[i] ** 2
+                and not any(row[1:])
+                for i, row in enumerate(_upper_congruence(slope_rows, cols)))
+    )
+    if not congruent:
+        raise ArithmeticError(
+            f"the parity-{ell} block of size {n} is not congruent to its Legendre hook pencil")
+    g = [k * (k + 1) for k in ks]
+    b = [Fraction(-2, 2 * k + 1) for k in ks]
+    lead = prod(comb(2 * k, k) for k in ks)
+    return _continuant(g, b) * (c**n * Fraction(4 ** sum(ks), lead * lead))
 
 
 def _thm31_rhs(ell: int, n: int) -> RatPoly:
@@ -193,7 +276,7 @@ def verify_thm31(n: int) -> list[DetReport]:
         DetReport(
             n=n,
             identity=f"thm31-parity{ell}",
-            lhs=det_poly(build_parity_block(ell, n)),
+            lhs=det_parity_block(ell, build_parity_block(ell, n)),
             rhs=_thm31_rhs(ell, n),
         )
         for ell in (0, 1)
@@ -213,7 +296,7 @@ def verify_corollary_full(n: int) -> DetReport:
     return DetReport(
         n=n,
         identity="corollary-full",
-        lhs=det_poly(top) * det_poly(bottom),
+        lhs=det_parity_block(0, top) * det_parity_block(1, bottom),
         rhs=2**n * _thm31_rhs(0, n // 2) * _thm31_rhs(1, (n + 1) // 2),
     )
 
@@ -317,23 +400,60 @@ def verify_legendre_hooks(n: int) -> list[DetReport]:
     ]
 
 
+def _kron_blocks(n: int, stiffness: IntRows, mass: IntRows) -> tuple[tuple[IntRows, IntRows], ...]:
+    """The diagonal blocks (S, M) of the n^2 x n^2 Gram rows, one for each
+    class (chi mod 2, rho mod 2) of the `index_split` order, in the order
+    (0, 0), (0, 1), (1, 0), (1, 1); raise ValueError if an entry between two
+    classes is nonzero, so that the determinant of the pencil at any s is
+    the product of its blocks'.  An odd power of x or t integrates to 0,
+    which is why those entries vanish."""
+    label = [2 * (chi % 2) + rho % 2 for chi, rho in (divmod(k, n) for k in range(n * n))]
+    for rows in (stiffness, mass):
+        if any(v for i, row in enumerate(rows) for j, v in enumerate(row) if label[i] != label[j]):
+            raise ValueError("the entries between parity classes must be zero")
+    classes = [[k for k in range(n * n) if label[k] == cls] for cls in range(4)]
+    return tuple(
+        tuple(tuple(tuple(rows[i][j] for j in members) for i in members)
+              for rows in (stiffness, mass))
+        for members in classes
+    )
+
+
 @lru_cache(maxsize=None)
-def _kron_pencil(n: int) -> tuple[Fraction, IntRows, IntRows]:
-    """(scale, S, M): row i of S and M is r_i times row i of stiffness(n) and
-    mass(n), and scale is the product of the r_i; built once per n, and only
-    n in 1..6 reaches it.
+def _kron_pencil(n: int) -> tuple[Fraction, tuple[tuple[IntRows, IntRows], ...]]:
+    """(scale, blocks): the four parity blocks (S, M) of `_kron_blocks`,
+    where row i of S and M is r_i times the same row of stiffness(n) and
+    mass(n), cut to its block, and scale is the product of the r_i; built
+    once per n, and only n in 1..6 reaches it.
 
     The rows are the integer Gram rows of `gram_rows`, each divided by the
     gcd of its stiffness and mass entries.
     """
     moment_scale, stiffness, mass = gram_rows(n)
-    gcds, s_rows, m_rows = [], [], []
-    for s_row, m_row in zip(stiffness, mass):
-        g = gcd(*s_row, *m_row)
-        gcds.append(g)
-        s_rows.append(tuple(v // g for v in s_row))
-        m_rows.append(tuple(v // g for v in m_row))
-    return Fraction(moment_scale ** (n * n), prod(gcds)), tuple(s_rows), tuple(m_rows)
+    blocks, gcds = [], []
+    for s_rows, m_rows in _kron_blocks(n, stiffness, mass):
+        s_out, m_out = [], []
+        for s_row, m_row in zip(s_rows, m_rows):
+            g = gcd(*s_row, *m_row)
+            gcds.append(g)
+            s_out.append(tuple(v // g for v in s_row))
+            m_out.append(tuple(v // g for v in m_row))
+        blocks.append((tuple(s_out), tuple(m_out)))
+    return Fraction(moment_scale ** (n * n), prod(gcds)), tuple(blocks)
+
+
+def _kron_lhs(n: int, s: Fraction) -> Fraction:
+    """det(stiffness(n) - s*mass(n)) as the product of the determinants of
+    the four parity blocks q*S - p*M of `_kron_pencil` at s = p/q, divided
+    by scale * q^(n^2); at n = 6 that is four 9 x 9 eliminations instead of
+    one 36 x 36."""
+    p, q = s.numerator, s.denominator
+    scale, blocks = _kron_pencil(n)
+    return prod(
+        _bareiss([[q * a - p * b for a, b in zip(s_row, m_row)]
+                  for s_row, m_row in zip(stiffness, mass)])
+        for stiffness, mass in blocks
+    ) / (scale * q ** (n * n))
 
 
 def verify_kron_factorization(n: int, sample: Rational | int) -> bool:
@@ -341,19 +461,12 @@ def verify_kron_factorization(n: int, sample: Rational | int) -> bool:
     exactly at the rational sample s; sizes are capped so the n^2 x n^2
     determinant stays cheap.
 
-    The left side eliminates the integer matrix q*S - p*M of `_kron_pencil`
-    at s = p/q, whose determinant is scale * q^(n^2) times
-    det(stiffness - s*mass); the right side goes through the 1D factors and
-    `det_rational`.
+    The left side is `_kron_lhs`, which never goes through the 1D factors;
+    the right side goes through them and `det_rational`.
     """
     if not 1 <= n <= 6:
         raise ValueError("n must be in 1..6")
     s = Fraction(sample)
-    p, q = s.numerator, s.denominator
-    scale, stiffness, mass = _kron_pencil(n)
-    rows = [[q * a - p * b for a, b in zip(s_row, m_row)]
-            for s_row, m_row in zip(stiffness, mass)]
-    lhs = _bareiss(rows) / (scale * q ** (n * n))
     pencil_at_s = det_rational(build_pencil(n).eval_at(s))
     rhs = det_rational(build_mass_1d(n)) ** n * pencil_at_s**n
-    return lhs == rhs
+    return _kron_lhs(n, s) == rhs

@@ -94,6 +94,13 @@ GATE_RANGES = {
         "f138894becb6559cb77c8500ee37a4e15d75ea2ce29718d68fd80b72743ab07c",
     "verify boundary --range 51..80":
         "15db57a7ed9cfc697a7b643e7c96c4b3fe8fa6f8fa6dd72a3f51564f41c584c7",
+    # Recorded with the parity-block determinants from det_poly (dim + 1
+    # Bareiss eliminations).  They pin the printed thm31 and corollary lhs
+    # past `verify all`'s 0..14 and the corollary gate above.
+    "verify thm31 --range 20..30":
+        "0c859721419d989ebd9f5eedbb9163c95ce968a86bf5dd1ed3e75a5ab200410e",
+    "verify corollary --range 25..40":
+        "b038729dfce0aeccd4a418dae05b217d477f924a2a05eb0d599435f351d63ed4",
 }
 
 

@@ -206,6 +206,29 @@ class TestBoundsCommand:
         assert err == "error: internal: RootIsolationError: no sign change at n=2\n"
         assert "Traceback" not in err
 
+    def test_broken_parity_builder_exits_4(self, capsys, monkeypatch):
+        """A parity block that fails the Legendre congruence is a builder
+        bug: no row, no fallback, exit 4 naming the block."""
+        import invineq.determinants as determinants
+        from invineq.matrices import PolyMatrix, RatMatrix
+
+        build = determinants.build_parity_block
+
+        def broken(ell, n):
+            block = build(ell, n)
+            rows = [list(row) for row in block.const.entries]
+            rows[-1][-1] += 1
+            return PolyMatrix(RatMatrix(tuple(map(tuple, rows))), block.slope)
+
+        monkeypatch.setattr(determinants, "build_parity_block", broken)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm31", "--range", "3..4"])
+        assert exc.value.code == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: internal: ArithmeticError: the parity-0 block of "
+                                "size 3 is not congruent to its Legendre hook pencil\n")
+
     def test_optimized_interpreter_prints_the_same_bytes(self):
         # The certified invariants are explicit raises, not asserts, so
         # `python -O` runs the same checks and prints the same rows.

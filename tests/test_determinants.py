@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction as F
-from math import gcd, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invineq.charpoly import det_prefactor
+from invineq.cli import KRON_SAMPLES
 from invineq.determinants import (
     IDENTITY_IDS,
+    _bareiss,
+    _kron_blocks,
+    _kron_lhs,
     _kron_pencil,
     cauchy_matrix,
     det_hook_pencil,
+    det_parity_block,
     det_poly,
     det_rational,
     verify_boundary,
@@ -30,6 +35,7 @@ from invineq.matrices import (
     build_parity_block,
     build_pencil,
     build_stiffness,
+    gram_rows,
     split_parity_blocks,
 )
 from invineq.matrices import hook_pencil as build_hook_pencil
@@ -275,6 +281,86 @@ class TestLargeN:
         assert all(rep.equal for rep in reports)
 
 
+class TestDetParityBlock:
+    """The Legendre congruence route against the `det_poly` oracle."""
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_matches_det_poly_on_parity_blocks(self, ell):
+        for n in range(0, 13):
+            block = build_parity_block(ell, n)
+            assert det_parity_block(ell, block) == det_poly(block), (ell, n)
+
+    def test_matches_det_poly_on_corollary_halves(self):
+        for n in range(1, 17):
+            _, top, bottom = split_parity_blocks(build_pencil(n))
+            assert det_parity_block(0, top) == det_poly(top), n
+            assert det_parity_block(1, bottom) == det_poly(bottom), n
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("part", ["const", "slope"])
+    def test_rejects_every_changed_entry(self, ell, part):
+        """One changed entry, and one changed symmetric pair, which keeps
+        the block symmetric."""
+        block = build_parity_block(ell, 4)
+        cell_sets = [[(i, j)] for i in range(4) for j in range(4)]
+        cell_sets += [[(i, j), (j, i)] for i in range(4) for j in range(i + 1, 4)]
+        for cells in cell_sets:
+            const, slope = block.const, block.slope
+            for cell in cells:
+                if part == "const":
+                    const = perturbed(const, *cell)
+                else:
+                    slope = perturbed(slope, *cell)
+            with pytest.raises(ArithmeticError, match=f"parity-{ell} block of size 4"):
+                det_parity_block(ell, PolyMatrix(const, slope))
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    @pytest.mark.parametrize("part", ["const", "slope"])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_rejects_a_change_only_one_comparison_sees(self, ell, part, symmetric):
+        """Adding u v^T, with C^T u = e_1 and C^T v = e_0, changes only entry
+        (1, 0) of C^T X C, below the diagonal: only the symmetry check sees
+        it.  Adding u v^T + v u^T changes only (1, 0) and (0, 1), no diagonal
+        entry: only the off-diagonal comparison sees it."""
+        n = 4
+        ks = [2 * m + 1 - ell for m in range(n)]
+        # Column m of C: the monomial coefficients of 2^k P_k, k = ks[m].
+        c = [[F((-1) ** (m - a) * comb(k, m - a) * comb(k + ks[a], k)) if a <= m else F(0)
+              for m, k in enumerate(ks)] for a in range(n)]
+
+        def solve_ct(e: int) -> list[F]:
+            u: list[F] = []
+            for m in range(n):
+                rest = sum((c[a][m] * u[a] for a in range(m)), F(0))
+                u.append((F(m == e) - rest) / c[m][m])
+            return u
+
+        u, v = solve_ct(1), solve_ct(0)
+        block = build_parity_block(ell, n)
+        old = getattr(block, part)
+        new = RatMatrix(tuple(
+            tuple(x + u[i] * v[j] + (v[i] * u[j] if symmetric else 0)
+                  for j, x in enumerate(row))
+            for i, row in enumerate(old.entries)))
+        changed = PolyMatrix(**{"const": block.const, "slope": block.slope, part: new})
+        with pytest.raises(ArithmeticError, match=f"parity-{ell} block of size 4"):
+            det_parity_block(ell, changed)
+
+    def test_rejects_the_other_parity(self):
+        with pytest.raises(ArithmeticError, match="parity-1 block of size 3"):
+            det_parity_block(1, build_parity_block(0, 3))
+
+    def test_unknown_parity(self):
+        with pytest.raises(ValueError):
+            det_parity_block(2, build_parity_block(0, 3))
+
+    def test_large_n_matches_closed_form(self):
+        # The closed forms are the second route; det_poly takes seconds here.
+        for rep in verify_thm31(40):
+            assert rep.equal, rep.identity
+        assert verify_corollary_full(60).equal
+
+
 class TestParityIdentity:
     def test_n0(self):
         reports = verify_thm31(0)
@@ -428,19 +514,62 @@ class TestKroneckerSamples:
         assert any(lhs != kron_rhs(n, s + k) for k in range(1, n * n + 2))
 
 
+def kron_classes(n: int) -> list[list[int]]:
+    """The 0-based indices of each (chi mod 2, rho mod 2) class, in the
+    order (0, 0), (0, 1), (1, 0), (1, 1)."""
+    return [[k for k in range(n * n) if (k // n % 2, k % n % 2) == cls]
+            for cls in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kron_pencil_rows_are_scaled_gram_rows(n):
-    """Each integer row of `_kron_pencil` is one positive rational r_i times
-    the same row of build_stiffness / build_mass, the rows are primitive,
-    and the scale is the product of the r_i."""
-    scale, stiffness, mass = _kron_pencil(n)
-    gram = zip(build_stiffness(n).entries, build_mass(n).entries)
+    """Each integer row of a `_kron_pencil` block is one positive rational
+    r_i times the same row of build_stiffness / build_mass, cut to the
+    block's class, the rows are primitive, and the scale is the product of
+    the r_i over all blocks."""
+    scale, blocks = _kron_pencil(n)
+    stiff_fracs, mass_fracs = build_stiffness(n).entries, build_mass(n).entries
     ratios = []
-    for i, (s_row, m_row, (s_fracs, m_fracs)) in enumerate(zip(stiffness, mass, gram)):
-        ints, fracs = s_row + m_row, s_fracs + m_fracs
-        r = ints[i + n * n] / fracs[i + n * n]  # the positive mass diagonal
-        assert r > 0
-        assert all(v == r * f for v, f in zip(ints, fracs))
-        assert gcd(*ints) == 1
-        ratios.append(r)
+    for members, (stiffness, mass) in zip(kron_classes(n), blocks):
+        assert len(stiffness) == len(mass) == len(members)
+        for pos, (i, s_row, m_row) in enumerate(zip(members, stiffness, mass)):
+            fracs = tuple(stiff_fracs[i][j] for j in members) + tuple(
+                mass_fracs[i][j] for j in members)
+            ints = s_row + m_row
+            r = ints[pos + len(members)] / fracs[pos + len(members)]  # the mass diagonal
+            assert r > 0
+            assert all(v == r * f for v, f in zip(ints, fracs))
+            assert gcd(*ints) == 1
+            ratios.append(r)
+    assert len(ratios) == n * n
     assert scale == prod(ratios)
+
+
+def dense_kron_lhs(n: int, s: F) -> F:
+    """det(stiffness - s*mass) by one n^2 x n^2 `_bareiss` on the Gram rows."""
+    moment_scale, stiffness, mass = gram_rows(n)
+    p, q = s.numerator, s.denominator
+    rows = [[q * a - p * b for a, b in zip(s_row, m_row)]
+            for s_row, m_row in zip(stiffness, mass)]
+    return F(_bareiss(rows), (moment_scale * q) ** (n * n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kron_block_lhs_matches_the_dense_elimination(n):
+    for s in (*KRON_SAMPLES, F(-3, 7), F(11)):
+        assert _kron_lhs(n, s) == dense_kron_lhs(n, s), (n, s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kron_blocks_reject_a_cross_parity_entry(n):
+    _, stiffness, mass = gram_rows(n)
+    classes = kron_classes(n)
+    for rows, which in ((stiffness, 0), (mass, 1)):
+        for i, j in ((classes[0][0], classes[3][0]), (classes[1][-1], classes[2][0])):
+            planted = [list(row) for row in rows]
+            planted[i][j] = 1
+            planted = tuple(map(tuple, planted))
+            parts = (planted, mass) if which == 0 else (stiffness, planted)
+            with pytest.raises(ValueError, match="between parity classes"):
+                _kron_blocks(n, *parts)
+    assert len(_kron_blocks(n, stiffness, mass)) == 4

@@ -13,19 +13,21 @@ under Sturm counts into isolating intervals, rightmost first, for
 `isolate_all` and `largest_root`.  `isolate_interlaced` needs no Sturm
 count: given separators, it certifies all roots of a degree-d polynomial
 when d of the brackets they cut show a sign change, and otherwise reports
-failure so that the caller falls back to `isolate_all`.  `_grid_refine` is
-the only refinement loop, behind `refine`, `bisect_sign_change` and
-`isolate_interlaced`.  It takes a global dyadic grid (`_Grid`) and an index
-bracket on it, and finds the cell that bisection to the tolerance would end
-in by safeguarded Newton steps on the grid's integers, with no `Fraction`
-arithmetic in the loop.
+failure so that the caller falls back to `isolate_all`; `spectra.all_roots`
+calls its index form `_interlaced` with the cells its one-slot table keeps.
+`_grid_refine` is the only refinement loop, behind `refine`,
+`bisect_sign_change` and `_interlaced`.  It finds the cell of an index
+bracket on a global dyadic grid (`_Grid`) that bisection to the tolerance
+would end in, by safeguarded Newton steps on the grid's integers with no
+`Fraction` arithmetic, from an optional first point: a hint that the exact
+signs overrule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .exact import Rational
 from .polynomial import RatPoly, horner, primitive_split
@@ -219,30 +221,35 @@ class _Grid:
         return v, dv
 
 
-def _grid_refine(grid: _Grid, jlo: int, jhi: int, s_hi: int) -> Enclosure:
+def _grid_refine(grid: _Grid, jlo: int, jhi: int, s_hi: int,
+                 start: int | None = None) -> tuple[int, int]:
     """The grid cell (j - 1, j] of the bracket (jlo, jhi] that halving ends
-    in, or the grid point where p vanishes, given the sign s_hi != 0 at jhi
-    and the opposite sign just right of jlo.
+    in, or (j, j) for a grid point where p vanishes, given the sign s_hi != 0
+    at jhi and the opposite sign just right of jlo.
 
-    The bracket shrinks by Newton steps in grid units from the last point
-    evaluated, rounded past the root (floor from the right end, ceil from
-    the left).  A step is taken only if it lands strictly inside the bracket
-    and is at most half the step before it; otherwise the midpoint is
-    evaluated.  After h points, h the halvings that take the bracket to one
-    cell, only midpoints are evaluated, so at most 2h points are evaluated
-    in all, at multiple roots too.
+    The first point evaluated is `start` if it lies strictly inside the
+    bracket, else the midpoint.  Then the bracket shrinks by Newton steps in
+    grid units from the last point evaluated, rounded past the root (floor
+    from the right end, ceil from the left).  A step is taken only if it
+    lands strictly inside the bracket and is at most half the step before
+    it; otherwise the midpoint is evaluated.  After h points, h the halvings
+    that take the bracket to one cell, only midpoints are evaluated, so at
+    most 2h points are evaluated in all, with a start or without, at
+    multiple roots too.
 
     The returned cell has values of opposite sign at its ends, so it holds a
     root.  When the bracket holds one root, which path reaches it does not
-    matter: a root on a grid point stays strictly inside the bracket until it
-    is evaluated, and is returned exactly; any other root ends in the one
-    cell that holds it.
+    matter, so the start is a hint that the exact signs overrule: a root on
+    a grid point stays strictly inside the bracket until it is evaluated,
+    and is returned exactly; any other root ends in the one cell holding it.
     """
     halvings = (jhi - jlo - 1).bit_length()
     jc, reach, evals = jhi, jhi - jlo, 0  # last point, the step that reached it
     while jhi - jlo > 1:
         j = (jlo + jhi) >> 1
-        if 0 < evals < halvings:
+        if not evals and start is not None and jlo < start < jhi:
+            j = start
+        elif 0 < evals < halvings:
             slope = dv * grid.stride
             if slope:
                 t = jc + (-v) // slope if jc == jhi else jc - v // slope
@@ -250,13 +257,13 @@ def _grid_refine(grid: _Grid, jlo: int, jhi: int, s_hi: int) -> Enclosure:
                     j = t
         v, dv = grid.at(j)
         if not v:
-            return Enclosure(grid.point(j), grid.point(j))
+            return j, j
         if (v > 0) == (s_hi > 0):
             jhi = j
         else:
             jlo = j
         jc, reach, evals = j, abs(j - jc), evals + 1
-    return Enclosure(grid.point(jlo), grid.point(jhi))
+    return jlo, jhi
 
 
 def _halve(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
@@ -265,7 +272,9 @@ def _halve(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
     level with cells of width <= tol: the cells that halving (lo, hi] ends
     in."""
     level = _level(hi - lo, tol)
-    return _grid_refine(_Grid(coeffs, lo, hi - lo, level), 0, 1 << level, s_hi)
+    grid = _Grid(coeffs, lo, hi - lo, level)
+    jlo, jhi = _grid_refine(grid, 0, 1 << level, s_hi)
+    return Enclosure(grid.point(jlo), grid.point(jhi))
 
 
 def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclosure:
@@ -305,26 +314,39 @@ def isolate_interlaced(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fractio
     """
     if not coeffs:
         raise ValueError("zero polynomial has no roots to isolate")
-    degree = len(coeffs) - 1
     level = _level(hi - lo, tol)
+    grid = _Grid(coeffs, lo, hi - lo, level)
+    found = _interlaced(grid, level, len(coeffs) - 1,
+                        ((x - lo) * (1 << level) // (hi - lo) for x in separators))
+    return None if found is None else [Enclosure(grid.point(ja), grid.point(jb))
+                                       for *_, ja, jb in found]
+
+
+def _interlaced(grid: _Grid, level: int, degree: int, separators: Iterable[int],
+                hints: Sequence[tuple[int, int]] = ()) -> list[tuple[int, ...]] | None:
+    """`isolate_interlaced` on grid indices: separators and results are
+    indices, (a, b, j - 1, j) or (a, b, j, j) for a root in the bracket
+    (a, b] and its cell or grid point.  With one hint (u, w) per root, root
+    k's refinement starts at a + (b - a) u // w, a hint that the exact signs
+    overrule: a stale or wrong hint never changes a cell."""
     ends = [0]
-    for x in separators:
-        j = (x - lo) * (1 << level) // (hi - lo)
+    for j in separators:
         if not ends[-1] < j < 1 << level:
             return None
         ends.append(j)
     ends.append(1 << level)
     if len(ends) <= degree:
         return None
-    grid = _Grid(coeffs, lo, hi - lo, level)
     values = [grid.value(j) for j in ends]
     brackets = [(ja, jb, vb) for ja, jb, va, vb in zip(ends, ends[1:], values, values[1:])
                 if not vb or va * vb < 0]
     if len(brackets) != degree:
         return None
-    return [_grid_refine(grid, ja, jb, vb) if vb
-            else Enclosure(grid.point(jb), grid.point(jb))
-            for ja, jb, vb in brackets]
+    if len(hints) != degree:  # (0, 1) starts at a, an end: the midpoint comes first
+        hints = [(0, 1)] * degree
+    return [(ja, jb, *(_grid_refine(grid, ja, jb, vb, ja + (jb - ja) * u // w) if vb
+                       else (jb, jb)))
+            for (ja, jb, vb), (u, w) in zip(brackets, hints)]
 
 
 def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction,

@@ -22,10 +22,12 @@ from .records import Record, set_field
 from .roots import (
     Enclosure,
     RootIsolationError,
+    _Grid,
+    _interlaced,
+    _level,
     bisect_sign_change,
     interval_eval,
     isolate_all,
-    isolate_interlaced,
     largest_root,
     sign_at,
 )
@@ -218,9 +220,9 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
     return _narrow(char_poly(n).poly.primitive, enc, extra_steps)
 
 
-# The last root table all_roots computed, as (n, tol, table); the table of
-# n + 1 at the same tol reads its cells.  One slot, so a sweep's memory does
-# not grow with its range.
+# The last root table all_roots computed, as (n, tol, sweep) with sweep what
+# n + 1 and n + 2 at the same tol reuse (see all_roots).  One slot, so a
+# sweep's memory does not grow with its range.
 _last = (0, None, ())
 
 
@@ -231,29 +233,47 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     or the root itself when it lies on that grid (Sturm halving goes finer
     only for two roots in one cell).
 
-    When the last table computed is that of n - 1 at the same tol, as in a
-    sweep over n, the midpoints of its cells are the separators of
-    `isolate_interlaced`.  The roots of consecutive indices interlace, so
-    floor(n/2) brackets show a sign change and certify every root with no
-    Sturm count; the certificate itself does not assume the interlacing.
-    Otherwise, or when fewer brackets do, the roots are isolated in (0, f1]
-    by Sturm counting.  Both routes return the same enclosures; a Sturm
-    count different from floor(n/2) raises RootIsolationError (it would
-    contradict the real-rootedness forced by the symmetric origin).
+    The one-slot cache `_last` keeps, for the last n, f1, the grid level K,
+    a + b for each root's index cell (a, b], and each root's position
+    (b - a', b' - a') in the bracket (a', b'] that certified it, for n and
+    n - 1.  When it holds n - 1 at the same tol, as in a sweep, the cell
+    midpoints (a + b) f1 / 2^(K+1), mapped to grid indices of n on the
+    integers, separate the roots as in `isolate_interlaced`.  The roots of
+    consecutive indices interlace, so floor(n/2) brackets show a sign change
+    and certify every root with no Sturm count; the certificate itself does
+    not assume the interlacing.  Root k's refinement starts where root k of
+    n - 2 sat in its bracket (the lower half counted from the bottom, the
+    upper half from the top, as n has one root more): a hint that the exact
+    signs overrule, so it saves evaluations and never moves a cell.
+    Otherwise, or when fewer brackets show a sign change, the roots are
+    isolated in (0, f1] by Sturm counting.  Both routes return the same
+    enclosures; a Sturm count different from floor(n/2) raises
+    RootIsolationError (it would contradict the real-rootedness forced by
+    the symmetric origin).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     tol = Fraction(tol)
     poly = char_poly(n).poly
     f1 = char_coeff(1, n)
+    level = _level(f1, tol)
+    grid = _Grid(poly.primitive, 0, f1, level)
     global _last
-    last_n, last_tol, previous = _last
-    separators = (enc.mid for enc in previous) if (last_n, last_tol) == (n - 1, tol) else ()
-    roots = isolate_interlaced(poly.primitive, Fraction(0), f1, tol, separators)
-    if roots is None:
-        roots = isolate_all(poly, Fraction(0), f1, tol, expected=n // 2)
-    table = tuple(roots)
-    _last = (n, tol, table)
+    last_n, last_tol, sweep = _last
+    separators = hints = positions = ()
+    if (last_n, last_tol) == (n - 1, tol):
+        g1, g_level, mids, positions, before = sweep
+        num, den = g1.numerator * f1.denominator, f1.numerator * g1.denominator
+        separators = ((m * num << level) // (den << g_level + 1) for m in mids)
+        hints = before[:n // 4] + before[n // 4 - 1:]
+    found = _interlaced(grid, level, n // 2, separators, hints)
+    if found is None:
+        table = tuple(isolate_all(poly, Fraction(0), f1, tol, expected=n // 2))
+        mids, here = [(e.lo + e.hi) * 2**level // f1 for e in table], ()
+    else:
+        table = tuple(Enclosure(grid.point(ja), grid.point(jb)) for *_, ja, jb in found)
+        mids, here = [ja + jb for *_, ja, jb in found], [(jb - a, b - a) for a, b, _, jb in found]
+    _last = (n, tol, (f1, level, mids, here, positions))
     return table
 
 

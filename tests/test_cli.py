@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -19,9 +20,10 @@ from invineq.cli import (
     parse_range,
     parse_tolerance,
 )
+from invineq.charpoly import char_coeff, char_poly
 from invineq.determinants import DetReport
 from invineq.polynomial import RatPoly
-from invineq.roots import Enclosure, RootIsolationError
+from invineq.roots import Enclosure, RootIsolationError, isolate_all
 
 
 class TestParsing:
@@ -319,6 +321,23 @@ class TestParallelDeterminism:
             _, serial = run_cli(capsys, command, "--range", "2..30")
             _, parallel = run_cli(capsys, command, "--range", "2..30", "--jobs", "2")
             assert serial == parallel
+
+
+    def test_figure_jobs_match_sturm_isolation(self, capsys):
+        # Two workers, each forked with this process's last root table (of
+        # n = 15, where the second worker's run begins): the rows are those
+        # of Sturm isolation at every n.
+        def sturm(n, tol):
+            return isolate_all(char_poly(n).poly, F(0), char_coeff(1, n), tol,
+                               expected=n // 2)
+
+        argv = ("figure", "--range", "2..30", "--format", "json")
+        with mock.patch.object(cli, "all_roots", sturm):
+            _, expected = run_cli(capsys, *argv)
+        for n in range(2, 16):
+            spectra.all_roots(n, F(1, 10**12))
+        _, parallel = run_cli(capsys, *argv, "--jobs", "2")
+        assert parallel == expected
 
 
 class TestFlagValidation:

@@ -326,20 +326,20 @@ def with_oracle(fn, *args):
 
 
 def index_oracle(coeffs, grid, jlo, jhi, s_hi):
-    """Halve the index bracket (jlo, jhi] to one cell, reading signs with
-    `sign_at` at `grid.point(j)`; a root on a grid point is returned
-    exactly.  The loop `_grid_refine` replaces, for brackets whose length is
-    not a power of two."""
+    """Halve the index bracket (jlo, jhi] to one cell (j - 1, j], reading
+    signs with `sign_at` at `grid.point(j)`; a root on the grid point j
+    comes back as (j, j).  The loop `_grid_refine` replaces, for brackets
+    whose length is not a power of two."""
     while jhi - jlo > 1:
         j = (jlo + jhi) >> 1
         s = sign_at(coeffs, grid.point(j))
         if s == 0:
-            return Enclosure(grid.point(j), grid.point(j))
+            return j, j
         if s == s_hi:
             jhi = j
         else:
             jlo = j
-    return Enclosure(grid.point(jlo), grid.point(jhi))
+    return jlo, jhi
 
 
 def grid_level(lo, hi, tol):
@@ -498,6 +498,31 @@ class TestGridIndexBrackets:
         s_hi = sign_at(coeffs, grid.point(jhi))
         got = roots._grid_refine(grid, jlo, jhi, s_hi)
         assert got == index_oracle(coeffs, grid, jlo, jhi, s_hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_cases(), st.data())
+    def test_a_start_is_only_a_hint(self, case, data):
+        # A start strictly inside the bracket is the first point evaluated;
+        # one at an end or outside is ignored.  Either way the cell is the
+        # oracle's, and at most 2h points are evaluated.
+        coeffs, grid, jlo, jhi = case
+        start = data.draw(st.one_of(st.integers(jlo + 1, jhi - 1),
+                                    st.sampled_from([jlo, jhi]),
+                                    st.integers(jlo - 40, jlo), st.integers(jhi, jhi + 40)))
+        s_hi = sign_at(coeffs, grid.point(jhi))
+        with mock.patch.object(roots._Grid, "at", autospec=True,
+                               side_effect=roots._Grid.at) as at:
+            got = roots._grid_refine(grid, jlo, jhi, s_hi, start)
+            points = [j for (_, j), _ in at.call_args_list]
+            at.reset_mock()
+            plain = roots._grid_refine(grid, jlo, jhi, s_hi)
+            plain_points = [j for (_, j), _ in at.call_args_list]
+        assert got == plain == index_oracle(coeffs, grid, jlo, jhi, s_hi)
+        assert len(points) <= 2 * (jhi - jlo - 1).bit_length()
+        if jlo < start < jhi:
+            assert points[0] == start
+        else:
+            assert points == plain_points
 
 
 class TestGridValues:

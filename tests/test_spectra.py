@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import invineq.roots as roots
 import invineq.spectra as spectra
 from invineq.determinants import det_poly
 from invineq.matrices import build_boundary
@@ -282,6 +283,11 @@ class TestAllRoots:
         assert abs(float(roots[0].mid) - 2.46877) < 1e-4
 
 
+def sturm_table(n, tol):
+    return tuple(isolate_all(char_poly(n).poly, F(0), char_coeff(1, n), tol,
+                             expected=n // 2))
+
+
 class TestInterlacedRoots:
     """The Sturm-free route of `all_roots` against the Sturm route."""
 
@@ -308,6 +314,59 @@ class TestInterlacedRoots:
         for n in (2, 3, 4, 17, 60):
             spectra._last = (0, None, ())
             assert all_roots(n, tol) == sturm[n]
+
+    def test_sweep_reuses_the_tables(self):
+        # Separators on the integers and starts predicted from n - 2 cut the
+        # full-scale grid evaluations of a sweep (4,620 with neither).
+        spectra._last = (0, None, ())
+        with mock.patch.object(roots._Grid, "at", autospec=True,
+                               side_effect=roots._Grid.at) as at:
+            for n in range(2, 51):
+                all_roots(n, TOL)
+        assert at.call_count <= 3300
+        # The integer separators are the grid indices of n at or below the
+        # midpoints of the cells of n - 1, index for index.
+        interlaced = spectra._interlaced
+
+        def spy(grid, level, degree, separators, hints=()):
+            seen[n] = level, list(separators)
+            return interlaced(grid, level, degree, seen[n][1], hints)
+
+        for tol in (F(1, 10**3), TOL, F(1, 10**24)):
+            spectra._last = (0, None, ())
+            seen, table = {}, {}
+            with mock.patch.object(spectra, "_interlaced", side_effect=spy):
+                for n in range(2, 151):
+                    table[n] = all_roots(n, tol)
+            assert sorted(seen) == list(range(2, 151)) and seen[2][1] == []
+            for n in range(3, 151):
+                level, separators = seen[n]
+                f1 = char_coeff(1, n)
+                assert f1 / 2**level <= tol < f1 / 2**(level - 1)
+                assert separators == [enc.mid * 2**level // f1 for enc in table[n - 1]]
+
+    @pytest.mark.parametrize("calls", [
+        [(n, TOL) for n in range(2, 31) if n not in (3, 9, 17)],
+        [(n, TOL) for n in range(2, 16)] + [(n, F(1, 10**6)) for n in range(16, 24)]
+        + [(n, TOL) for n in range(24, 31)],
+        [(n, TOL) for n in range(30, 1, -1)],
+    ], ids=["gaps", "tol-change", "descending"])
+    def test_missing_hints_never_move_a_cell(self, calls):
+        spectra._last = (0, None, ())
+        for n, tol in calls:
+            assert all_roots(n, tol) == sturm_table(n, tol)
+
+    def test_wrong_hints_never_move_a_cell(self):
+        # Mirror every kept position in its bracket before the next call, so
+        # each refinement starts far from its root, and keep one position
+        # too few for n - 1, so n + 1 gets a table of hints of the wrong size
+        # at every odd n.
+        spectra._last = (0, None, ())
+        for n in range(2, 41):
+            assert all_roots(n, TOL) == sturm_table(n, TOL)
+            last_n, tol, (f1, level, mids, here, _) = spectra._last
+            mirror = [(w - u, w) for u, w in here]
+            spectra._last = (last_n, tol, (f1, level, mids, mirror, mirror[1:]))
 
     def test_cache_holds_one_table(self):
         for n in range(2, 9):

@@ -262,7 +262,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
     # One run of consecutive n per worker: all_roots(n) reads the table of
     # n - 1 only when the same worker has just made it, and the first n of
-    # each run falls back to Sturm counting.
+    # each run chooses its separators by continuant counts.
     numbered = _run_mapped(partial(_numbered, worker), ns, args.jobs,
                            chunksize=-(-len(ns) // args.jobs))
     # Each table ascends, so sorting by (n, position) sorts by (n, root).

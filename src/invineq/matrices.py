@@ -279,8 +279,13 @@ def build_legendre_hook(parity: int, n: int) -> PolyMatrix:
         raise ValueError("parity must be 0 or 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    g = [Fraction(2 * m * (2 * m + 1 - 2 * parity)) for m in range(1, n + 1)]
-    return hook_pencil(g, _hook_slope(parity, n))
+    return hook_pencil(*legendre_hook_parts(parity, n))
+
+
+def legendre_hook_parts(parity: int, n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The g and b of `build_legendre_hook(parity, n)` = `hook_pencil(g, b)`."""
+    return ([Fraction(2 * m * (2 * m + 1 - 2 * parity)) for m in range(1, n + 1)],
+            _hook_slope(parity, n))
 
 
 def parity_permutation(n: int) -> tuple[int, ...]:

@@ -10,11 +10,10 @@ integral).
 
 Two isolation routes end on the same cells.  `_isolating` halves (lo, hi]
 under Sturm counts into isolating intervals, rightmost first, for
-`isolate_all` and `largest_root`.  `isolate_interlaced` needs no Sturm
-count: given separators, it certifies all roots of a degree-d polynomial
-when d of the brackets they cut show a sign change, and otherwise reports
-failure so that the caller falls back to `isolate_all`; `spectra.all_roots`
-calls its index form `_interlaced` with the cells its one-slot table keeps.
+`isolate_all` and `largest_root`.  `_interlaced` needs no Sturm count:
+given separators on a grid, it certifies all roots of a degree-d polynomial
+when d of the brackets they cut show a sign change, else reports failure;
+`spectra.all_roots` then falls back to `isolate_all`, the tests' oracle.
 `_grid_refine` is the only refinement loop, behind `refine`,
 `bisect_sign_change` and `_interlaced`.  It finds the cell of an index
 bracket on a global dyadic grid (`_Grid`) that bisection to the tolerance
@@ -58,7 +57,9 @@ class Enclosure(Record):
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        lo, hi = self.lo, self.hi
+        return Fraction(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+                        2 * lo.denominator * hi.denominator)
 
     @property
     def is_exact(self) -> bool:
@@ -292,43 +293,19 @@ def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclos
     return _halve(coeffs, lo, hi, s_hi, tol)
 
 
-def isolate_interlaced(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction,
-                       separators: Iterable[Fraction]) -> list[Enclosure] | None:
-    """Every root of the integer polynomial, certified in (lo, hi] and
-    refined to tol with no Sturm count, or None when the separators do not
-    certify them.
-
-    The grid is lo + j (hi - lo) / 2^K, K the least level with cells of
-    width <= tol.  Each separator moves to the grid point at or below it,
-    and with lo and hi they cut (lo, hi] into brackets (a, b].  A bracket
-    holds a root when p(b) = 0 or p(a) p(b) < 0.  When as many brackets as
-    the degree d do, each holds exactly one root, it is simple, and p has
-    no other root.  Then the result is what `isolate_all(poly, lo, hi, tol)`
-    returns: no two roots share a cell of the grid, so each comes back as
-    its grid point b when p(b) = 0, else as the one cell of the grid that
-    holds it (`_grid_refine` on its bracket).
-
-    None, for the caller to fall back to Sturm isolation, when the
-    separators do not land strictly inside (lo, hi) and strictly increasing
-    on the grid, or fewer than d brackets hold a root.
-    """
-    if not coeffs:
-        raise ValueError("zero polynomial has no roots to isolate")
-    level = _level(hi - lo, tol)
-    grid = _Grid(coeffs, lo, hi - lo, level)
-    found = _interlaced(grid, level, len(coeffs) - 1,
-                        ((x - lo) * (1 << level) // (hi - lo) for x in separators))
-    return None if found is None else [Enclosure(grid.point(ja), grid.point(jb))
-                                       for *_, ja, jb in found]
-
-
 def _interlaced(grid: _Grid, level: int, degree: int, separators: Iterable[int],
                 hints: Sequence[tuple[int, int]] = ()) -> list[tuple[int, ...]] | None:
-    """`isolate_interlaced` on grid indices: separators and results are
-    indices, (a, b, j - 1, j) or (a, b, j, j) for a root in the bracket
-    (a, b] and its cell or grid point.  With one hint (u, w) per root, root
-    k's refinement starts at a + (b - a) u // w, a hint that the exact signs
-    overrule: a stale or wrong hint never changes a cell."""
+    """The roots of the grid's polynomial, of degree d = `degree`, certified
+    with no Sturm count, or None.  Separators and results are grid indices:
+    (a, b, j - 1, j) or (a, b, j, j) for a root in the bracket (a, b] and its
+    cell or grid point.  With 0 and 2^level the separators cut (0, 2^level]
+    into brackets, and one holds a root when p(b) = 0 or p(a) p(b) < 0.  When d
+    do, each holds one simple root and p has no other, so no two roots share
+    a cell and each comes back as `isolate_all` returns it at this level.
+    None when the separators are not strictly increasing inside, or fewer
+    brackets hold a root.  With one hint (u, w) per root, root k's
+    refinement starts at a + (b - a) u // w: a hint that the exact signs
+    overrule, so it never changes a cell."""
     ends = [0]
     for j in separators:
         if not ends[-1] < j < 1 << level:

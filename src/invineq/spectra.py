@@ -14,9 +14,9 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .charpoly import char_coeff, char_coeffs, char_poly
-from .determinants import boundary_root
+from .determinants import boundary_root, continuant_count, continuant_rows
 from .exact import Rational, cbrt_bounds, pi_bounds, sqrt_bounds
-from .matrices import build_mass, build_stiffness
+from .matrices import build_mass, build_stiffness, legendre_hook_parts
 from .polynomial import RatPoly
 from .records import Record, set_field
 from .roots import (
@@ -226,6 +226,25 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
 _last = (0, None, ())
 
 
+def _count_separators(n: int, f1: Fraction, level: int) -> list[int]:
+    """Indices s_1 < ... < s_(m-1), m = n // 2, of the grid of (0, f1] with i
+    roots of P_n below s_i, by halving under the counts of its Legendre hook
+    (`verify legendre`); [] when two roots share a cell of the grid."""
+    rows = list(continuant_rows(*legendre_hook_parts(1 - n % 2, n // 2)))
+    num, den = f1.numerator, f1.denominator << level
+    found, stack = {}, [(0, 0, 1 << level, n // 2)]
+    while stack:
+        a, ca, b, cb = stack.pop()
+        if cb - ca > 1:
+            if b - a == 1:
+                return []
+            j = (a + b) >> 1
+            c = continuant_count(rows, Fraction(j * num, den))
+            found[c] = j
+            stack += (a, ca, j, c), (j, c, b, cb)
+    return [found[i] for i in range(1, n // 2)]
+
+
 def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ...]:
     """Certified enclosures of all floor(n/2) real roots of the
     characteristic polynomial of index n, sorted ascending: each the cell
@@ -235,21 +254,17 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
 
     The one-slot cache `_last` keeps, for the last n, f1, the grid level K,
     a + b for each root's index cell (a, b], and each root's position
-    (b - a', b' - a') in the bracket (a', b'] that certified it, for n and
-    n - 1.  When it holds n - 1 at the same tol, as in a sweep, the cell
-    midpoints (a + b) f1 / 2^(K+1), mapped to grid indices of n on the
-    integers, separate the roots as in `isolate_interlaced`.  The roots of
-    consecutive indices interlace, so floor(n/2) brackets show a sign change
-    and certify every root with no Sturm count; the certificate itself does
-    not assume the interlacing.  Root k's refinement starts where root k of
-    n - 2 sat in its bracket (the lower half counted from the bottom, the
-    upper half from the top, as n has one root more): a hint that the exact
-    signs overrule, so it saves evaluations and never moves a cell.
-    Otherwise, or when fewer brackets show a sign change, the roots are
-    isolated in (0, f1] by Sturm counting.  Both routes return the same
-    enclosures; a Sturm count different from floor(n/2) raises
-    RootIsolationError (it would contradict the real-rootedness forced by
-    the symmetric origin).
+    (b - a', b' - a') in the sweep bracket (a', b'] that certified it, for n
+    and n - 1.  When it holds n - 1 at the same tol, the cell midpoints (a +
+    b) f1 / 2^(K+1), on the integers, separate the roots of n for
+    `_interlaced` (they interlace, though the certificate does not assume
+    it), and root k's refinement starts where root k of n - 2 sat in its
+    bracket (the lower half counted from the bottom, the upper from the
+    top): a hint that the exact signs overrule.  Otherwise, or when that
+    certificate fails, `_count_separators` chooses them; the counts add no
+    trust.  If that fails too, Sturm counting isolates the roots.  Every
+    route returns the same cells (a Sturm count other than floor(n/2) raises
+    RootIsolationError).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -260,19 +275,22 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     grid = _Grid(poly.primitive, 0, f1, level)
     global _last
     last_n, last_tol, sweep = _last
-    separators = hints = positions = ()
+    found, here, positions = None, (), ()
     if (last_n, last_tol) == (n - 1, tol):
         g1, g_level, mids, positions, before = sweep
         num, den = g1.numerator * f1.denominator, f1.numerator * g1.denominator
-        separators = ((m * num << level) // (den << g_level + 1) for m in mids)
-        hints = before[:n // 4] + before[n // 4 - 1:]
-    found = _interlaced(grid, level, n // 2, separators, hints)
+        found = _interlaced(grid, level, n // 2,
+                            ((m * num << level) // (den << g_level + 1) for m in mids),
+                            before[:n // 4] + before[n // 4 - 1:])
+        here = [(jb - a, b - a) for a, b, _, jb in found or ()]
+    if found is None:
+        found = _interlaced(grid, level, n // 2, _count_separators(n, f1, level))
     if found is None:
         table = tuple(isolate_all(poly, Fraction(0), f1, tol, expected=n // 2))
-        mids, here = [(e.lo + e.hi) * 2**level // f1 for e in table], ()
+        mids = [(e.lo + e.hi) * 2**level // f1 for e in table]
     else:
         table = tuple(Enclosure(grid.point(ja), grid.point(jb)) for *_, ja, jb in found)
-        mids, here = [ja + jb for *_, ja, jb in found], [(jb - a, b - a) for a, b, _, jb in found]
+        mids = [ja + jb for *_, ja, jb in found]
     _last = (n, tol, (f1, level, mids, here, positions))
     return table
 

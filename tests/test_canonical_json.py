@@ -101,6 +101,15 @@ GATE_RANGES = {
         "0c859721419d989ebd9f5eedbb9163c95ce968a86bf5dd1ed3e75a5ab200410e",
     "verify corollary --range 25..40":
         "b038729dfce0aeccd4a418dae05b217d477f924a2a05eb0d599435f351d63ed4",
+    # Recorded with the root table of every n without the table of n - 1 on
+    # the Sturm route (isolate_all): a lone n, the n after each gap of a
+    # list, and the first n of each asymptotics index.
+    "figure --tol 1e-12 --range 120":
+        "ed0017177ac01ed99538da660100665ea178815bcfa784524e48c71c1b40d1d3",
+    "figure --tol 1e-12 --range 2,4,5,17,30,31,43":
+        "da50bfb1a628d12bdeebf806889dd16854d9cd7c3aef8d0951e5746c0be0798e",
+    "asymptotics --range 120..125":
+        "f0f10b6f0ba46f424b6e3332f4c08b4a05e60a692accbeb71e6e9ef6bcb1a6a1",
 }
 
 

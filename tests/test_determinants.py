@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import comb, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from invineq.charpoly import det_prefactor
+from invineq.charpoly import char_coeff, char_poly, det_prefactor
 from invineq.cli import KRON_SAMPLES
 from invineq.determinants import (
     IDENTITY_IDS,
@@ -14,6 +15,8 @@ from invineq.determinants import (
     _kron_lhs,
     _kron_pencil,
     cauchy_matrix,
+    continuant_count,
+    continuant_rows,
     det_hook_pencil,
     det_parity_block,
     det_poly,
@@ -36,10 +39,12 @@ from invineq.matrices import (
     build_pencil,
     build_stiffness,
     gram_rows,
+    legendre_hook_parts,
     split_parity_blocks,
 )
 from invineq.matrices import hook_pencil as build_hook_pencil
 from invineq.polynomial import RatPoly
+from invineq.roots import count_roots, int_coeffs, sign_at, sturm_chain
 
 
 def cofactor_det(rows: list[list[RatPoly]]) -> RatPoly:
@@ -446,6 +451,41 @@ class TestLegendreHookIdentities:
     def test_range(self, n):
         for rep in verify_legendre_hooks(n):
             assert rep.equal, (n, rep.identity)
+
+
+@lru_cache(maxsize=None)
+def hook_rows_and_chain(N: int):
+    """The continuant rows of P_N's Legendre hook (parity 1 - N % 2, size
+    N // 2) and the Sturm chain of P_N."""
+    rows = list(continuant_rows(*legendre_hook_parts(1 - N % 2, N // 2)))
+    return rows, sturm_chain(int_coeffs(char_poly(N).poly))
+
+
+class TestContinuantCount:
+    """Sign changes of the Legendre-hook continuant count the roots of P_N
+    in (0, x), as the Sturm chain of P_N counts them in (0, x]."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 8, 13, 20, 31, 40]),
+           st.one_of(st.fractions(0, 1, max_denominator=10**6),
+                     st.fractions(0, F(1, 10**4), max_denominator=10**9))
+           .filter(lambda t: t > 0))
+    def test_count_is_the_sturm_count(self, N, t):
+        # x in (0, f1], often among the lowest roots, where they lie closest.
+        rows, chain = hook_rows_and_chain(N)
+        x = t * char_coeff(1, N)
+        at_root = sign_at(chain[0], x) == 0
+        assert continuant_count(rows, x) == count_roots(chain, 0, x) - at_root
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_at_a_root_the_count_is_one_less(self, N):
+        # P_2 and P_3 are linear, with their one root at f1.
+        rows, chain = hook_rows_and_chain(N)
+        f1 = char_coeff(1, N)
+        assert sign_at(chain[0], f1) == 0 and count_roots(chain, 0, f1) == 1
+        assert continuant_count(rows, f1) == 0
+        assert continuant_count(rows, f1 * F(999, 1000)) == 0
+        assert continuant_count(rows, f1 * F(1001, 1000)) == 1
 
 
 class TestIdentityWireEnum:

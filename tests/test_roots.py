@@ -17,7 +17,6 @@ from invineq.roots import (
     int_coeffs,
     interval_eval,
     isolate_all,
-    isolate_interlaced,
     largest_root,
     refine,
     sign_at,
@@ -488,7 +487,7 @@ def index_cases(draw):
 
 class TestGridIndexBrackets:
     """On an index bracket whose length need not be a power of two, as
-    `isolate_interlaced` passes it, the kernel returns the cell or grid
+    `_interlaced` passes it, the kernel returns the cell or grid
     point that halving the indices under `sign_at` ends in."""
 
     @settings(max_examples=300, deadline=None)
@@ -550,6 +549,18 @@ class TestGridValues:
 # -- the Sturm-free route against the Sturm route ------------------------------
 
 
+def isolate_interlaced(coeffs, lo, hi, tol, separators):
+    """`_interlaced` on the grid of (lo, hi] with cells of width <= tol, each
+    `Fraction` separator moved to the grid point at or below it: the
+    enclosures, or None when the separators do not certify the roots."""
+    level = roots._level(hi - lo, tol)
+    grid = roots._Grid(coeffs, lo, hi - lo, level)
+    found = roots._interlaced(grid, level, len(coeffs) - 1,
+                              ((x - lo) * (1 << level) // (hi - lo) for x in separators))
+    return None if found is None else [Enclosure(grid.point(ja), grid.point(jb))
+                                       for *_, ja, jb in found]
+
+
 rarely = st.sampled_from([False, False, False, True])
 
 
@@ -597,8 +608,8 @@ def interlaced_cases(draw):
 
 
 class TestInterlaced:
-    """`isolate_interlaced` returns the Sturm route's enclosures or None,
-    never anything else."""
+    """`_interlaced` returns the Sturm route's enclosures or None, never
+    anything else."""
 
     @settings(max_examples=400, deadline=None)
     @given(interlaced_cases())
@@ -645,7 +656,3 @@ class TestInterlaced:
         assert isolate_interlaced(triple, *args, [F(1, 4)]) is None  # too few
         complex_pair = int_coeffs(RatPoly((1, 0, 1)) * poly_from_roots(F(1, 2)))
         assert isolate_interlaced(complex_pair, *args, [F(1, 4)]) is None
-
-    def test_zero_polynomial(self):
-        with pytest.raises(ValueError):
-            isolate_interlaced([], F(0), F(1), F(1, 8), [])

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import lru_cache
 from math import gcd
 from unittest import mock
 
@@ -7,12 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 import invineq.roots as roots
 import invineq.spectra as spectra
+from invineq.cli import main
 from invineq.determinants import det_poly
 from invineq.matrices import build_boundary
 from invineq.charpoly import char_coeff, char_coeffs, char_poly
 from invineq.polynomial import RatPoly
-from invineq.roots import (Enclosure, int_coeffs, isolate_all, isolate_interlaced,
-                           smallest_root)
+from invineq.roots import Enclosure, int_coeffs, isolate_all, smallest_root
 from invineq.spectra import (
     QuadraticSurd,
     all_roots,
@@ -35,6 +36,7 @@ from invineq.spectra import (
     surd_sign_of_poly,
     _radical_p2,
 )
+from test_roots import isolate_interlaced
 
 TOL = F(1, 10**12)
 NON_SQUARES = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
@@ -283,9 +285,15 @@ class TestAllRoots:
         assert abs(float(roots[0].mid) - 2.46877) < 1e-4
 
 
+@lru_cache(maxsize=None)
 def sturm_table(n, tol):
     return tuple(isolate_all(char_poly(n).poly, F(0), char_coeff(1, n), tol,
                              expected=n // 2))
+
+
+# The n-set that seed 1 of the benchmark's figure-roots workload draws: it
+# skips 3, 16, 29 and 41, so 4, 17, 30 and 42 find no table of n - 1.
+SEED1_FIGURE_NS = [2, *range(4, 16), *range(17, 29), *range(30, 41), *range(42, 55)]
 
 
 class TestInterlacedRoots:
@@ -310,7 +318,7 @@ class TestInterlacedRoots:
             for n in range(3, 61):
                 assert all_roots(n, tol) == sturm[n]
         # A lone n, with a cold cache, agrees: n = 2, 3 certify on the one
-        # bracket (0, f1], a larger n falls back to Sturm.
+        # bracket (0, f1], a larger n on separators from continuant counts.
         for n in (2, 3, 4, 17, 60):
             spectra._last = (0, None, ())
             assert all_roots(n, tol) == sturm[n]
@@ -346,15 +354,22 @@ class TestInterlacedRoots:
                 assert separators == [enc.mid * 2**level // f1 for enc in table[n - 1]]
 
     @pytest.mark.parametrize("calls", [
-        [(n, TOL) for n in range(2, 31) if n not in (3, 9, 17)],
-        [(n, TOL) for n in range(2, 16)] + [(n, F(1, 10**6)) for n in range(16, 24)]
-        + [(n, TOL) for n in range(24, 31)],
-        [(n, TOL) for n in range(30, 1, -1)],
-    ], ids=["gaps", "tol-change", "descending"])
+        [(n, None) for n in range(2, 31) if n not in (3, 9, 17)],
+        [(n, None) for n in range(2, 16)] + [(n, F(1, 10**6)) for n in range(16, 24)]
+        + [(n, None) for n in range(24, 31)],
+        [(n, None) for n in range(30, 1, -1)],
+        [(n, None) for n in (4, 17, 60, 120)],
+        [(n, None) for n in SEED1_FIGURE_NS],
+    ], ids=["gaps", "tol-change", "descending", "lone", "figure-seed1"])
     def test_missing_hints_never_move_a_cell(self, calls):
-        spectra._last = (0, None, ())
-        for n, tol in calls:
-            assert all_roots(n, tol) == sturm_table(n, tol)
+        # Every n without the table of n - 1 at its tol (after a gap, at a
+        # tol change, each n of "descending" and "lone") certifies on
+        # separators from continuant counts, with no Sturm fallback.
+        for base in (F(1, 10**3), TOL, F(1, 10**24)):
+            expected = [sturm_table(n, tol or base) for n, tol in calls]
+            spectra._last = (0, None, ())
+            with mock.patch.object(spectra, "isolate_all", side_effect=AssertionError):
+                assert [all_roots(n, tol or base) for n, tol in calls] == expected
 
     def test_wrong_hints_never_move_a_cell(self):
         # Mirror every kept position in its bracket before the next call, so
@@ -367,6 +382,29 @@ class TestInterlacedRoots:
             last_n, tol, (f1, level, mids, here, _) = spectra._last
             mirror = [(w - u, w) for u, w in here]
             spectra._last = (last_n, tol, (f1, level, mids, mirror, mirror[1:]))
+
+    def test_counted_brackets_give_no_hints(self):
+        # Starts are positions in sweep brackets: a table certified on
+        # counted brackets hands none to n + 2, a swept one does.
+        seen = {}
+        interlaced = spectra._interlaced
+
+        def spy(grid, level, degree, separators, hints=()):
+            seen[n] = list(hints)
+            return interlaced(grid, level, degree, separators, hints)
+
+        spectra._last = (0, None, ())
+        with mock.patch.object(spectra, "_interlaced", side_effect=spy):
+            for n in range(17, 22):
+                all_roots(n, TOL)
+        assert seen[17] == seen[18] == seen[19] == []
+        assert len(seen[20]) == len(seen[21]) == 10
+
+    def test_figure_builds_no_sturm_chain(self, capsys):
+        spectra._last = (0, None, ())
+        with mock.patch.object(roots, "sturm_chain", side_effect=AssertionError):
+            assert main(["figure", "--range", "120", "--jobs", "1", "--format", "json"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 60
 
     def test_cache_holds_one_table(self):
         for n in range(2, 9):

@@ -14,7 +14,7 @@ from operator import mul
 from .exact import pochhammer
 from .matrices import build_parity_block
 from .polynomial import RatPoly
-from .records import Record, set_field
+from .records import Record
 
 
 class CharPoly(Record):
@@ -22,11 +22,6 @@ class CharPoly(Record):
     with strictly alternating coefficient signs."""
 
     __slots__ = ("n", "nu", "poly")
-
-    def __init__(self, n: int, nu: int, poly: RatPoly):
-        set_field(self, "n", n)
-        set_field(self, "nu", nu)
-        set_field(self, "poly", poly)
 
 
 class IdentityReport(Record):
@@ -37,7 +32,7 @@ class IdentityReport(Record):
     __slots__ = ("failures",)
 
     def __init__(self, failures: tuple[tuple[int, RatPoly], ...] = ()):
-        set_field(self, "failures", failures)
+        Record.__init__(self, failures)
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,7 @@ from .matrices import (
     split_parity_blocks,
 )
 from .polynomial import RatPoly, clear_denominators, poly_interpolate
-from .records import Record, set_field
+from .records import Record
 
 IDENTITY_IDS = (
     "thm31-parity0",
@@ -47,12 +47,6 @@ class DetReport(Record):
     """One exact determinant-identity comparison."""
 
     __slots__ = ("n", "identity", "lhs", "rhs")
-
-    def __init__(self, n: int, identity: str, lhs: RatPoly, rhs: RatPoly):
-        set_field(self, "n", n)
-        set_field(self, "identity", identity)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
 
     @property
     def equal(self) -> bool:

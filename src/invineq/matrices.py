@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .exact import Rational
 from .polynomial import RatPoly, clear_denominators
-from .records import Record, set_field
+from .records import Record
 
 IntRows = tuple[tuple[int, ...], ...]
 _ZERO = Fraction(0)
@@ -25,9 +25,6 @@ class RatMatrix(Record):
     """Immutable square matrix of exact rationals (Fractions or ints)."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
-        set_field(self, "entries", entries)
 
     @property
     def dim(self) -> int:
@@ -47,10 +44,6 @@ class PolyMatrix(Record):
     (i, j) is the polynomial const[i, j] + slope[i, j]*x."""
 
     __slots__ = ("const", "slope")
-
-    def __init__(self, const: RatMatrix, slope: RatMatrix):
-        set_field(self, "const", const)
-        set_field(self, "slope", slope)
 
     @property
     def dim(self) -> int:

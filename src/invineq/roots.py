@@ -13,7 +13,8 @@ under Sturm counts into isolating intervals, rightmost first, for
 `isolate_all` and `largest_root`.  `_interlaced` needs no Sturm count:
 given separators on a grid, it certifies all roots of a degree-d polynomial
 when d of the brackets they cut show a sign change, else reports failure;
-`spectra.all_roots` then falls back to `isolate_all`, the tests' oracle.
+`spectra.all_roots` then tries separators chosen by continuant counts
+(`spectra._count_separators`), and only then `isolate_all`, the tests' oracle.
 `_grid_refine` is the only refinement loop, behind `refine`,
 `bisect_sign_change` and `_interlaced`.  It finds the cell of an index
 bracket on a global dyadic grid (`_Grid`) that bisection to the tolerance
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import Rational
 from .polynomial import RatPoly, horner, primitive_split
-from .records import Record, set_field
+from .records import Record
 
 IntPoly = list[int]
 
@@ -48,8 +49,7 @@ class Enclosure(Record):
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError("enclosure needs lo <= hi")
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
+        Record.__init__(self, lo, hi)
 
     @property
     def width(self) -> Fraction:

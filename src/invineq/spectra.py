@@ -18,7 +18,7 @@ from .determinants import boundary_root, continuant_count, continuant_rows
 from .exact import Rational, cbrt_bounds, pi_bounds, sqrt_bounds
 from .matrices import build_mass, build_stiffness, legendre_hook_parts
 from .polynomial import RatPoly
-from .records import Record, set_field
+from .records import Record
 from .roots import (
     Enclosure,
     RootIsolationError,
@@ -43,8 +43,7 @@ class QuadraticSurd(Record):
     def __init__(self, u: Fraction, v: Fraction):
         if v < 0:
             raise ValueError("negative radicand")
-        set_field(self, "u", u)
-        set_field(self, "v", v)
+        Record.__init__(self, u, v)
 
     def compare(self, x: Rational) -> int:
         """Sign of (u + sqrt(v)) - x, decided exactly."""
@@ -313,18 +312,6 @@ class OrderingFlags(Record):
     __slots__ = ("m_le_lambda", "lambda_le_f1", "lambda_le_upper", "m_strict",
                  "f1_strict", "upper_strict", "upper_equal", "decided")
 
-    def __init__(self, m_le_lambda: bool, lambda_le_f1: bool, lambda_le_upper: bool,
-                 m_strict: bool, f1_strict: bool, upper_strict: bool,
-                 upper_equal: bool, decided: bool):
-        set_field(self, "m_le_lambda", m_le_lambda)
-        set_field(self, "lambda_le_f1", lambda_le_f1)
-        set_field(self, "lambda_le_upper", lambda_le_upper)
-        set_field(self, "m_strict", m_strict)
-        set_field(self, "f1_strict", f1_strict)
-        set_field(self, "upper_strict", upper_strict)
-        set_field(self, "upper_equal", upper_equal)
-        set_field(self, "decided", decided)
-
     @property
     def all_hold(self) -> bool:
         return self.m_le_lambda and self.lambda_le_f1 and self.lambda_le_upper
@@ -334,16 +321,6 @@ class BoundReport(Record):
     """Per-n record of the lower bound, maximal root, and upper bounds."""
 
     __slots__ = ("n", "m", "m_enclosure", "f1", "upper_enclosure", "lam", "orderings")
-
-    def __init__(self, n: int, m: QuadraticSurd, m_enclosure: Enclosure, f1: Fraction,
-                 upper_enclosure: Enclosure, lam: Enclosure, orderings: OrderingFlags):
-        set_field(self, "n", n)
-        set_field(self, "m", m)
-        set_field(self, "m_enclosure", m_enclosure)
-        set_field(self, "f1", f1)
-        set_field(self, "upper_enclosure", upper_enclosure)
-        set_field(self, "lam", lam)
-        set_field(self, "orderings", orderings)
 
 
 def _cubic_is_shifted_charpoly(n: int) -> bool:
@@ -415,11 +392,6 @@ def bound_report(n: int, tol: Rational = Fraction(1, 10**12)) -> BoundReport:
 
 class MonotoneReport(Record):
     __slots__ = ("ok", "checked", "undecided")
-
-    def __init__(self, ok: bool, checked: int, undecided: tuple[int, ...]):
-        set_field(self, "ok", ok)
-        set_field(self, "checked", checked)
-        set_field(self, "undecided", undecided)
 
 
 def ensure_disjoint(a: Enclosure, b: Enclosure,
@@ -493,13 +465,6 @@ class InverseConstantReport(Record):
 
     __slots__ = ("n", "value", "window_low_holds", "window_high_holds")
 
-    def __init__(self, n: int, value: Enclosure, window_low_holds: bool,
-                 window_high_holds: bool):
-        set_field(self, "n", n)
-        set_field(self, "value", value)
-        set_field(self, "window_low_holds", window_low_holds)
-        set_field(self, "window_high_holds", window_high_holds)
-
 
 def inverse_constant(n: int, tol: Rational = Fraction(1, 10**12)) -> InverseConstantReport:
     """Certified enclosure of sqrt(lambda_n) plus the exact sandwich
@@ -549,16 +514,6 @@ class AsymptoticRow(Record):
     __slots__ = ("n", "lambda_over_n4", "lambda_over_f1", "smallest_root_even",
                  "smallest_root_odd", "targets")
 
-    def __init__(self, n: int, lambda_over_n4: Fraction, lambda_over_f1: Fraction,
-                 smallest_root_even: Fraction, smallest_root_odd: Fraction,
-                 targets: dict[str, Fraction]):
-        set_field(self, "n", n)
-        set_field(self, "lambda_over_n4", lambda_over_n4)
-        set_field(self, "lambda_over_f1", lambda_over_f1)
-        set_field(self, "smallest_root_even", smallest_root_even)
-        set_field(self, "smallest_root_odd", smallest_root_odd)
-        set_field(self, "targets", targets)
-
 
 @lru_cache(maxsize=None)
 def asymptotic_targets() -> dict[str, Fraction]:
@@ -602,16 +557,6 @@ def asymptotic_table(ns: Sequence[int], tol: Rational = Fraction(1, 10**12)) -> 
 class FloatCrossReport(Record):
     __slots__ = ("n", "float_value", "certified_value", "difference", "tol", "ok",
                  "inconclusive")
-
-    def __init__(self, n: int, float_value: float, certified_value: float,
-                 difference: float, tol: float, ok: bool, inconclusive: bool):
-        set_field(self, "n", n)
-        set_field(self, "float_value", float_value)
-        set_field(self, "certified_value", certified_value)
-        set_field(self, "difference", difference)
-        set_field(self, "tol", tol)
-        set_field(self, "ok", ok)
-        set_field(self, "inconclusive", inconclusive)
 
 
 def float_eigen_crosscheck(n: int, tol: float) -> FloatCrossReport:

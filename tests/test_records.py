@@ -6,11 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import invineq  # noqa: F401  (loads every module that defines a record)
 from invineq.charpoly import CharPoly, IdentityReport
 from invineq.cli import _JSON
 from invineq.determinants import DetReport
 from invineq.matrices import PolyMatrix, RatMatrix, build_boundary
 from invineq.polynomial import RatPoly
+from invineq.records import Record
 from invineq.roots import Enclosure
 from invineq.spectra import (
     AsymptoticRow,
@@ -47,6 +49,10 @@ INVALID = {
     Enclosure: lambda: Enclosure(F(1), F(0)),
     QuadraticSurd: lambda: QuadraticSurd(F(0), F(-1)),
 }
+
+
+# Records whose fields all have defaults, so that no field is missing.
+DEFAULTED = {IdentityReport}
 
 
 def _fields(record) -> tuple:
@@ -95,3 +101,28 @@ def test_record_is_an_immutable_value(cls):
 
 def test_records_with_equal_fields_differ_by_class():
     assert Enclosure(F(1), F(2)) != QuadraticSurd(F(1), F(2))
+
+
+def test_every_record_has_a_factory():
+    found, todo = set(), list(Record.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.split(".")[0] == "invineq":
+            found.add(cls)
+    assert found == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_construction_rejects_a_bad_signature(cls):
+    values = _fields(RECORDS[cls]())
+    first = cls.__slots__[0]
+    if cls not in DEFAULTED:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values, unknown_field=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{first: values[0]})

@@ -4,7 +4,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import invineq.roots as roots
 import invineq.spectra as spectra
@@ -40,6 +40,23 @@ from test_roots import isolate_interlaced
 
 TOL = F(1, 10**12)
 NON_SQUARES = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
+COPRIME_NON_SQUARES = tuple((a, b) for a in NON_SQUARES for b in NON_SQUARES if gcd(a, b) == 1)
+
+
+@st.composite
+def _coprime_to(draw, d: int, lo: int, hi: int) -> int:
+    """An integer in [lo, hi] coprime to d: a unit residue mod d plus a
+    multiple of d."""
+    r = draw(st.sampled_from([k for k in range(d) if gcd(k, d) == 1]))
+    return r + d * draw(st.integers(min_value=-((r - lo) // d), max_value=(hi - r) // d))
+
+
+@st.composite
+def _lowest_terms_surd(draw) -> tuple[int, int, int, int]:
+    """(un, ud, vn, vd) with un/ud and vn/vd in lowest terms, un in
+    [-10^4, 10^4], vn in [1, 10^5], and ud, vd coprime non-squares."""
+    ud, vd = draw(st.sampled_from(COPRIME_NON_SQUARES))
+    return draw(_coprime_to(ud, -10**4, 10**4)), ud, draw(_coprime_to(vd, 1, 10**5)), vd
 
 
 def _fraction_surd_sign(poly: RatPoly, surd: QuadraticSurd) -> int:
@@ -100,17 +117,14 @@ class TestQuadraticSurd:
     @settings(max_examples=200, deadline=None)
     @given(
         coeffs=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=8),
-        un=st.integers(min_value=-10**4, max_value=10**4),
-        ud=st.sampled_from(NON_SQUARES),
-        vn=st.integers(min_value=1, max_value=10**5),
-        vd=st.sampled_from(NON_SQUARES),
+        surd=_lowest_terms_surd(),
         planted=st.booleans(),
     )
-    def test_sign_of_poly_coprime_non_square_denominators(self, coeffs, un, ud, vn, vd,
-                                                           planted):
+    def test_sign_of_poly_coprime_non_square_denominators(self, coeffs, surd, planted):
         # q = lcm(den u, den v) = den u * den v, and r = q^2 v is not a square.
-        assume(gcd(ud, vd) == 1 and gcd(un, ud) == 1 and gcd(vn, vd) == 1)
+        un, ud, vn, vd = surd
         u, v = F(un, ud), F(vn, vd)
+        assert (u.denominator, v.denominator) == (ud, vd)
         p = RatPoly(coeffs)
         if planted:
             p = p * RatPoly((u * u - v, -2 * u, 1))

@@ -6,6 +6,10 @@ inverse inequality on (-1,1)^2 in exact rational arithmetic, verifies the
 closed-form determinant identities that factor it, and computes certified
 enclosures for the maximal eigenvalues, their bounds, and their asymptotic
 diagnostics.
+
+Importing the package loads the core layers (exact scalars, polynomials,
+matrices, determinants).  The public names of `charpoly`, `roots` and
+`spectra` are resolved on first access, which imports their module.
 """
 
 from .exact import (
@@ -34,24 +38,15 @@ from .matrices import (
     parity_permutation,
     split_parity_blocks,
 )
-from .charpoly import (
-    CharPoly,
-    char_coeff,
-    char_poly,
-    char_poly_by_summation,
-    det_prefactor,
-    inverse_column,
-    recurrence_residual,
-    verify_inverse_identity,
-    verify_recurrence,
-)
 from .determinants import (
     DetReport,
+    boundary_factor_roots,
     cauchy_matrix,
     det_hook_pencil,
     det_parity_block,
     det_poly,
     det_rational,
+    max_boundary_eigenvalue,
     verify_boundary,
     verify_cauchy,
     verify_corollary_full,
@@ -59,28 +54,56 @@ from .determinants import (
     verify_legendre_hooks,
     verify_thm31,
 )
-from .roots import Enclosure, RootIsolationError, root_offset_bounds
-from .spectra import (
-    AsymptoticRow,
-    BoundReport,
-    FloatCrossReport,
-    MonotoneReport,
-    QuadraticSurd,
-    all_roots,
-    asymptotic_table,
-    bound_lower,
-    bound_report,
-    bound_upper,
-    bound_upper_radical,
-    boundary_factor_roots,
-    check_monotone,
-    comparison_check,
-    cubic_bound_poly,
-    float_eigen_crosscheck,
-    inverse_constant,
-    max_boundary_eigenvalue,
-    max_root,
-    smallest_root_of_index,
-)
+
+# The module of each public name that is imported on first access.
+_LAZY = {
+    **dict.fromkeys((
+        "CharPoly",
+        "char_coeff",
+        "char_poly",
+        "char_poly_by_summation",
+        "det_prefactor",
+        "inverse_column",
+        "recurrence_residual",
+        "verify_inverse_identity",
+        "verify_recurrence",
+    ), "charpoly"),
+    **dict.fromkeys(("Enclosure", "RootIsolationError", "root_offset_bounds"), "roots"),
+    **dict.fromkeys((
+        "AsymptoticRow",
+        "BoundReport",
+        "FloatCrossReport",
+        "MonotoneReport",
+        "QuadraticSurd",
+        "all_roots",
+        "asymptotic_table",
+        "bound_lower",
+        "bound_report",
+        "bound_upper",
+        "bound_upper_radical",
+        "check_monotone",
+        "comparison_check",
+        "cubic_bound_poly",
+        "float_eigen_crosscheck",
+        "inverse_constant",
+        "max_root",
+        "smallest_root_of_index",
+    ), "spectra"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -9,26 +9,26 @@ down, upper ends up) and enclosure midpoints cut to the decimals their width
 supports.  Exit codes: 0 success, 1 identity/ordering failure, 2 usage error,
 3 undecided at precision, 4 internal error (reported as one
 "error: internal: ..." line on stderr).
+
+Importing this module loads the core layers that every command uses (exact
+scalars, polynomials, matrices, determinants).  `main` imports the one
+library layer its command adds (COMMAND_LAYERS) before argparse and json,
+and every worker imports the names it calls itself, so that a direct call or
+a process-pool worker needs no `main`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import partial
 from math import inf
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .charpoly import (
-    char_poly,
-    char_poly_by_summation,
-    recurrence_residual,
-    verify_inverse_identity,
-)
 from .determinants import (
     DetReport,
+    boundary_factor_roots,
+    max_boundary_eigenvalue,
     verify_boundary,
     verify_cauchy,
     verify_corollary_full,
@@ -38,15 +38,12 @@ from .determinants import (
 )
 from .exact import bits_to_digits, format_decimal
 from .polynomial import RatPoly
-from .roots import Enclosure
-from .spectra import (
-    SMALLEST_ROOT_TOL,
-    asymptotic_table,
-    bound_report,
-    boundary_factor_roots,
-    max_boundary_eigenvalue,
-    all_roots,
-)
+
+if TYPE_CHECKING:
+    import argparse
+    import json
+
+    from .roots import Enclosure
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -100,6 +97,8 @@ def _report_rows(reports: Iterable[DetReport]) -> list[dict]:
 
 
 def _lemma32_rows(n: int) -> list[dict]:
+    from .charpoly import verify_inverse_identity
+
     rows = []
     for ell in (0, 1):
         report = verify_inverse_identity(ell, n)
@@ -124,7 +123,15 @@ def _kron_rows(n: int) -> list[dict]:
     } for sample in KRON_SAMPLES]
 
 
+def _recurrence_rows(n: int) -> list[dict]:
+    from .charpoly import recurrence_residual
+
+    return _report_rows([DetReport(n, "recurrence", recurrence_residual(n), RatPoly())])
+
+
 def _charpoly_rows(n: int) -> list[dict]:
+    from .charpoly import char_poly, char_poly_by_summation
+
     # Dump the exact coefficients while checking the two independent
     # construction routes agree.
     direct = char_poly(n).poly
@@ -139,15 +146,14 @@ def _charpoly_rows(n: int) -> list[dict]:
 # Lowest n, highest n and row builder of each identity.  A single identity
 # rejects a range that leaves its domain; "all" rejects an n that lies in no
 # domain and restricts each identity to its own.  The builders look the
-# library functions up when called, so that a tracer that rebinds this
-# module's names sees every call.
+# library functions up when called, here or (for charpoly) in their own
+# module, so that a tracer that rebinds the modules' names sees every call.
 VERIFY_IDENTITIES: dict[str, tuple[int, float, Callable[[int], list[dict]]]] = {
     "thm31": (0, inf, lambda n: _report_rows(verify_thm31(n))),
     "corollary": (1, inf, lambda n: _report_rows([verify_corollary_full(n)])),
     "lemma32": (1, inf, _lemma32_rows),
     "cauchy": (0, inf, lambda n: _report_rows([verify_cauchy(0, n), verify_cauchy(1, n)])),
-    "recurrence": (0, inf, lambda n: _report_rows(
-        [DetReport(n, "recurrence", recurrence_residual(n), RatPoly())])),
+    "recurrence": (0, inf, _recurrence_rows),
     "kron": (1, 6, _kron_rows),
     "legendre": (0, inf, lambda n: _report_rows(verify_legendre_hooks(n))),
     "boundary": (0, inf, lambda n: _report_rows(verify_boundary(n))),
@@ -196,6 +202,8 @@ def _format_mid(enc: Enclosure, digits: int) -> str:
 
 
 def _bounds_worker(tol: Fraction, n: int) -> list[dict]:
+    from .spectra import bound_report
+
     report = bound_report(n, tol)
     flags = report.orderings
     return [{
@@ -220,6 +228,8 @@ def _bounds_worker(tol: Fraction, n: int) -> list[dict]:
 
 
 def _bounds_projection(digits: int, row: dict) -> dict:
+    from .roots import Enclosure
+
     return {
         "n": row["n"],
         "m": _format_mid(Enclosure(row["m"]["lo"], row["m"]["hi"]), digits),
@@ -248,6 +258,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _figure_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
+    from .spectra import all_roots
+
     # The decimal root is the canonical value: JSON holds it too.
     return [{"n": n, "root": format_decimal(enc.mid, digits), "parity": n % 2}
             for enc in all_roots(n, tol)]
@@ -278,11 +290,15 @@ RATIOS = ("lambda_over_n4", "lambda_over_f1", "smallest_root_even", "smallest_ro
 
 
 def _asymptotics_worker(tol: Fraction, n: int) -> list[dict]:
+    from .spectra import asymptotic_table
+
     (row,) = asymptotic_table([n], tol)
     return [{"n": n, **{k: getattr(row, k) for k in RATIOS}, "targets": row.targets}]
 
 
 def _asymptotics_projection(tol: Fraction, digits: int, row: dict) -> dict:
+    from .spectra import SMALLEST_ROOT_TOL
+
     # Midpoints of enclosures at most tol wide for the lambda ratios (lambda's
     # cell over n^4 or f1, both > 1) and SMALLEST_ROOT_TOL for the roots.
     widths = (tol, tol, SMALLEST_ROOT_TOL, SMALLEST_ROOT_TOL)
@@ -358,7 +374,21 @@ def _exact(value: object) -> str:
     raise TypeError(f"no canonical JSON form for {type(value).__name__}")
 
 
-_JSON = json.JSONEncoder(default=_exact)
+def _json_encoder() -> json.JSONEncoder:
+    """`_JSON`, the canonical encoder, made on first use so that importing
+    this module does not load json."""
+    encoder = globals().get("_JSON")
+    if encoder is None:
+        import json
+
+        encoder = globals()["_JSON"] = json.JSONEncoder(default=_exact)
+    return encoder
+
+
+def __getattr__(name: str):
+    if name == "_JSON":
+        return _json_encoder()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
@@ -368,7 +398,8 @@ def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
     or of its projection at the --bits precision."""
     fmt = args.format or default_format
     if fmt == "json":
-        lines = [_JSON.encode(row) for row in rows]
+        encode = _json_encoder().encode
+        lines = [encode(row) for row in rows]
     else:
         if project is not None:
             digits = bits_to_digits(args.bits)
@@ -393,6 +424,8 @@ def _csv_cell(value) -> str:
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
+    import argparse
+
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
@@ -402,6 +435,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="invineq",
         description="Exact verification of the determinant identities and "
@@ -436,7 +471,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The library layer each command adds to the core; boundary adds none.
+COMMAND_LAYERS = {
+    "verify": "charpoly",
+    "bounds": "spectra",
+    "figure": "spectra",
+    "asymptotics": "spectra",
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    layer = COMMAND_LAYERS.get(argv[0]) if argv else None
+    if layer is not None:
+        # Loaded before argparse and json: the compile of a large layer then
+        # peaks over a smaller resident set (README "Start-up").
+        from importlib import import_module
+
+        import_module(f".{layer}", __package__)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,10 @@
-"""Exact determinants of rational and polynomial matrices, and the exact
+"""Exact determinants of rational and polynomial matrices, the exact
 verification of every closed-form determinant identity exposed by the
-assembly and charpoly layers.
+assembly and charpoly layers, and the boundary eigenvalue.
+
+The charpoly layer is imported only inside the three checks that read it
+(`_thm31_rhs`, `verify_cauchy`, `verify_legendre_hooks`), so that the
+boundary checks load no characteristic-polynomial code.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from math import comb, gcd, prod
 from operator import mul
 from typing import Iterator, Sequence
 
-from .charpoly import char_poly, det_prefactor, parity_target
 from .exact import Rational, pochhammer
 from .matrices import (
     IntRows,
@@ -265,6 +268,8 @@ def det_parity_block(ell: int, block: PolyMatrix) -> RatPoly:
 
 def _thm31_rhs(ell: int, n: int) -> RatPoly:
     """(-1)^n det_prefactor(ell, n) P_{2n-ell} x^ell, for n >= ell."""
+    from .charpoly import det_prefactor, parity_target
+
     return (-1) ** n * det_prefactor(ell, n) * parity_target(ell, n)
 
 
@@ -320,6 +325,8 @@ def cauchy_matrix(ell: int, n: int) -> RatMatrix:
 
 def verify_cauchy(ell: int, n: int) -> DetReport:
     """Hilbert-type determinant against the prefactor constant."""
+    from .charpoly import det_prefactor
+
     if n < 0:
         raise ValueError("n must be >= 0")
     lhs = det_rational(cauchy_matrix(ell, n))
@@ -336,6 +343,26 @@ def boundary_root(ell: int, h: int) -> int:
     """h(2h+3-2ell), the nonzero root of the parity-ell boundary determinant
     of size h."""
     return h * (2 * h + 3 - 2 * ell)
+
+
+def max_boundary_eigenvalue(n: int) -> Fraction:
+    """Largest boundary-trace eigenvalue: n(n+3)/2, plus 1 when n is odd."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    value = Fraction(n * (n + 3), 2)
+    return value + 1 if n % 2 else value
+
+
+def boundary_factor_roots(n: int) -> tuple[Fraction, ...]:
+    """Roots of the verified boundary determinant factorization: zero (for
+    n >= 3) and the boundary_root of each parity form of size >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    roots = {Fraction(boundary_root(ell, h))
+             for ell, h in ((0, n // 2), (1, (n + 1) // 2)) if h >= 1}
+    if n >= 3:
+        roots.add(Fraction(0))
+    return tuple(sorted(roots))
 
 
 def _hook_scalar(ell: int, n: int) -> Fraction:
@@ -391,6 +418,8 @@ def verify_boundary(n: int) -> list[DetReport]:
 def verify_legendre_hooks(n: int) -> list[DetReport]:
     """Hook-matrix determinants against their hypergeometric closed forms
     _hook_scalar(ell, n) * P_{2n+1-ell}."""
+    from .charpoly import char_poly
+
     if n < 0:
         raise ValueError("n must be >= 0")
     return [

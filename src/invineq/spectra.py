@@ -1,6 +1,8 @@
 """Certified real-spectrum machinery: maximal eigenvalues with exact
 enclosures, the quadratic/cubic truncation bounds and their orderings,
-root tables, asymptotic diagnostics, and the boundary eigenvalue.
+root tables and asymptotic diagnostics.  The boundary eigenvalue and the
+roots of the boundary factorization are computed in `determinants` and
+re-exported here.
 
 Every ordering reported here is backed by exact rational sign evidence;
 floating point appears only in the optional dense-eigensolver cross-check.
@@ -14,7 +16,12 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .charpoly import char_coeff, char_coeffs, char_poly
-from .determinants import boundary_root, continuant_count, continuant_rows
+from .determinants import (  # noqa: F401
+    boundary_factor_roots,
+    continuant_count,
+    continuant_rows,
+    max_boundary_eigenvalue,
+)
 from .exact import Rational, cbrt_bounds, pi_bounds, sqrt_bounds
 from .matrices import build_mass, build_stiffness, legendre_hook_parts
 from .polynomial import RatPoly
@@ -486,26 +493,6 @@ def inverse_constant(n: int, tol: Rational = Fraction(1, 10**12)) -> InverseCons
         n=n, value=Enclosure(lo, hi),
         window_low_holds=low_ok, window_high_holds=high_ok,
     )
-
-
-def max_boundary_eigenvalue(n: int) -> Fraction:
-    """Largest boundary-trace eigenvalue: n(n+3)/2, plus 1 when n is odd."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value = Fraction(n * (n + 3), 2)
-    return value + 1 if n % 2 else value
-
-
-def boundary_factor_roots(n: int) -> tuple[Fraction, ...]:
-    """Roots of the verified boundary determinant factorization: zero (for
-    n >= 3) and the boundary_root of each parity form of size >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    roots = {Fraction(boundary_root(ell, h))
-             for ell, h in ((0, n // 2), (1, (n + 1) // 2)) if h >= 1}
-    if n >= 3:
-        roots.add(Fraction(0))
-    return tuple(sorted(roots))
 
 
 class AsymptoticRow(Record):

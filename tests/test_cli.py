@@ -200,7 +200,7 @@ class TestBoundsCommand:
         def broken(n, tol):
             raise RootIsolationError(f"no sign change\nat n={n}")
 
-        monkeypatch.setattr(cli, "bound_report", broken)
+        monkeypatch.setattr(spectra, "bound_report", broken)
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--range", "2..3"])
         assert exc.value.code == EXIT_INTERNAL
@@ -332,7 +332,7 @@ class TestParallelDeterminism:
                                expected=n // 2)
 
         argv = ("figure", "--range", "2..30", "--format", "json")
-        with mock.patch.object(cli, "all_roots", sturm):
+        with mock.patch.object(spectra, "all_roots", sturm):
             _, expected = run_cli(capsys, *argv)
         for n in range(2, 16):
             spectra.all_roots(n, F(1, 10**12))
@@ -351,3 +351,60 @@ class TestFlagValidation:
                             "--format", "text")
         assert code == EXIT_OK
         assert "mu=3" in out
+
+
+class TestEntryPaths:
+    """`python -m invineq.cli`, the console script (main with argv=None)
+    and direct calls parse and print the same, whatever layer they load."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def _module_run(self, *argv):
+        return subprocess.run([sys.executable, "-m", "invineq.cli", *argv], env=self.ENV,
+                              capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("argv", [
+        ("boundary", "--range", "1..5"),
+        ("verify", "recurrence", "--range", "0..3"),
+        ("bounds", "--range", "2..4"),
+    ], ids=lambda argv: argv[0])
+    def test_module_entry_prints_the_rows_of_main(self, capsys, argv):
+        result = self._module_run(*argv)
+        assert result.returncode == EXIT_OK, result.stderr
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK and result.stdout == out
+
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["boundary", "--range", "1..3", "--format", "csv"]
+        monkeypatch.setattr(sys, "argv", ["invineq", *argv])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out == run_cli(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("argv", [None, ["-h"]])
+    def test_help_exits_0_with_usage(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["invineq", "-h"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: invineq")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        (["--range", "1..3"], "argument command: invalid choice: '1..3'"),
+    ], ids=["none", "unknown", "option-first"])
+    def test_missing_or_unknown_command_exits_2_with_usage(self, capsys, monkeypatch,
+                                                            argv, message):
+        monkeypatch.setattr(sys, "argv", ["invineq", *argv])
+        for call in (argv, None):
+            with pytest.raises(SystemExit) as exc:
+                main(call)
+            assert exc.value.code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("usage: invineq") and message in captured.err
+
+    def test_module_entry_without_a_command_exits_2_with_usage(self):
+        result = self._module_run()
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == "" and result.stderr.startswith("usage: invineq")

@@ -116,6 +116,38 @@ def test_import_loads_no_dataclass_machinery():
     assert result.stdout.strip() == "[]"
 
 
+# Runs main on the arguments in a fresh interpreter, with the rows sent to
+# os.devnull, and prints the invineq modules that are then loaded.
+LOADED_AFTER_MAIN = (
+    "import os, sys\n"
+    "from invineq.cli import main\n"
+    "code = main([*sys.argv[1:], '--out', os.devnull])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('invineq.'))))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _modules_loaded_by(*argv: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_boundary_loads_no_root_or_spectra_code():
+    loaded = _modules_loaded_by("boundary", "--range", "1..4")
+    assert "invineq.determinants" in loaded
+    assert not {"invineq.charpoly", "invineq.roots", "invineq.spectra"} & loaded
+
+
+@pytest.mark.parametrize("identity", [*sorted(VERIFY_IDENTITIES), "all"])
+def test_verify_loads_no_root_or_spectra_code(identity):
+    loaded = _modules_loaded_by("verify", identity, "--range", "1..2")
+    assert "invineq.determinants" in loaded
+    assert not {"invineq.roots", "invineq.spectra"} & loaded
+
+
 # Each layer checks its own input: the CLI's usage errors and the library's
 # ValueErrors must agree on the domain of every command.
 

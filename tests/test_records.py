@@ -1,12 +1,14 @@
 """The result records are immutable values: equal by class and fields,
 hashable, picklable, and never taken for a tuple by the canonical JSON."""
 
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction as F
 
 import pytest
 
-import invineq  # noqa: F401  (loads every module that defines a record)
+import invineq
 from invineq.charpoly import CharPoly, IdentityReport
 from invineq.cli import _JSON
 from invineq.determinants import DetReport
@@ -104,6 +106,10 @@ def test_records_with_equal_fields_differ_by_class():
 
 
 def test_every_record_has_a_factory():
+    # Importing the package loads only its core layers, so every module is
+    # imported here: then __subclasses__ sees the records of each one.
+    for info in pkgutil.iter_modules(invineq.__path__, "invineq."):
+        importlib.import_module(info.name)
     found, todo = set(), list(Record.__subclasses__())
     while todo:
         cls = todo.pop()

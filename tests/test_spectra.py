@@ -6,6 +6,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+try:
+    from mpmath import iv
+except ImportError:  # _interval_surd_sign is then the exact oracle alone
+    iv = None
+
 import invineq.roots as roots
 import invineq.spectra as spectra
 from invineq.cli import main
@@ -69,6 +74,36 @@ def _fraction_surd_sign(poly: RatPoly, surd: QuadraticSurd) -> int:
         return (a > 0) - (a < 0)
     # a + b*sqrt(v) = b * ((u + sqrt(v)) - (u - a/b)).
     return (1 if b > 0 else -1) * surd.compare(surd.u - a / b)
+
+
+IV_PREC_CAP = 4096
+
+
+def _interval_surd_sign(poly: RatPoly, surd: QuadraticSurd) -> int:
+    """Oracle: Horner in mpmath.iv interval arithmetic, which rounds every
+    operation outwards, from 64 bits, doubling the precision while the
+    enclosure of the value contains 0.  An exact zero, or a value still
+    undecided at IV_PREC_CAP bits, is left to `_fraction_surd_sign`, as is
+    every point when mpmath is missing."""
+    if iv is None:
+        return _fraction_surd_sign(poly, surd)
+    saved, prec = iv.prec, 64
+    try:
+        while prec <= IV_PREC_CAP:
+            iv.prec = prec
+            x = iv.mpf(surd.u.numerator) / surd.u.denominator + iv.sqrt(
+                iv.mpf(surd.v.numerator) / surd.v.denominator)
+            value = iv.mpf(0)
+            for c in reversed(poly.primitive):
+                value = value * x + c
+            if value.a > 0:
+                return 1
+            if value.b < 0:
+                return -1
+            prec *= 2
+    finally:
+        iv.prec = saved
+    return _fraction_surd_sign(poly, surd)
 
 
 def _sympy_sign(poly: RatPoly, u: F, v: F) -> int:
@@ -165,13 +200,25 @@ class TestQuadraticSurd:
     def test_sign_of_poly_matches_fraction_horner_at_the_lower_bound(self):
         # At m(n) itself and at m(n) moved by 1e-30 either way, for every n
         # up to 300, where r and the Horner integers run to thousands of bits.
+        # The interval oracle decides almost every point at 64 or 128 bits;
+        # the exact zeros (m(n) is a root of P_n for n <= 5) fall back to
+        # the Fraction oracle.
         nudge = F(1, 10**30)
         for n in range(2, 301):
             poly, surd = char_poly(n).poly, bound_lower(n)
             for du in (0, nudge, -nudge):
                 moved = QuadraticSurd(surd.u + du, surd.v)
-                assert surd_sign_of_poly(poly, moved) == _fraction_surd_sign(poly, moved), \
+                assert surd_sign_of_poly(poly, moved) == _interval_surd_sign(poly, moved), \
                     (n, du)
+
+    def test_interval_oracle_agrees_with_the_fraction_oracle(self):
+        # Both signs and 0, decided in interval arithmetic or by the fallback.
+        nudge = F(1, 10**30)
+        for n in (2, 5, 6, 40):
+            poly, surd = char_poly(n).poly, bound_lower(n)
+            for du in (0, nudge, -nudge):
+                moved = QuadraticSurd(surd.u + du, surd.v)
+                assert _interval_surd_sign(poly, moved) == _fraction_surd_sign(poly, moved)
 
     def test_sign_of_poly(self):
         # p(x) = x^2 - 2 at sqrt(2) is exactly 0

@@ -7,8 +7,8 @@ closed-form determinant identities that factor it, and computes certified
 enclosures for the maximal eigenvalues, their bounds, and their asymptotic
 diagnostics.
 
-Importing the package loads the core layers (exact scalars, polynomials,
-matrices, determinants).  The public names of `charpoly`, `roots` and
+Importing the package loads the core layers (exact scalars, polynomials).
+The public names of `matrices`, `determinants`, `charpoly`, `roots` and
 `spectra` are resolved on first access, which imports their module.
 """
 
@@ -22,41 +22,41 @@ from .exact import (
     sqrt_bounds,
 )
 from .polynomial import RatPoly, poly_interpolate
-from .matrices import (
-    PolyMatrix,
-    RatMatrix,
-    build_boundary,
-    build_legendre_hook,
-    build_mass,
-    build_mass_1d,
-    build_parity_block,
-    build_pencil,
-    build_stiffness,
-    build_stiffness_1d,
-    index_split,
-    kronecker,
-    parity_permutation,
-    split_parity_blocks,
-)
-from .determinants import (
-    DetReport,
-    boundary_factor_roots,
-    cauchy_matrix,
-    det_hook_pencil,
-    det_parity_block,
-    det_poly,
-    det_rational,
-    max_boundary_eigenvalue,
-    verify_boundary,
-    verify_cauchy,
-    verify_corollary_full,
-    verify_kron_factorization,
-    verify_legendre_hooks,
-    verify_thm31,
-)
 
 # The module of each public name that is imported on first access.
 _LAZY = {
+    **dict.fromkeys((
+        "PolyMatrix",
+        "RatMatrix",
+        "build_boundary",
+        "build_legendre_hook",
+        "build_mass",
+        "build_mass_1d",
+        "build_parity_block",
+        "build_pencil",
+        "build_stiffness",
+        "build_stiffness_1d",
+        "index_split",
+        "kronecker",
+        "parity_permutation",
+        "split_parity_blocks",
+    ), "matrices"),
+    **dict.fromkeys((
+        "DetReport",
+        "boundary_factor_roots",
+        "cauchy_matrix",
+        "det_hook_pencil",
+        "det_parity_block",
+        "det_poly",
+        "det_rational",
+        "max_boundary_eigenvalue",
+        "verify_boundary",
+        "verify_cauchy",
+        "verify_corollary_full",
+        "verify_kron_factorization",
+        "verify_legendre_hooks",
+        "verify_thm31",
+    ), "determinants"),
     **dict.fromkeys((
         "CharPoly",
         "char_coeff",

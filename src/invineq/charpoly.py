@@ -12,7 +12,6 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .exact import pochhammer
-from .matrices import build_parity_block
 from .polynomial import RatPoly
 from .records import Record
 
@@ -198,6 +197,8 @@ def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
     integer coefficient list, compared exactly with 0 or with the target.
     Only a failing row is built as a RatPoly residual.
     """
+    from .matrices import build_parity_block
+
     scales, const, slope = build_parity_block(ell, n).scaled_rows()
     column = inverse_column(ell, n)
     target = parity_target(ell, n)

@@ -10,11 +10,11 @@ supports.  Exit codes: 0 success, 1 identity/ordering failure, 2 usage error,
 3 undecided at precision, 4 internal error (reported as one
 "error: internal: ..." line on stderr).
 
-Importing this module loads the core layers that every command uses (exact
-scalars, polynomials, matrices, determinants).  `main` imports the one
-library layer its command adds (COMMAND_LAYERS) before argparse and json,
-and every worker imports the names it calls itself, so that a direct call or
-a process-pool worker needs no `main`.
+Importing this module loads only the core that every command uses (exact
+scalars and polynomials).  `main` imports the library layers its command
+adds (COMMAND_LAYERS) before argparse and json, and every worker and row
+builder imports the names it calls itself, so that a direct call or a
+process-pool worker needs no `main`.
 """
 
 from __future__ import annotations
@@ -22,20 +22,10 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import partial
+from importlib import import_module
 from math import inf
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
-from .determinants import (
-    DetReport,
-    boundary_factor_roots,
-    max_boundary_eigenvalue,
-    verify_boundary,
-    verify_cauchy,
-    verify_corollary_full,
-    verify_kron_factorization,
-    verify_legendre_hooks,
-    verify_thm31,
-)
 from .exact import bits_to_digits, format_decimal
 from .polynomial import RatPoly
 
@@ -43,6 +33,7 @@ if TYPE_CHECKING:
     import argparse
     import json
 
+    from .determinants import DetReport
     from .roots import Enclosure
 
 EXIT_OK = 0
@@ -52,6 +43,8 @@ EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
 KRON_SAMPLES = (Fraction(0), Fraction(1), Fraction(7, 2))
+
+T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -115,6 +108,8 @@ def _lemma32_rows(n: int) -> list[dict]:
 
 
 def _kron_rows(n: int) -> list[dict]:
+    from .determinants import verify_kron_factorization
+
     return [{
         "n": n,
         "identity": "kron",
@@ -125,6 +120,7 @@ def _kron_rows(n: int) -> list[dict]:
 
 def _recurrence_rows(n: int) -> list[dict]:
     from .charpoly import recurrence_residual
+    from .determinants import DetReport
 
     return _report_rows([DetReport(n, "recurrence", recurrence_residual(n), RatPoly())])
 
@@ -143,20 +139,50 @@ def _charpoly_rows(n: int) -> list[dict]:
     }]
 
 
+def _thm31_rows(n: int) -> list[dict]:
+    from .determinants import verify_thm31
+
+    return _report_rows(verify_thm31(n))
+
+
+def _corollary_rows(n: int) -> list[dict]:
+    from .determinants import verify_corollary_full
+
+    return _report_rows([verify_corollary_full(n)])
+
+
+def _cauchy_rows(n: int) -> list[dict]:
+    from .determinants import verify_cauchy
+
+    return _report_rows([verify_cauchy(0, n), verify_cauchy(1, n)])
+
+
+def _legendre_rows(n: int) -> list[dict]:
+    from .determinants import verify_legendre_hooks
+
+    return _report_rows(verify_legendre_hooks(n))
+
+
+def _boundary_rows(n: int) -> list[dict]:
+    from .determinants import verify_boundary
+
+    return _report_rows(verify_boundary(n))
+
+
 # Lowest n, highest n and row builder of each identity.  A single identity
 # rejects a range that leaves its domain; "all" rejects an n that lies in no
-# domain and restricts each identity to its own.  The builders look the
-# library functions up when called, here or (for charpoly) in their own
-# module, so that a tracer that rebinds the modules' names sees every call.
+# domain and restricts each identity to its own.  The builders import the
+# library functions when called, so that a tracer that rebinds the modules'
+# names sees every call.
 VERIFY_IDENTITIES: dict[str, tuple[int, float, Callable[[int], list[dict]]]] = {
-    "thm31": (0, inf, lambda n: _report_rows(verify_thm31(n))),
-    "corollary": (1, inf, lambda n: _report_rows([verify_corollary_full(n)])),
+    "thm31": (0, inf, _thm31_rows),
+    "corollary": (1, inf, _corollary_rows),
     "lemma32": (1, inf, _lemma32_rows),
-    "cauchy": (0, inf, lambda n: _report_rows([verify_cauchy(0, n), verify_cauchy(1, n)])),
+    "cauchy": (0, inf, _cauchy_rows),
     "recurrence": (0, inf, _recurrence_rows),
     "kron": (1, 6, _kron_rows),
-    "legendre": (0, inf, lambda n: _report_rows(verify_legendre_hooks(n))),
-    "boundary": (0, inf, lambda n: _report_rows(verify_boundary(n))),
+    "legendre": (0, inf, _legendre_rows),
+    "boundary": (0, inf, _boundary_rows),
     "charpoly": (0, inf, _charpoly_rows),
 }
 
@@ -275,8 +301,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     # One run of consecutive n per worker: all_roots(n) reads the table of
     # n - 1 only when the same worker has just made it, and the first n of
     # each run chooses its separators by continuant counts.
-    numbered = _run_mapped(partial(_numbered, worker), ns, args.jobs,
-                           chunksize=-(-len(ns) // args.jobs))
+    numbered = _run_mapped(partial(_swept, partial(_numbered, worker)),
+                           _cost_runs(ns, args.jobs), args.jobs)
     # Each table ascends, so sorting by (n, position) sorts by (n, root).
     numbered.sort(key=lambda pair: (pair[1]["n"], pair[0]))
     rows = [row for _, row in numbered]
@@ -310,8 +336,8 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     ns = _in_domain("asymptotics", parse_range(args.range), 2)
     tol = parse_tolerance(args.tol)
     # One run of consecutive n per worker, as in figure (all_roots tables).
-    worker = partial(_asymptotics_worker, tol)
-    rows = _run_mapped(worker, ns, args.jobs, chunksize=-(-len(ns) // args.jobs))
+    worker = partial(_swept, partial(_asymptotics_worker, tol))
+    rows = _run_mapped(worker, _cost_runs(ns, args.jobs), args.jobs)
     _emit(rows, args, ("n", *RATIOS), project=partial(_asymptotics_projection, tol))
     return EXIT_OK
 
@@ -320,6 +346,8 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def _boundary_worker(n: int) -> list[dict]:
+    from .determinants import boundary_factor_roots, max_boundary_eigenvalue, verify_boundary
+
     reports = verify_boundary(n)
     identities_ok = all(rep.equal for rep in reports)
     mu = max_boundary_eigenvalue(n)
@@ -352,19 +380,40 @@ def _in_domain(what: str, ns: list[int], lo: int, hi: float = inf) -> list[int]:
     return ns
 
 
-def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
-                jobs: int, chunksize: int = 1) -> list[dict]:
-    """The rows of `worker(n)` over ns, in order; with jobs > 1 a process
-    pool hands each worker `chunksize` consecutive n at a time."""
-    if jobs > 1 and len(ns) > 1:
+def _run_mapped(worker: Callable[[T], list[dict]], items: Sequence[T],
+                jobs: int) -> list[dict]:
+    """The rows of `worker(item)` over items, in order; with jobs > 1 a
+    process pool runs one item per task."""
+    if jobs > 1 and len(items) > 1:
         # Imported here: a serial run need not load the process machinery.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(worker, ns, chunksize=chunksize))
+            chunks = list(pool.map(worker, items))
     else:
-        chunks = [worker(n) for n in ns]
+        chunks = [worker(item) for item in items]
     return [row for chunk in chunks for row in chunk]
+
+
+def _swept(worker: Callable[[int], list[dict]], run: Sequence[int]) -> list[dict]:
+    """The rows of `worker(n)` over one run of n, in order, in one process."""
+    return [row for n in run for row in worker(n)]
+
+
+def _cost_runs(ns: Sequence[int], parts: int) -> list[list[int]]:
+    """`ns`, in order, cut into at most `parts` nonempty runs of about equal
+    cost, an n costing n^3, about as the root table of n grows.  Each run
+    costs less than its share of the total plus the cost of its largest n."""
+    total = sum(n**3 for n in ns)
+    runs, run, done = [], [], 0
+    for n in ns:
+        if done * parts >= total * (len(runs) + 1):
+            runs.append(run)
+            run = []
+        run.append(n)
+        done += n**3
+    runs.append(run)
+    return runs
 
 
 def _exact(value: object) -> str:
@@ -471,24 +520,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The library layer each command adds to the core; boundary adds none.
+# The library layers each command adds to the core.
 COMMAND_LAYERS = {
-    "verify": "charpoly",
-    "bounds": "spectra",
-    "figure": "spectra",
-    "asymptotics": "spectra",
+    "verify": ("charpoly", "determinants"),
+    "bounds": ("spectra",),
+    "figure": ("spectra",),
+    "asymptotics": ("spectra",),
+    "boundary": ("determinants",),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    layer = COMMAND_LAYERS.get(argv[0]) if argv else None
-    if layer is not None:
-        # Loaded before argparse and json: the compile of a large layer then
-        # peaks over a smaller resident set (README "Start-up").
-        from importlib import import_module
-
+    # Loaded before argparse and json: the compile of a large layer then
+    # peaks over a smaller resident set (README "Start-up").
+    for layer in COMMAND_LAYERS.get(argv[0], ()) if argv else ():
         import_module(f".{layer}", __package__)
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -13,9 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exact import Rational, pochhammer
+from .hooks import _continuant, continuant_count, continuant_rows  # noqa: F401
 from .matrices import (
     IntRows,
     PolyMatrix,
@@ -129,51 +130,6 @@ def det_poly(matrix: PolyMatrix) -> RatPoly:
         for x in range(n + 1)
     ])
     return dets * Fraction(1, prod(scales))
-
-
-def continuant_rows(g: Sequence[Rational | int],
-                    b: Sequence[Rational | int]) -> Iterator[tuple[int, int, int, int]]:
-    """Integer rows (s_k, dg, diag, couple), s_k > 0, with E_k = (dg + x
-    diag) E_{k-1} - x^2 couple E_{k-2} for E_k = s_1...s_k D_k, D_k the
-    leading k x k minors of `hook_pencil(g, b)` = A + x*diag(b), A[i][j] =
-    g_min(i, j).  With L lower-triangular all-ones, A = L*diag(dg)*L^T for
-    dg_k = g_k - g_{k-1} (g_{-1} = 0), so D_k are those of the tridiagonal
-    diag(dg) + x*L^-1 diag(b) L^-T: diagonal dg_k + x(b_k + b_{k-1}),
-    off-diagonal -x b_{k-1} (b_{-1} = 0), a continuant (Muir, *A Treatise
-    on the Theory of Determinants*).  g and b may hold zeros and repeats."""
-    # `lower` is s_k b_{k-1} (row k, left of the diagonal) and `upper` is
-    # s_{k-1} b_{k-1} (row k - 1, right of it), each times -x.
-    g_prev, b_prev, upper = 0, 0, 0
-    for g_k, b_k in zip(g, b):
-        s, (dg, lower, b_row) = clear_denominators((g_k - g_prev, b_prev, b_k))
-        yield s, dg, lower + b_row, upper * lower
-        g_prev, b_prev, upper = g_k, b_k, b_row
-
-
-def _continuant(g: Sequence[Rational | int], b: Sequence[Rational | int]) -> RatPoly:
-    """Exact determinant polynomial of `hook_pencil(g, b)`, in O(dim^2)
-    integer coefficient operations by `continuant_rows`."""
-    prev, cur, scale = [], [1], 1  # D_{k-2}, D_{k-1}
-    for s, dg, diag, couple in continuant_rows(g, b):
-        scale *= s
-        cur, prev = [dg * c0 + diag * c1 - couple * c2
-                     for c0, c1, c2 in zip(cur + [0], [0] + cur, [0, 0] + prev)], cur
-    return RatPoly(cur) * Fraction(1, scale)
-
-
-def continuant_count(rows: Sequence[tuple[int, int, int, int]], x: Fraction) -> int:
-    """The sign changes in E_0(x), ..., E_m(x) of `continuant_rows`, zeros
-    skipped, from the integers q^k E_k(p/q).  For x > 0, dg > 0 and b < 0,
-    as in the Legendre hooks, they count the negative eigenvalues of the
-    tridiagonal matrix, positive definite at 0 and decreasing in x (Givens
-    1954; Barth, Martin and Wilkinson, Numer. Math. 9, 1967): the roots of
-    E_m in (0, x), one less than in (0, x] when x is a root."""
-    (p, q), prev, cur, changes, positive = x.as_integer_ratio(), 0, 1, 0, True
-    for _, dg, diag, couple in rows:
-        cur, prev = (dg * q + diag * p) * cur - couple * p * p * prev, cur
-        if cur and (cur > 0) != positive:
-            changes, positive = changes + 1, not positive
-    return changes
 
 
 def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:

@@ -14,6 +14,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .exact import Rational
+from .hooks import _hook_slope, legendre_hook_parts
 from .polynomial import RatPoly, clear_denominators
 from .records import Record
 
@@ -103,11 +104,6 @@ def hook_pencil(g: Sequence[Fraction], b: Sequence[Fraction]) -> PolyMatrix:
     g = tuple(g)
     return PolyMatrix(RatMatrix(tuple(g[:i] + (g[i],) * (n - i) for i in range(n))),
                       _diagonal(b))
-
-
-def _hook_slope(parity: int, n: int) -> list[Fraction]:
-    """The boundary-parity and hook slopes -2/(4i + 1 - 2*parity), i = 1..n."""
-    return [Fraction(-2, 4 * i + 1 - 2 * parity) for i in range(1, n + 1)]
 
 
 def index_split(k: int, n: int) -> tuple[int, int]:
@@ -273,12 +269,6 @@ def build_legendre_hook(parity: int, n: int) -> PolyMatrix:
     if n < 0:
         raise ValueError("n must be >= 0")
     return hook_pencil(*legendre_hook_parts(parity, n))
-
-
-def legendre_hook_parts(parity: int, n: int) -> tuple[list[Fraction], list[Fraction]]:
-    """The g and b of `build_legendre_hook(parity, n)` = `hook_pencil(g, b)`."""
-    return ([Fraction(2 * m * (2 * m + 1 - 2 * parity)) for m in range(1, n + 1)],
-            _hook_slope(parity, n))
 
 
 def parity_permutation(n: int) -> tuple[int, ...]:

@@ -2,7 +2,9 @@
 enclosures, the quadratic/cubic truncation bounds and their orderings,
 root tables and asymptotic diagnostics.  The boundary eigenvalue and the
 roots of the boundary factorization are computed in `determinants` and
-re-exported here.
+re-exported here on first access, by a module `__getattr__`: the root
+commands read the Legendre-hook continuant from `hooks` and compile neither
+the matrix nor the determinant layer.
 
 Every ordering reported here is backed by exact rational sign evidence;
 floating point appears only in the optional dense-eigensolver cross-check.
@@ -16,14 +18,8 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .charpoly import char_coeff, char_coeffs, char_poly
-from .determinants import (  # noqa: F401
-    boundary_factor_roots,
-    continuant_count,
-    continuant_rows,
-    max_boundary_eigenvalue,
-)
 from .exact import Rational, cbrt_bounds, pi_bounds, sqrt_bounds
-from .matrices import build_mass, build_stiffness, legendre_hook_parts
+from .hooks import continuant_count, continuant_rows, legendre_hook_parts
 from .polynomial import RatPoly
 from .records import Record
 from .roots import (
@@ -559,6 +555,8 @@ def float_eigen_crosscheck(n: int, tol: float) -> FloatCrossReport:
     import numpy as np
     from scipy.linalg import eigh
 
+    from .matrices import build_mass, build_stiffness
+
     mass = np.array([[float(e) for e in row] for row in build_mass(n).entries])
     stiff = np.array([[float(e) for e in row] for row in build_stiffness(n).entries])
     certified = float(max_root(n, Fraction(1, 10**14)).mid)
@@ -574,3 +572,15 @@ def float_eigen_crosscheck(n: int, tol: float) -> FloatCrossReport:
     return FloatCrossReport(n=n, float_value=top, certified_value=certified,
                             difference=diff, tol=tol, ok=diff <= tol,
                             inconclusive=False)
+
+
+# Resolved in `determinants` on access; not imported with this module.
+_REEXPORTS = ("max_boundary_eigenvalue", "boundary_factor_roots")
+
+
+def __getattr__(name: str):
+    if name in _REEXPORTS:
+        from . import determinants
+
+        return getattr(determinants, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,8 +7,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invineq.cli as cli
+import invineq.determinants as determinants
 import invineq.spectra as spectra
 from invineq.cli import (
     EXIT_FAILURE,
@@ -97,7 +100,7 @@ class TestVerifyCommand:
             return DetReport(n=n, identity=f"cauchy-{ell}",
                              lhs=RatPoly((1,)), rhs=RatPoly((2,)))
 
-        monkeypatch.setattr(cli, "verify_cauchy", fake)
+        monkeypatch.setattr(determinants, "verify_cauchy", fake)
         code, out = run_cli(capsys, "verify", "cauchy", "--range", "1..2")
         assert code == EXIT_FAILURE
         rows = [json.loads(line) for line in out.strip().splitlines()]
@@ -338,6 +341,26 @@ class TestParallelDeterminism:
             spectra.all_roots(n, F(1, 10**12))
         _, parallel = run_cli(capsys, *argv, "--jobs", "2")
         assert parallel == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 300), min_size=1, max_size=60), st.integers(1, 8))
+def test_cost_runs_cut_the_range_in_order(ns, parts):
+    runs = cli._cost_runs(ns, parts)
+    assert 1 <= len(runs) <= min(parts, len(ns))
+    assert all(runs)
+    assert [n for run in runs for n in run] == ns
+    # Each run costs less than its share plus its largest n.
+    total = sum(n**3 for n in ns)
+    assert all(sum(n**3 for n in run) * parts < total + parts * max(run) ** 3
+               for run in runs)
+
+
+def test_cost_runs_balance_a_growing_range():
+    # Equal lengths would give the run of 101..200 about 15 times the n^3
+    # cost of 2..100; cut by n^3 the two runs cost about the same.
+    first, second = cli._cost_runs(range(2, 201), 2)
+    assert (first[0], first[-1], second[0], second[-1]) == (2, 169, 170, 200)
 
 
 class TestFlagValidation:

@@ -148,6 +148,27 @@ def test_verify_loads_no_root_or_spectra_code(identity):
     assert not {"invineq.roots", "invineq.spectra"} & loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--range", "2..4"),
+    ("figure", "--range", "2..6"),
+    ("asymptotics", "--range", "4"),
+], ids=lambda argv: argv[0])
+def test_root_commands_load_no_matrix_or_determinant_code(argv):
+    loaded = _modules_loaded_by(*argv)
+    assert {"invineq.spectra", "invineq.hooks"} <= loaded
+    assert not {"invineq.matrices", "invineq.determinants"} & loaded
+
+
+def test_import_loads_no_matrix_or_determinant_code():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys, invineq.cli; "
+            "print(sorted({'invineq.matrices', 'invineq.determinants'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 # Each layer checks its own input: the CLI's usage errors and the library's
 # ValueErrors must agree on the domain of every command.
 

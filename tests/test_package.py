@@ -2,6 +2,7 @@
 layers; every name below still resolves through `from invineq import X`, is
 listed by `dir(invineq)`, and is the object its module defines."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -75,9 +76,45 @@ def test_import_loads_the_core_and_resolves_the_rest_on_access():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    core = "determinants exact matrices polynomial records"
     assert result.stdout.splitlines() == [
-        core,
-        f"True {core} roots",
-        f"invineq.spectra charpoly {core} roots spectra",
+        "exact polynomial",
+        "True exact polynomial records roots",
+        "invineq.spectra charpoly exact hooks polynomial records roots spectra",
     ]
+
+
+# The benchmark's tracer wraps these names from outside the package; it is
+# read from its source, so this test imports none of it and writes nothing.
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "benchlib" / "spans.py"
+
+
+def _tracer_targets() -> tuple[tuple[str, str, str], ...]:
+    (targets,) = [node.value for node in ast.parse(SPANS.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(target, "id", None) == "TARGETS" for target in node.targets)]
+    return ast.literal_eval(targets)
+
+
+TARGETS = _tracer_targets()
+
+
+@pytest.mark.parametrize("module, attr", [target[1:] for target in TARGETS],
+                         ids=[f"{module}.{attr}" for _, module, attr in TARGETS])
+def test_tracer_target_resolves(module, attr):
+    # As the tracer reads it: a dotted name is an attribute of a class.
+    owner_name, _, attr_name = attr.rpartition(".")
+    found = importlib.import_module(module)
+    if owner_name:
+        found = vars(getattr(found, owner_name))[attr_name]
+    else:
+        found = getattr(found, attr_name)
+    assert callable(found)
+
+
+def test_spectra_reexports_the_boundary_results_of_determinants():
+    from invineq import determinants, spectra
+
+    assert spectra.max_boundary_eigenvalue is determinants.max_boundary_eigenvalue
+    assert spectra.boundary_factor_roots is determinants.boundary_factor_roots
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spectra.no_such_name  # noqa: B018

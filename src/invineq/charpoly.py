@@ -190,16 +190,17 @@ def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
     """Check that the parity block times the candidate inverse column equals
     (0, ..., 0, parity_target(ell, n)) exactly.
 
-    Over the integers: row i of the block, scaled by the lcm d_i of its
-    const and slope denominators, is A_i + x B_i, and the column over one
-    common denominator e is the integer polynomials C_j.  Row i of the
-    product is then R_i / (d_i e) with R_i = sum_j (A_ij + x B_ij) C_j an
-    integer coefficient list, compared exactly with 0 or with the target.
+    Over the integers: row i of the block is A_i / a_i + x B_i / b_i, its
+    integer rows over their denominators, and the column over one common
+    denominator e is the integer polynomials C_j.  With d_i = lcm(a_i, b_i),
+    row i of the product is R_i / (d_i e), R_i = sum_j (d_i/a_i A_ij +
+    x d_i/b_i B_ij) C_j an integer coefficient list, compared exactly with 0
+    or with the target.
     Only a failing row is built as a RatPoly residual.
     """
     from .matrices import build_parity_block
 
-    scales, const, slope = build_parity_block(ell, n).scaled_rows()
+    block = build_parity_block(ell, n)
     column = inverse_column(ell, n)
     target = parity_target(ell, n)
     e = lcm(*(entry.content.denominator for entry in column))
@@ -213,8 +214,10 @@ def verify_inverse_identity(ell: int, n: int) -> IdentityReport:
             by_power[m + 1][j] = factor * c
     t_num, t_den = target.content.numerator, target.content.denominator
     failures = []
-    for i, (d, a_row, b_row) in enumerate(zip(scales, const, slope)):
-        row = [sum(map(mul, a_row, by_power[m + 1])) + sum(map(mul, b_row, by_power[m]))
+    for i, ((a, a_row), (b, b_row)) in enumerate(zip(block.const.rows, block.slope.rows)):
+        d = lcm(a, b)
+        u, v = d // a, d // b
+        row = [u * sum(map(mul, a_row, by_power[m + 1])) + v * sum(map(mul, b_row, by_power[m]))
                for m in range(width + 1)]
         if i == n - 1:
             ok = all(r * t_den == t * t_num * d * e

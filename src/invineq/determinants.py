@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Sequence
 
@@ -21,16 +21,16 @@ from .matrices import (
     IntRows,
     PolyMatrix,
     RatMatrix,
+    _ratio_row,
     build_boundary,
     build_legendre_hook,
     build_mass_1d,
     build_parity_block,
     build_pencil,
     gram_rows,
-    hook_pencil,
     split_parity_blocks,
 )
-from .polynomial import RatPoly, clear_denominators, poly_interpolate
+from .polynomial import RatPoly, poly_interpolate
 from .records import Record
 
 IDENTITY_IDS = (
@@ -97,53 +97,39 @@ def _bareiss(a: list[list[int]]) -> int:
 
 
 def det_rational(matrix: RatMatrix) -> Fraction:
-    """Exact determinant; the empty matrix has determinant 1.
-
-    Each row is scaled to integers once, then `_bareiss` eliminates them and
-    the result is divided by the product of the row scales.
-    """
-    scale = 1
-    rows: list[list[int]] = []
-    for row in matrix.entries:
-        denom, ints = clear_denominators(row)
-        scale *= denom
-        rows.append(ints)
-    return Fraction(_bareiss(rows), scale)
+    """Exact determinant; the empty matrix has determinant 1: `_bareiss` of
+    the integer rows over the product of the row denominators."""
+    return Fraction(_bareiss([list(row) for _, row in matrix.rows]),
+                    prod(d for d, _ in matrix.rows))
 
 
 def det_poly(matrix: PolyMatrix) -> RatPoly:
     """Exact determinant polynomial of the pencil const + x*slope via
-    evaluation and interpolation.
-
-    The determinant has degree <= dim, so it is pinned down by its values at
-    the dim + 1 integer abscissae 0..dim.  Each row [const_i | slope_i] is
-    scaled to integers once; every evaluation of the scaled pencil is then an
-    integer matrix, eliminated by `_bareiss`.  The integer determinants are
-    interpolated and the result divided once by the product of the row
-    scales, which changes only its content.  The empty pencil gives 1.
-    """
-    n = matrix.dim
-    scales, const, slope = matrix.scaled_rows()
-    scaled = PolyMatrix(RatMatrix(const), RatMatrix(slope))
-    dets = poly_interpolate([
-        (x, _bareiss([list(row) for row in scaled.eval_at(x).entries]))
-        for x in range(n + 1)
-    ])
-    return dets * Fraction(1, prod(scales))
+    evaluation and interpolation: the determinant has degree <= dim, so
+    `det_rational` at the dim + 1 abscissae 0..dim pins it down.  The empty
+    pencil gives 1."""
+    return poly_interpolate([(x, det_rational(matrix.eval_at(x)))
+                             for x in range(matrix.dim + 1)])
 
 
 def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
     """Exact determinant polynomial of a hook pencil A + x*diag(b) with
     A[i][j] = g_min(i, j) by `_continuant`; g and b are read off the
-    diagonals, and a pencil other than `hook_pencil(g, b)` raises
-    ValueError.  The boundary-parity and hook matrices are hook pencils."""
-    g = [row[i] for i, row in enumerate(matrix.const.entries)]
-    b = [row[i] for i, row in enumerate(matrix.slope.entries)]
-    hook = hook_pencil(g, b)
-    if matrix.const != hook.const:
-        raise ValueError("const is not constant along hooks")
-    if matrix.slope != hook.slope:
+    diagonals.  A pencil of another shape raises ValueError: on the integer
+    rows, row i of const must equal its diagonal from there on and row
+    i - 1 before it, and slope must be 0 off the diagonal.  The
+    boundary-parity and hook matrices are hook pencils."""
+    n, const, slope = matrix.dim, matrix.const.rows, matrix.slope.rows
+    for i, (d, row) in enumerate(const):
+        e, prev = const[i - 1] if i else (d, row)
+        left = row[:i] == prev[:i] if d == e else all(
+            u * e == v * d for u, v in zip(row[:i], prev))
+        if not left or row[i:].count(row[i]) != n - i:
+            raise ValueError("const is not constant along hooks")
+    if any(any(row[:i]) or any(row[i + 1:]) for i, (_, row) in enumerate(slope)):
         raise ValueError("slope must be diagonal")
+    g, b = ([row[i] if d == 1 else Fraction(row[i], d) for i, (d, row) in enumerate(part)]
+            for part in (const, slope))
     return _continuant(g, b)
 
 
@@ -174,9 +160,9 @@ def det_parity_block(ell: int, block: PolyMatrix) -> RatPoly:
     int P_k P_l = delta_kl 2/(2k+1), C^T block C = c D H D, with
     D = diag(2^k_m) and H = `hook_pencil(g, b)`, g_m = k_m(k_m + 1),
     b_m = -2/(2k_m + 1).  c is read from the slope entry (0, 0).  The
-    congruence is checked exactly on the integer rows s * block, s the
-    common denominator, first their symmetry and then the upper triangles
-    of the two products.  Hence
+    congruence is checked exactly on the integer rows s * block, s the lcm
+    of the row denominators, first their symmetry and then the upper
+    triangles of the two products.  Hence
 
         det block = c^n 4^(sum k_m) det H / det(C)^2,
 
@@ -192,12 +178,12 @@ def det_parity_block(ell: int, block: PolyMatrix) -> RatPoly:
     ks = [2 * m + 1 - ell for m in range(n)]
     cols = [[(-1) ** (m - a) * comb(k, m - a) * comb(k + ks[a], k) for a in range(m + 1)]
             for m, k in enumerate(ks)]
-    s, const = clear_denominators([v for row in block.const.entries for v in row])
-    t, slope = clear_denominators([v for row in block.slope.entries for v in row])
-    c = Fraction(-(2 * ks[0] + 1) * slope[0], 2 * t)
+    s = lcm(*(d for d, _ in block.const.rows))
+    t = lcm(*(d for d, _ in block.slope.rows))
+    const_rows = [[s // d * v for v in row] for d, row in block.const.rows]
+    slope_rows = [[t // d * v for v in row] for d, row in block.slope.rows]
+    c = Fraction(-(2 * ks[0] + 1) * slope_rows[0][0], 2 * t)
     p, q = c.numerator, c.denominator
-    const_rows = [const[i * n:(i + 1) * n] for i in range(n)]
-    slope_rows = [slope[i * n:(i + 1) * n] for i in range(n)]
     # c = p/q.  Multiplied through by q, entry (i, j >= i) of
     # C^T (s * const) C must be s p 2^(k_i + k_j) g_i; multiplied through by
     # q (2k_i + 1), entry (i, i) of C^T (t * slope) C must be -2 t p 4^k_i,
@@ -270,13 +256,8 @@ def cauchy_matrix(ell: int, n: int) -> RatMatrix:
     """Hilbert-type matrix with entries 1/(2i+2j-1-2ell)."""
     if ell not in (0, 1):
         raise ValueError("ell must be 0 or 1")
-    offset = 1 + 2 * ell
-    return RatMatrix(
-        tuple(
-            tuple(Fraction(1, 2 * i + 2 * j - offset) for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        )
-    )
+    return RatMatrix(_ratio_row([(1, 2 * i + 2 * j - 1 - 2 * ell) for j in range(1, n + 1)])
+                     for i in range(1, n + 1))
 
 
 def verify_cauchy(ell: int, n: int) -> DetReport:

@@ -5,13 +5,16 @@ their one-dimensional factors) or pencils `const + x·slope` in the spectral
 variable x (the 1D pencil, parity blocks, boundary matrices, hook matrices).
 All entries come from closed-form integrals over (-1,1); nothing is computed
 by quadrature.
+A `RatMatrix` is stored once, as integer rows over positive row
+denominators; the builders fill the rows with integer arithmetic and the
+determinant layer reads the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .exact import Rational
 from .hooks import _hook_slope, legendre_hook_parts
@@ -19,25 +22,51 @@ from .polynomial import RatPoly, clear_denominators
 from .records import Record
 
 IntRows = tuple[tuple[int, ...], ...]
-_ZERO = Fraction(0)
+Row = tuple[int, tuple[int, ...]]
+
+
+def _ratio_row(pairs: Sequence[tuple[int, int]]) -> Row:
+    """The ratios of (num, den) pairs, no den 0, over the lcm of the dens."""
+    d = lcm(*[den for _, den in pairs])
+    return d, tuple([num * (d // den) for num, den in pairs])
 
 
 class RatMatrix(Record):
-    """Immutable square matrix of exact rationals (Fractions or ints)."""
+    """Immutable square matrix of exact rationals: row i of `rows` is (d_i,
+    ints_i), entry (i, j) = ints_i[j] / d_i, in the canonical form of
+    `RatPoly` row by row (d_i > 0, gcd(d_i, *ints_i) = 1).  Built from rows
+    (d, ints), d != 0, reduced here, or from rows of ints and Fractions."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable) -> None:
+        rows = tuple(rows)
+        if rows and not isinstance(rows[0][-1], tuple):
+            rows = [clear_denominators(row) for row in rows]
+        out = []
+        for d, ints in rows:
+            # d = 0 makes g = 0, and d // g raises ZeroDivisionError.
+            g = gcd(d, *ints) if d > 0 else -gcd(d, *ints) if d else 0
+            out.append((d, tuple(ints)) if g == 1 else (d // g, tuple([v // g for v in ints])))
+        Record.__init__(self, tuple(out))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row by row."""
+        return tuple(tuple(map(Fraction, ints, [d] * len(ints))) for d, ints in self.rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        d, ints = self.rows[i]
+        return Fraction(ints[j], d)
 
     def is_symmetric(self) -> bool:
-        n = self.dim
-        return all(self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(i))
+        entries = self.entries
+        return entries == tuple(zip(*entries))
 
 
 class PolyMatrix(Record):
@@ -57,52 +86,32 @@ class PolyMatrix(Record):
         return self.const.is_symmetric() and self.slope.is_symmetric()
 
     def eval_at(self, x: Rational | int) -> RatMatrix:
-        return RatMatrix(tuple(
-            tuple(a + x * b for a, b in zip(const_row, slope_row))
-            for const_row, slope_row in zip(self.const.entries, self.slope.entries)
-        ))
-
-    def scaled_rows(self) -> tuple[tuple[int, ...], IntRows, IntRows]:
-        """(d, A, B): row i of const and slope scaled together by the lcm
-        d_i of its denominators, so A = D*const and B = D*slope are integer
-        rows, D = diag(d)."""
-        n = self.dim
-        scales, a_rows, b_rows = [], [], []
-        for a_row, b_row in zip(self.const.entries, self.slope.entries):
-            denom, ints = clear_denominators(a_row + b_row)
-            scales.append(denom)
-            a_rows.append(tuple(ints[:n]))
-            b_rows.append(tuple(ints[n:]))
-        return tuple(scales), tuple(a_rows), tuple(b_rows)
+        """The matrix at x = p/q: row i is (A q d/a + B p d/b) / (d q) for
+        the rows A/a of const and B/b of slope, d = lcm(a, b)."""
+        p, q = x.numerator, x.denominator
+        rows = []
+        for (a, const_row), (b, slope_row) in zip(self.const.rows, self.slope.rows):
+            d = lcm(a, b)
+            u, v = d // a * q, d // b * p
+            rows.append((d * q, tuple([u * s + v * t for s, t in zip(const_row, slope_row)])))
+        return RatMatrix(rows)
 
 
-def _rat_matrix(n: int, entry: Callable[[int, int], Fraction]) -> RatMatrix:
-    """Build an n x n RatMatrix from a 1-based entry formula."""
-    return RatMatrix(
-        tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
-    )
+def _diagonal(b: Sequence[Rational | int]) -> RatMatrix:
+    """diag(b), each row cut from one shared row of zeros."""
+    zeros = (0,) * len(b)
+    return RatMatrix((v.denominator, zeros[:i] + (v.numerator,) + zeros[i + 1:])
+                     for i, v in enumerate(b))
 
 
-def _pencil(n: int, const: Callable[[int, int], Fraction],
-            slope: Callable[[int, int], Fraction]) -> PolyMatrix:
-    """Build the n x n pencil const + x*slope from two 1-based entry formulas."""
-    return PolyMatrix(_rat_matrix(n, const), _rat_matrix(n, slope))
-
-
-def _diagonal(b: Sequence[Fraction]) -> RatMatrix:
-    """diag(b), each row cut from b and one shared zero."""
-    n = len(b)
-    zeros = (_ZERO,) * n
-    return RatMatrix(tuple(zeros[:i] + (b[i],) + zeros[i + 1:] for i in range(n)))
-
-
-def hook_pencil(g: Sequence[Fraction], b: Sequence[Fraction]) -> PolyMatrix:
+def hook_pencil(g: Sequence[Rational | int], b: Sequence[Rational | int]) -> PolyMatrix:
     """The hook pencil A + x*diag(b), A[i][j] = g[min(i, j)], for g and b of
-    one length.  Each row is cut from g, or from b and one shared zero, so
-    equal entries are the same object."""
+    one length.  Row i of A is cut from the integers of g over their common
+    denominator."""
     n = len(g)
-    g = tuple(g)
-    return PolyMatrix(RatMatrix(tuple(g[:i] + (g[i],) * (n - i) for i in range(n))),
+    d, ints = clear_denominators(g)
+    ints = tuple(ints)
+    return PolyMatrix(RatMatrix((d, ints[:i] + ints[i:i + 1] * (n - i)) for i in range(n)),
                       _diagonal(b))
 
 
@@ -149,70 +158,52 @@ def gram_rows(n: int) -> tuple[int, IntRows, IntRows]:
     return odd_lcm * odd_lcm, stiffness, mass
 
 
-def _unscaled(scale: int, rows: IntRows) -> RatMatrix:
-    return RatMatrix(tuple(tuple(Fraction(v, scale) for v in row) for row in rows))
-
-
 def build_mass(n: int) -> RatMatrix:
     """Gram matrix of the n*n monomial basis x^rho * t^chi under the L2 product."""
     scale, _, mass = gram_rows(n)
-    return _unscaled(scale, mass)
+    return RatMatrix(zip([scale] * len(mass), mass))
 
 
 def build_stiffness(n: int) -> RatMatrix:
     """Gram matrix of the same basis under the x-derivative product."""
     scale, stiffness, _ = gram_rows(n)
-    return _unscaled(scale, stiffness)
+    return RatMatrix(zip([scale] * len(stiffness), stiffness))
 
 
-def _mass_1d_entry(i: int, j: int) -> Fraction:
-    # (1 - (-1)^(i+j-1)) / (i+j-1)
-    if (i + j - 1) % 2 == 0:
-        return Fraction(0)
-    return Fraction(2, i + j - 1)
-
-
-def _stiffness_1d_entry(i: int, j: int) -> Fraction:
-    # (i-1)(j-1)(1 - (-1)^(i+j-3)) / (i+j-3); the parity factor is tested
-    # first so the i+j == 3 case never divides by zero.
-    if (i + j - 3) % 2 == 0:
-        return Fraction(0)
-    return Fraction(2 * (i - 1) * (j - 1), i + j - 3)
+def _gram_1d_rows(n: int, k: int, sign: int = 1) -> list[Row]:
+    # sign times the Gram matrix of the k-th derivatives of 1, x, ...,
+    # x^(n-1): ((i-1)(j-1))^k (1 - (-1)^(i+j-1-2k)) / (i+j-1-2k).  The parity
+    # factor is tested first, so i + j == 3 at k = 1 never divides by zero.
+    return [_ratio_row([(sign * 2 * ((i - 1) * (j - 1)) ** k, i + j - 1 - 2 * k)
+                        if (i + j) % 2 == 0 else (0, 1) for j in range(1, n + 1)])
+            for i in range(1, n + 1)]
 
 
 def build_mass_1d(n: int) -> RatMatrix:
     """One-dimensional mass factor: Gram matrix of 1, x, ..., x^(n-1) on (-1,1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _rat_matrix(n, _mass_1d_entry)
+    return RatMatrix(_gram_1d_rows(n, 0))
 
 
 def build_stiffness_1d(n: int) -> RatMatrix:
     """One-dimensional stiffness factor: Gram matrix of the derivatives."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _rat_matrix(n, _stiffness_1d_entry)
+    return RatMatrix(_gram_1d_rows(n, 1))
 
 
 def kronecker(x: RatMatrix, y: RatMatrix) -> RatMatrix:
     """Standard Kronecker product; dim(x) * dim(y)."""
-    m = y.dim
-    out = []
-    for p in range(x.dim):
-        for q in range(m):
-            row = []
-            for r in range(x.dim):
-                xe = x.entries[p][r]
-                row.extend(xe * ye for ye in y.entries[q])
-            out.append(tuple(row))
-    return RatMatrix(tuple(out))
+    return RatMatrix((a * b, tuple(u * v for u in x_row for v in y_row))
+                     for a, x_row in x.rows for b, y_row in y.rows)
 
 
 def build_pencil(n: int) -> PolyMatrix:
     """The n x n pencil: 1D stiffness minus x times 1D mass, entrywise."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _pencil(n, _stiffness_1d_entry, lambda i, j: -_mass_1d_entry(i, j))
+    return PolyMatrix(RatMatrix(_gram_1d_rows(n, 1)), RatMatrix(_gram_1d_rows(n, 0, -1)))
 
 
 def build_parity_block(parity: int, n: int) -> PolyMatrix:
@@ -228,12 +219,13 @@ def build_parity_block(parity: int, n: int) -> PolyMatrix:
         raise ValueError("n must be >= 0")
     # Both parities in one formula: parity 1 lowers every odd factor by 1
     # (2i-1 -> 2i-2) and every denominator by 2.
-    p = parity
-    return _pencil(
-        n,
-        lambda i, j: Fraction((2 * i - 1 - p) * (2 * j - 1 - p), 2 * i + 2 * j - 3 - 2 * p),
-        lambda i, j: Fraction(-1, 2 * i + 2 * j - 1 - 2 * p),
-    )
+    odd = [2 * i - 1 - parity for i in range(1, n + 1)]
+    const, slope = [], []
+    for i, a in enumerate(odd):
+        dens = [2 * (i + j) + 1 - 2 * parity for j in range(n + 1)]
+        const.append(_ratio_row(list(zip([a * b for b in odd], dens))))
+        slope.append(_ratio_row([(-1, den) for den in dens[1:]]))
+    return PolyMatrix(RatMatrix(const), RatMatrix(slope))
 
 
 def build_boundary(variant: str | int, n: int) -> PolyMatrix:
@@ -247,13 +239,13 @@ def build_boundary(variant: str | int, n: int) -> PolyMatrix:
         raise ValueError("n must be >= 0")
     if variant == "full":
         # Not a hook pencil; its parity blocks are.  Row i of 1 + (-1)^(i+j)
-        # alternates 2 and 0, so every row is one of two shared tuples.
-        alternating = (Fraction(2), _ZERO) * n
-        rows = (alternating[:n], alternating[1:n + 1])
-        return PolyMatrix(RatMatrix(tuple(rows[i % 2] for i in range(n))),
+        # alternates 2 and 0, so every row is one of two shared rows.
+        alternating = (2, 0) * n
+        rows = ((1, alternating[:n]), (1, alternating[1:n + 1]))
+        return PolyMatrix(RatMatrix(rows[i % 2] for i in range(n)),
                           _diagonal([Fraction(-2, 2 * i + 1) for i in range(1, n + 1)]))
     if variant in (0, 1):
-        return hook_pencil((Fraction(2),) * n, _hook_slope(variant, n))
+        return hook_pencil((2,) * n, _hook_slope(variant, n))
     raise ValueError("variant must be 'full', 0 or 1")
 
 
@@ -291,17 +283,15 @@ def split_parity_blocks(matrix: PolyMatrix) -> tuple[tuple[int, ...], PolyMatrix
     and bottom_right is ceil(n/2) wide.
     """
     # The permutation lists the 0-based indices 1, 3, 5, ... and then
-    # 0, 2, 4, ..., so each block takes every other row and column.
-    parts = (matrix.const, matrix.slope)
-
-    def block(part: RatMatrix, row_start: int, col_start: int) -> tuple:
-        return tuple(row[col_start::2] for row in part.entries[row_start::2])
-
-    def cut(start: int) -> PolyMatrix:
-        return PolyMatrix(*(RatMatrix(block(part, start, start)) for part in parts))
-
-    for part in parts:
-        # count compares by identity first: the builders' zeros are one _ZERO.
-        if any(row.count(_ZERO) != len(row) for row in block(part, 1, 0) + block(part, 0, 1)):
-            raise ValueError("the off-diagonal parity blocks must be zero")
-    return parity_permutation(matrix.dim), cut(1), cut(0)
+    # 0, 2, 4, ..., so each block takes every other row and column: row i
+    # keeps the columns of its own parity, and must vanish in the others.
+    halves = ([], [])
+    for part in (matrix.const, matrix.slope):
+        cut = ([], [])
+        for i, (d, row) in enumerate(part.rows):
+            if any(row[1 - i % 2::2]):
+                raise ValueError("the off-diagonal parity blocks must be zero")
+            cut[i % 2].append((d, row[i % 2::2]))
+        for half, rows in zip(halves, cut):
+            half.append(RatMatrix(rows))
+    return parity_permutation(matrix.dim), PolyMatrix(*halves[1]), PolyMatrix(*halves[0])

@@ -110,6 +110,13 @@ GATE_RANGES = {
         "da50bfb1a628d12bdeebf806889dd16854d9cd7c3aef8d0951e5746c0be0798e",
     "asymptotics --range 120..125":
         "f0f10b6f0ba46f424b6e3332f4c08b4a05e60a692accbeb71e6e9ef6bcb1a6a1",
+    # Recorded with every matrix entry a Fraction, cleared to integer rows
+    # again by det_rational and det_parity_block.  They pin the Cauchy
+    # determinants past `verify all`'s 0..14 and the thm31 lhs past 20..30.
+    "verify cauchy --range 15..25":
+        "a0196abc145b43cae623bc4e602eaf558ef71508f53a756ac3a7281a0523efc5",
+    "verify thm31 --range 31..36":
+        "6c1b4363210f4b403f8fbadb27969d19b21cfd98c9078c5c8778d178decda54d",
 }
 
 

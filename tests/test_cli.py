@@ -327,9 +327,10 @@ class TestParallelDeterminism:
 
 
     def test_figure_jobs_match_sturm_isolation(self, capsys):
-        # Two workers, each forked with this process's last root table (of
-        # n = 15, where the second worker's run begins): the rows are those
-        # of Sturm isolation at every n.
+        # Two workers, each forked with this process's last root table, of
+        # the n before the second worker's run begins, so that run starts
+        # from an inherited table of n - 1: the rows are those of Sturm
+        # isolation at every n.
         def sturm(n, tol):
             return isolate_all(char_poly(n).poly, F(0), char_coeff(1, n), tol,
                                expected=n // 2)
@@ -337,7 +338,7 @@ class TestParallelDeterminism:
         argv = ("figure", "--range", "2..30", "--format", "json")
         with mock.patch.object(spectra, "all_roots", sturm):
             _, expected = run_cli(capsys, *argv)
-        for n in range(2, 16):
+        for n in range(2, cli._cost_runs(range(2, 31), 2)[1][0]):
             spectra.all_roots(n, F(1, 10**12))
         _, parallel = run_cli(capsys, *argv, "--jobs", "2")
         assert parallel == expected

@@ -95,11 +95,12 @@ def structured_matrices(draw) -> list[list[F]]:
     """Random rational matrices of dim 0..7, often with a structure that the
     elimination has to handle: a zero pivot at step k (the leading
     (k+1)-block is made singular, which forces a row swap there), a zero
-    column or a duplicated row (both singular)."""
+    column, a zero row or a duplicated row (all singular)."""
     dim = draw(st.integers(0, 7))
     entry = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
     rows = [[draw(entry) for _ in range(dim)] for _ in range(dim)]
-    kind = draw(st.sampled_from(["plain", "zero-pivot", "zero-column", "duplicate-row"]))
+    kind = draw(st.sampled_from(["plain", "zero-pivot", "zero-column", "zero-row",
+                                 "duplicate-row"]))
     if dim >= 2 and kind == "zero-pivot":
         k = draw(st.integers(0, dim - 2))
         if k == 0:
@@ -110,13 +111,39 @@ def structured_matrices(draw) -> list[list[F]]:
         j = draw(st.integers(0, dim - 1))
         for row in rows:
             row[j] = F(0)
+    elif dim >= 1 and kind == "zero-row":
+        rows[draw(st.integers(0, dim - 1))] = [F(0)] * dim
     elif dim >= 2 and kind == "duplicate-row":
         i, k = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=2, unique=True))
         rows[k] = list(rows[i])
     return rows
 
 
+def fraction_det(rows: list[list[F]]) -> F:
+    """Oracle: Gaussian elimination on Fractions, swapping in the first
+    nonzero pivot."""
+    a = [list(row) for row in rows]
+    det = F(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
 class TestDetRationalProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(structured_matrices())
+    def test_matches_fraction_elimination(self, rows):
+        assert det_rational(RatMatrix(tuple(map(tuple, rows)))) == fraction_det(rows)
+
     @settings(max_examples=300, deadline=None)
     @given(structured_matrices())
     def test_matches_sympy(self, rows):
@@ -415,6 +442,15 @@ class TestCauchy:
         assert cauchy_matrix(1, 1).entries == ((F(1),),)
         assert verify_cauchy(0, 1).equal
         assert verify_cauchy(1, 1).equal
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_rows_are_the_formula_over_canonical_denominators(self, ell):
+        for n in range(13):
+            m = cauchy_matrix(ell, n)
+            assert all(d > 0 and gcd(d, *ints) == 1 for d, ints in m.rows)
+            assert m.entries == tuple(
+                tuple(F(1, 2 * i + 2 * j - 1 - 2 * ell) for j in range(1, n + 1))
+                for i in range(1, n + 1))
 
     @pytest.mark.parametrize("ell", [0, 1])
     @pytest.mark.parametrize("n", range(0, 9))

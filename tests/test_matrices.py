@@ -1,7 +1,10 @@
+import pickle
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invineq.matrices import (
     build_boundary,
@@ -225,17 +228,47 @@ class TestBoundary:
                 split_parity_blocks(broken)
 
 
+def _assert_canonical(matrix: RatMatrix) -> None:
+    """Every row is (d, ints): d > 0, gcd(d, *ints) = 1, dim integers."""
+    for d, ints in matrix.rows:
+        assert type(d) is int and d > 0
+        assert type(ints) is tuple and len(ints) == matrix.dim
+        assert all(type(v) is int for v in ints)
+        assert gcd(d, *ints) == 1
+
+
+def _assert_formula(part, formula, n):
+    """`part` holds the 1-based entry formula on canonical integer rows;
+    `entries` and `part[i, j]` read it back as Fractions."""
+    assert part.dim == n
+    _assert_canonical(part)
+    expected = [[F(formula(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert [list(row) for row in part.entries] == expected
+    assert [[part[i, j] for j in range(n)] for i in range(n)] == expected
+    assert all(type(e) is F for row in part.entries for e in row)
+
+
 def _assert_entries(matrix, const, slope, n):
-    """The pencil's parts equal the 1-based entry formulas, as Fractions."""
-    assert matrix.dim == n
-    for part, formula in ((matrix.const, const), (matrix.slope, slope)):
-        expected = [[F(formula(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        assert [list(row) for row in part.entries] == expected
-        assert all(type(e) is F for row in part.entries for e in row)
+    """The pencil's parts equal the 1-based entry formulas."""
+    _assert_formula(matrix.const, const, n)
+    _assert_formula(matrix.slope, slope, n)
 
 
 def _diag(i, j, value):
     return value if i == j else 0
+
+
+def _mass_1d(i, j):
+    return F(2, i + j - 1) if (i + j) % 2 == 0 else F(0)
+
+
+def _stiffness_1d(i, j):
+    return F(2 * (i - 1) * (j - 1), i + j - 3) if (i + j) % 2 == 0 else F(0)
+
+
+def _block(p):
+    return (lambda i, j: F((2 * i - 1 - p) * (2 * j - 1 - p), 2 * i + 2 * j - 3 - 2 * p),
+            lambda i, j: F(-1, 2 * i + 2 * j - 1 - 2 * p))
 
 
 class TestDocstringFormulas:
@@ -258,6 +291,18 @@ class TestDocstringFormulas:
                         lambda i, j: _diag(i, j, F(-2, 4 * i - 1)), n)
 
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_parity_block(self, n):
+        for p in (0, 1):
+            _assert_entries(build_parity_block(p, n), *_block(p), n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pencil_and_its_factors(self, n):
+        _assert_entries(build_pencil(n), _stiffness_1d, lambda i, j: -_mass_1d(i, j), n)
+        _assert_formula(build_mass_1d(n), _mass_1d, n)
+        _assert_formula(build_stiffness_1d(n), _stiffness_1d, n)
+
+
 class TestLegendreHooks:
     def test_displayed_matrix_parity1(self):
         h = build_legendre_hook(1, 2)
@@ -271,3 +316,69 @@ class TestLegendreHooks:
     def test_symmetry(self):
         for parity in (0, 1):
             assert build_legendre_hook(parity, 5).is_symmetric()
+
+
+
+PENCILS = (
+    build_pencil,
+    lambda n: build_parity_block(0, n),
+    lambda n: build_parity_block(1, n),
+    lambda n: build_boundary("full", n),
+    lambda n: build_boundary(1, n),
+    lambda n: build_legendre_hook(0, n),
+)
+
+
+class TestRepresentation:
+    """A RatMatrix is stored once, as canonical integer rows over positive
+    row denominators (the builders' rows are checked in
+    TestDocstringFormulas)."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_gram_matrices_and_kronecker_are_canonical(self, n):
+        for matrix in (build_mass(n), build_stiffness(n),
+                       kronecker(build_mass_1d(n), build_stiffness_1d(n))):
+            _assert_canonical(matrix)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_parity_blocks_of_the_pencil_are_canonical(self, n):
+        _, top, bottom = split_parity_blocks(build_pencil(n))
+        for part in (top.const, top.slope, bottom.const, bottom.slope):
+            _assert_canonical(part)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.fractions(min_value=-20, max_value=20, max_denominator=30))
+    def test_eval_at_matches_entrywise_evaluation(self, n, x):
+        for build in PENCILS:
+            matrix = build(n)
+            value = matrix.eval_at(x)
+            _assert_canonical(value)
+            assert value.entries == tuple(
+                tuple(c + x * s for c, s in zip(const_row, slope_row))
+                for const_row, slope_row in zip(matrix.const.entries, matrix.slope.entries))
+
+    @given(st.lists(st.lists(st.fractions(max_denominator=20), min_size=3, max_size=3),
+                    min_size=3, max_size=3))
+    def test_rows_and_entries_construct_the_same_matrix(self, values):
+        matrix = RatMatrix(tuple(map(tuple, values)))
+        _assert_canonical(matrix)
+        assert [list(row) for row in matrix.entries] == values
+        # Unreduced rows, over a negative denominator too, are reduced.
+        scaled = RatMatrix((-6 * d, tuple(-6 * v for v in ints)) for d, ints in matrix.rows)
+        assert scaled == matrix and scaled.rows == matrix.rows
+        assert hash(scaled) == hash(matrix)
+        assert RatMatrix(matrix.rows) == matrix
+        copy = pickle.loads(pickle.dumps(matrix))
+        assert copy == matrix and copy.rows == matrix.rows
+        changed = [list(row) for row in values]
+        changed[1][2] += 1
+        assert RatMatrix(tuple(map(tuple, changed))) != matrix
+
+    def test_zero_rows_are_over_one(self):
+        assert RatMatrix(((F(0), F(0)), (F(1, 2), F(0)))).rows == ((1, (0, 0)), (2, (1, 0)))
+        assert RatMatrix(((7, (0, 0)), (4, (2, 0)))).rows == ((1, (0, 0)), (2, (1, 0)))
+        assert RatMatrix(()).rows == () and RatMatrix(()).dim == 0
+
+    def test_a_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            RatMatrix(((0, (1,)),))

@@ -12,7 +12,7 @@ supports.  Exit codes: 0 success, 1 identity/ordering failure, 2 usage error,
 
 Importing this module loads only the core that every command uses (exact
 scalars and polynomials).  `main` imports the library layers its command
-adds (COMMAND_LAYERS) before argparse and json, and every worker and row
+adds (COMMANDS) before argparse and json, and every worker and row
 builder imports the names it calls itself, so that a direct call or a
 process-pool worker needs no `main`.
 """
@@ -369,6 +369,19 @@ def cmd_boundary(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r["ok"] for r in rows) else EXIT_FAILURE
 
 
+# Each command: the library layers it adds to the core, its handler, help,
+# default range, and whether it takes --tol/--bits.
+COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], int], str, str, bool]] = {
+    "verify": (("charpoly", "determinants"), cmd_verify,
+               "exact determinant/identity checks", "2..50", False),
+    "bounds": (("spectra",), cmd_bounds, "certified eigenvalue bound orderings", "2..50", True),
+    "figure": (("spectra",), cmd_figure, "root-distribution table (CSV)", "2..50", True),
+    "asymptotics": (("spectra",), cmd_asymptotics, "limit diagnostics per n", "10,25,50", True),
+    "boundary": (("determinants",), cmd_boundary,
+                 "boundary eigenvalues and identities", "1..10", False),
+}
+
+
 # -- shared plumbing --------------------------------------------------------------
 
 
@@ -424,20 +437,11 @@ def _exact(value: object) -> str:
 
 
 def _json_encoder() -> json.JSONEncoder:
-    """`_JSON`, the canonical encoder, made on first use so that importing
-    this module does not load json."""
-    encoder = globals().get("_JSON")
-    if encoder is None:
-        import json
+    """The canonical encoder; json is imported here, so that importing this
+    module does not load it."""
+    import json
 
-        encoder = globals()["_JSON"] = json.JSONEncoder(default=_exact)
-    return encoder
-
-
-def __getattr__(name: str):
-    if name == "_JSON":
-        return _json_encoder()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return json.JSONEncoder(default=_exact)
 
 
 def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
@@ -493,15 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the reference square.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Command: handler, help, default range, and whether it takes --tol/--bits.
-    commands = {
-        "verify": (cmd_verify, "exact determinant/identity checks", "2..50", False),
-        "bounds": (cmd_bounds, "certified eigenvalue bound orderings", "2..50", True),
-        "figure": (cmd_figure, "root-distribution table (CSV)", "2..50", True),
-        "asymptotics": (cmd_asymptotics, "limit diagnostics per n", "10,25,50", True),
-        "boundary": (cmd_boundary, "boundary eigenvalues and identities", "1..10", False),
-    }
-    for name, (func, help_text, default_range, precision) in commands.items():
+    for name, (_, func, help_text, default_range, precision) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "verify":
             p.add_argument("identity", choices=(*VERIFY_IDENTITIES, "all"))
@@ -520,23 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The library layers each command adds to the core.
-COMMAND_LAYERS = {
-    "verify": ("charpoly", "determinants"),
-    "bounds": ("spectra",),
-    "figure": ("spectra",),
-    "asymptotics": ("spectra",),
-    "boundary": ("determinants",),
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # Loaded before argparse and json: the compile of a large layer then
     # peaks over a smaller resident set (README "Start-up").
-    for layer in COMMAND_LAYERS.get(argv[0], ()) if argv else ():
-        import_module(f".{layer}", __package__)
+    if argv and argv[0] in COMMANDS:
+        for layer in COMMANDS[argv[0]][0]:
+            import_module(f".{layer}", __package__)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

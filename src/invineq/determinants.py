@@ -16,7 +16,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact import Rational, pochhammer
-from .hooks import _continuant, continuant_count, continuant_rows  # noqa: F401
+from .hooks import _continuant
 from .matrices import (
     IntRows,
     PolyMatrix,
@@ -128,8 +128,7 @@ def det_hook_pencil(matrix: PolyMatrix) -> RatPoly:
             raise ValueError("const is not constant along hooks")
     if any(any(row[:i]) or any(row[i + 1:]) for i, (_, row) in enumerate(slope)):
         raise ValueError("slope must be diagonal")
-    g, b = ([row[i] if d == 1 else Fraction(row[i], d) for i, (d, row) in enumerate(part)]
-            for part in (const, slope))
+    g, b = ([(row[i], d) for i, (d, row) in enumerate(part)] for part in (const, slope))
     return _continuant(g, b)
 
 
@@ -202,8 +201,8 @@ def det_parity_block(ell: int, block: PolyMatrix) -> RatPoly:
     if not congruent:
         raise ArithmeticError(
             f"the parity-{ell} block of size {n} is not congruent to its Legendre hook pencil")
-    g = [k * (k + 1) for k in ks]
-    b = [Fraction(-2, 2 * k + 1) for k in ks]
+    g = [(k * (k + 1), 1) for k in ks]
+    b = [(-2, 2 * k + 1) for k in ks]
     lead = prod(comb(2 * k, k) for k in ks)
     return _continuant(g, b) * (c**n * Fraction(4 ** sum(ks), lead * lead))
 
@@ -426,17 +425,25 @@ def _kron_lhs(n: int, s: Fraction) -> Fraction:
     ) / (scale * q ** (n * n))
 
 
+@lru_cache(maxsize=None)
+def _kron_factors(n: int) -> tuple[PolyMatrix, Fraction]:
+    """(build_pencil(n), det_rational(build_mass_1d(n))), the parts of the
+    right side of `verify_kron_factorization` that do not depend on s;
+    built once per n, and only n in 1..6 reaches it."""
+    return build_pencil(n), det_rational(build_mass_1d(n))
+
+
 def verify_kron_factorization(n: int, sample: Rational | int) -> bool:
     """Check det(stiffness - s*mass) == det(mass_1d)^n * det(pencil(s))^n
     exactly at the rational sample s; sizes are capped so the n^2 x n^2
     determinant stays cheap.
 
     The left side is `_kron_lhs`, which never goes through the 1D factors;
-    the right side goes through them and `det_rational`.
+    the right side goes through them (`_kron_factors`) and `det_rational`.
     """
     if not 1 <= n <= 6:
         raise ValueError("n must be in 1..6")
     s = Fraction(sample)
-    pencil_at_s = det_rational(build_pencil(n).eval_at(s))
-    rhs = det_rational(build_mass_1d(n)) ** n * pencil_at_s**n
+    pencil, mass_det = _kron_factors(n)
+    rhs = mass_det**n * det_rational(pencil.eval_at(s)) ** n
     return _kron_lhs(n, s) == rhs

@@ -3,12 +3,13 @@
 A hook pencil is A + x*diag(b) with A[i][j] = g_min(i, j); the boundary
 parity matrices and the Legendre hooks are hook pencils.  Its leading
 minors follow a three-term (continuant) recurrence, run here on integer
-rows: over coefficient lists for the determinant polynomial (`_continuant`,
-behind `determinants.det_hook_pencil`) and over the integers at one
-rational x for a root count (`continuant_count`, behind the separators of
-`spectra.all_roots`).  This module imports only `exact` and `polynomial`,
-so the root commands read the hooks without compiling the matrix and
-determinant layers.
+rows made from g and b given as integer (numerator, denominator) pairs
+(`Pair`), with no Fraction: over coefficient lists for the determinant
+polynomial (`_continuant`, behind `determinants.det_hook_pencil`) and over
+the integers at one rational x for a root count (`continuant_count`,
+behind the separators of `spectra.all_roots`).  This module imports only
+`polynomial`, so the root commands read the hooks without compiling the
+matrix and determinant layers.
 
 Each row is scaled to integers on its own: scaling all of them once by the
 lcm L = lcm(1, 3, ..., 4m + 1) of the hook's denominators would make every
@@ -18,43 +19,49 @@ step of `continuant_count` carry b' = L*b, about 5.8*m bits more.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
-from .exact import Rational
-from .polynomial import RatPoly, clear_denominators
+from .polynomial import RatPoly
+
+# An exact rational as an integer (numerator, denominator) pair, denominator > 0.
+Pair = tuple[int, int]
 
 
-def _hook_slope(parity: int, n: int) -> list[Fraction]:
+def _hook_slope(parity: int, n: int) -> list[Pair]:
     """The boundary-parity and hook slopes -2/(4i + 1 - 2*parity), i = 1..n."""
-    return [Fraction(-2, 4 * i + 1 - 2 * parity) for i in range(1, n + 1)]
+    return [(-2, 4 * i + 1 - 2 * parity) for i in range(1, n + 1)]
 
 
-def legendre_hook_parts(parity: int, n: int) -> tuple[list[Fraction], list[Fraction]]:
+def legendre_hook_parts(parity: int, n: int) -> tuple[list[Pair], list[Pair]]:
     """The g and b of `build_legendre_hook(parity, n)` = `hook_pencil(g, b)`."""
-    return ([Fraction(2 * m * (2 * m + 1 - 2 * parity)) for m in range(1, n + 1)],
+    return ([(2 * m * (2 * m + 1 - 2 * parity), 1) for m in range(1, n + 1)],
             _hook_slope(parity, n))
 
 
-def continuant_rows(g: Sequence[Rational | int],
-                    b: Sequence[Rational | int]) -> Iterator[tuple[int, int, int, int]]:
+def continuant_rows(g: Sequence[Pair], b: Sequence[Pair]) -> Iterator[tuple[int, int, int, int]]:
     """Integer rows (s_k, dg, diag, couple), s_k > 0, with E_k = (dg + x
     diag) E_{k-1} - x^2 couple E_{k-2} for E_k = s_1...s_k D_k, D_k the
     leading k x k minors of `hook_pencil(g, b)` = A + x*diag(b), A[i][j] =
-    g_min(i, j).  With L lower-triangular all-ones, A = L*diag(dg)*L^T for
-    dg_k = g_k - g_{k-1} (g_{-1} = 0), so D_k are those of the tridiagonal
-    diag(dg) + x*L^-1 diag(b) L^-T: diagonal dg_k + x(b_k + b_{k-1}),
-    off-diagonal -x b_{k-1} (b_{-1} = 0), a continuant (Muir, *A Treatise
-    on the Theory of Determinants*).  g and b may hold zeros and repeats."""
+    g_min(i, j), for g and b given as `Pair`s.  With L lower-triangular
+    all-ones, A = L*diag(dg)*L^T for dg_k = g_k - g_{k-1} (g_{-1} = 0), so
+    D_k are those of the tridiagonal diag(dg) + x*L^-1 diag(b) L^-T:
+    diagonal dg_k + x(b_k + b_{k-1}), off-diagonal -x b_{k-1} (b_{-1} = 0),
+    a continuant (Muir, *A Treatise on the Theory of Determinants*).  s_k
+    is the lcm of the denominators of g_k, g_{k-1}, b_{k-1} and b_k.  g and
+    b may hold zeros and repeats."""
     # `lower` is s_k b_{k-1} (row k, left of the diagonal) and `upper` is
-    # s_{k-1} b_{k-1} (row k - 1, right of it), each times -x.
-    g_prev, b_prev, upper = 0, 0, 0
-    for g_k, b_k in zip(g, b):
-        s, (dg, lower, b_row) = clear_denominators((g_k - g_prev, b_prev, b_k))
-        yield s, dg, lower + b_row, upper * lower
-        g_prev, b_prev, upper = g_k, b_k, b_row
+    # s_{k-1} b_{k-1} (row k - 1, right of it), each times -x; gp/gq and
+    # bp/bq are g_{k-1} and b_{k-1}.
+    (gp, gq), (bp, bq), upper = (0, 1), (0, 1), 0
+    for (gn, gd), (bn, bd) in zip(g, b):
+        s = lcm(gd, gq, bq, bd)
+        lower, b_row = bp * (s // bq), bn * (s // bd)
+        yield s, gn * (s // gd) - gp * (s // gq), lower + b_row, upper * lower
+        (gp, gq), (bp, bq), upper = (gn, gd), (bn, bd), b_row
 
 
-def _continuant(g: Sequence[Rational | int], b: Sequence[Rational | int]) -> RatPoly:
+def _continuant(g: Sequence[Pair], b: Sequence[Pair]) -> RatPoly:
     """Exact determinant polynomial of `hook_pencil(g, b)`, in O(dim^2)
     integer coefficient operations by `continuant_rows`."""
     prev, cur, scale = [], [1], 1  # D_{k-2}, D_{k-1}

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import Rational
-from .hooks import _hook_slope, legendre_hook_parts
+from .hooks import Pair, _hook_slope, legendre_hook_parts
 from .polynomial import RatPoly, clear_denominators
 from .records import Record
 
@@ -97,20 +97,18 @@ class PolyMatrix(Record):
         return RatMatrix(rows)
 
 
-def _diagonal(b: Sequence[Rational | int]) -> RatMatrix:
+def _diagonal(b: Sequence[Pair]) -> RatMatrix:
     """diag(b), each row cut from one shared row of zeros."""
     zeros = (0,) * len(b)
-    return RatMatrix((v.denominator, zeros[:i] + (v.numerator,) + zeros[i + 1:])
-                     for i, v in enumerate(b))
+    return RatMatrix((den, zeros[:i] + (num,) + zeros[i + 1:]) for i, (num, den) in enumerate(b))
 
 
-def hook_pencil(g: Sequence[Rational | int], b: Sequence[Rational | int]) -> PolyMatrix:
+def hook_pencil(g: Sequence[Pair], b: Sequence[Pair]) -> PolyMatrix:
     """The hook pencil A + x*diag(b), A[i][j] = g[min(i, j)], for g and b of
-    one length.  Row i of A is cut from the integers of g over their common
-    denominator."""
+    one length, given as `Pair`s.  Row i of A is cut from the integers of g
+    over their common denominator."""
     n = len(g)
-    d, ints = clear_denominators(g)
-    ints = tuple(ints)
+    d, ints = _ratio_row(g)
     return PolyMatrix(RatMatrix((d, ints[:i] + ints[i:i + 1] * (n - i)) for i in range(n)),
                       _diagonal(b))
 
@@ -243,9 +241,9 @@ def build_boundary(variant: str | int, n: int) -> PolyMatrix:
         alternating = (2, 0) * n
         rows = ((1, alternating[:n]), (1, alternating[1:n + 1]))
         return PolyMatrix(RatMatrix(rows[i % 2] for i in range(n)),
-                          _diagonal([Fraction(-2, 2 * i + 1) for i in range(1, n + 1)]))
+                          _diagonal([(-2, 2 * i + 1) for i in range(1, n + 1)]))
     if variant in (0, 1):
-        return hook_pencil((2,) * n, _hook_slope(variant, n))
+        return hook_pencil(((2, 1),) * n, _hook_slope(variant, n))
     raise ValueError("variant must be 'full', 0 or 1")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -14,11 +15,13 @@ import invineq.cli as cli
 import invineq.determinants as determinants
 import invineq.spectra as spectra
 from invineq.cli import (
+    COMMANDS,
     EXIT_FAILURE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    build_parser,
     main,
     parse_range,
     parse_tolerance,
@@ -362,6 +365,12 @@ def test_cost_runs_balance_a_growing_range():
     # cost of 2..100; cut by n^3 the two runs cost about the same.
     first, second = cli._cost_runs(range(2, 201), 2)
     assert (first[0], first[-1], second[0], second[-1]) == (2, 169, 170, 200)
+
+
+def test_subcommands_are_the_commands_table_in_order():
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(COMMANDS)
 
 
 class TestFlagValidation:

@@ -20,10 +20,10 @@ import pytest
 from invineq.cli import (
     EXIT_USAGE,
     VERIFY_IDENTITIES,
-    _JSON,
     _boundary_worker,
     _bounds_worker,
     _figure_worker,
+    _json_encoder,
     main,
 )
 from invineq.spectra import asymptotic_table
@@ -71,9 +71,9 @@ def test_asymptotics_rows_keep_the_input_order(capsys):
 
 
 def test_json_renders_fractions_and_refuses_other_objects():
-    assert _JSON.encode({"x": F(-7, 2), "n": 3}) == '{"x": "-7/2", "n": 3}'
+    assert _json_encoder().encode({"x": F(-7, 2), "n": 3}) == '{"x": "-7/2", "n": 3}'
     with pytest.raises(TypeError):
-        _JSON.encode({"x": 0.5j})
+        _json_encoder().encode({"x": 0.5j})
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,11 +13,10 @@ from invineq.determinants import (
     IDENTITY_IDS,
     _bareiss,
     _kron_blocks,
+    _kron_factors,
     _kron_lhs,
     _kron_pencil,
     cauchy_matrix,
-    continuant_count,
-    continuant_rows,
     det_hook_pencil,
     det_parity_block,
     det_poly,
@@ -39,9 +39,9 @@ from invineq.matrices import (
     build_pencil,
     build_stiffness,
     gram_rows,
-    legendre_hook_parts,
     split_parity_blocks,
 )
+from invineq.hooks import _continuant, continuant_count, continuant_rows, legendre_hook_parts
 from invineq.matrices import hook_pencil as build_hook_pencil
 from invineq.polynomial import RatPoly
 from invineq.roots import count_roots, int_coeffs, sign_at, sturm_chain
@@ -222,6 +222,11 @@ def hook_values(draw, min_dim: int = 0) -> tuple[list[F], list[F]]:
     return values(), values()
 
 
+def as_pairs(values: tuple[list[F], list[F]]) -> tuple[list[tuple[int, int]], ...]:
+    """(g, b) as the integer (numerator, denominator) pairs the builders take."""
+    return tuple([v.as_integer_ratio() for v in part] for part in values)
+
+
 def hook_pencils() -> st.SearchStrategy[PolyMatrix]:
     """Hook pencils of dim 0..9 made by the min formula from `hook_values`."""
     return hook_values().map(lambda gb: hook_pencil(*gb))
@@ -272,7 +277,7 @@ class TestDetHookPencil:
                 else:
                     with pytest.raises(ValueError, match="hooks"):
                         det_hook_pencil(changed)
-        m = build_hook_pencil(*values)
+        m = build_hook_pencil(*as_pairs(values))
         last = m.dim - 1
         i, j = data.draw(off_cell(m.dim, lambda i, j: (i, j) != (last, last)))
         with pytest.raises(ValueError, match="hooks"):
@@ -284,7 +289,7 @@ class TestDetHookPencil:
         for slope in (((F(1), F(0)), (F(1, 2), F(1))), ((F(1), F(1, 2)), (F(0), F(1)))):
             with pytest.raises(ValueError, match="diagonal"):
                 det_hook_pencil(PolyMatrix(const, RatMatrix(slope)))
-        m = build_hook_pencil(*values)
+        m = build_hook_pencil(*as_pairs(values))
         i, j = data.draw(off_cell(m.dim, lambda i, j: i != j))
         with pytest.raises(ValueError, match="diagonal"):
             det_hook_pencil(PolyMatrix(m.const, perturbed(m.slope, i, j)))
@@ -293,11 +298,36 @@ class TestDetHookPencil:
     @example(([F(0), F(0), F(0)], [F(0), F(0), F(0)]))
     @example(([F(2), F(2)], [F(1), F(1)]))
     def test_builder_matches_the_min_formula(self, values):
-        assert build_hook_pencil(*values) == hook_pencil(*values)
+        assert build_hook_pencil(*as_pairs(values)) == hook_pencil(*values)
 
     def test_zero_on_the_diagonal(self):
         m = hook_pencil([F(1), F(4)], [F(1), F(0)])
         assert det_hook_pencil(m) == det_poly(m) == RatPoly((3, 4))
+
+
+class TestContinuantRows:
+    """`continuant_rows` on integer pairs against the Fraction recurrence
+    D_k = (dg_k + x(b_k + b_{k-1})) D_{k-1} - x^2 b_{k-1}^2 D_{k-2} of the
+    leading minors D_k of the hook pencil."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hook_values())
+    @example(([F(-3, 2), F(-3, 2), F(0), F(7, 6)], [F(0), F(-5, 4), F(-5, 4), F(2)]))
+    @example(([F(2), F(2), F(4)], [F(-2, 5), F(-2, 9), F(-2, 13)]))
+    def test_rows_follow_the_fraction_recurrence(self, values):
+        g, b = values
+        rows = list(continuant_rows(*as_pairs(values)))
+        assert len(rows) == len(g)
+        x2 = RatPoly((0, 0, 1))
+        prev, cur = RatPoly(), RatPoly.one()
+        g_prev, b_prev, s_prev = F(0), F(0), 1
+        for (s, dg, diag, couple), g_k, b_k in zip(rows, g, b):
+            assert s == lcm(*(v.denominator for v in (g_k, g_prev, b_prev, b_k)))
+            assert (dg, diag, couple) == (s * (g_k - g_prev), s * (b_k + b_prev),
+                                          s * s_prev * b_prev**2)
+            prev, cur = cur, RatPoly((g_k - g_prev, b_k + b_prev)) * cur - x2 * prev * b_prev**2
+            g_prev, b_prev, s_prev = g_k, b_k, s
+        assert _continuant(*as_pairs(values)) == cur
 
 
 class TestLargeN:
@@ -557,6 +587,20 @@ class TestKroneckerFactorization:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             verify_kron_factorization(7, 1)
+
+    def test_the_samples_of_one_n_share_its_factors(self):
+        _kron_factors.cache_clear()
+        try:
+            with mock.patch("invineq.determinants.build_pencil", wraps=build_pencil) as pencil, \
+                    mock.patch("invineq.determinants.build_mass_1d",
+                               wraps=build_mass_1d) as mass:
+                for n in (2, 3):
+                    for sample in KRON_SAMPLES:
+                        assert verify_kron_factorization(n, sample)
+            assert pencil.call_args_list == [mock.call(2), mock.call(3)]
+            assert mass.call_args_list == [mock.call(2), mock.call(3)]
+        finally:
+            _kron_factors.cache_clear()
 
 
 def kron_lhs(n: int, s: F) -> F:

@@ -118,3 +118,22 @@ def test_spectra_reexports_the_boundary_results_of_determinants():
     assert spectra.boundary_factor_roots is determinants.boundary_factor_roots
     with pytest.raises(AttributeError, match="no_such_name"):
         spectra.no_such_name  # noqa: B018
+
+
+def _unused_sibling_imports(path: Path) -> list[str]:
+    """The names `path` imports from a sibling module but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name: node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+MODULES = sorted(path for path in (SRC / "invineq").glob("*.py") if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_imports_a_sibling_name_it_never_uses(path):
+    # A name kept importable from a module only so that a test can read it
+    # there is a re-export shim: the test imports it where it is defined.
+    assert _unused_sibling_imports(path) == []

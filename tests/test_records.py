@@ -10,7 +10,7 @@ import pytest
 
 import invineq
 from invineq.charpoly import CharPoly, IdentityReport
-from invineq.cli import _JSON
+from invineq.cli import _json_encoder
 from invineq.determinants import DetReport
 from invineq.matrices import PolyMatrix, RatMatrix, build_boundary
 from invineq.polynomial import RatPoly
@@ -96,9 +96,9 @@ def test_record_is_an_immutable_value(cls):
     assert type(copy) is cls and copy == record
 
     with pytest.raises(TypeError):
-        _JSON.encode(record)
+        _json_encoder().encode(record)
     with pytest.raises(TypeError):
-        _JSON.encode({"row": record})
+        _json_encoder().encode({"row": record})
 
 
 def test_records_with_equal_fields_differ_by_class():

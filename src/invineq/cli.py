@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Commands: verify, bounds, figure, asymptotics, boundary.  Every command maps
-a per-n worker over the range; a worker returns rows of exact values.  JSON
-is the canonical output: it renders each row, with every Fraction as a "p/q"
-string.  CSV and text are lossy projections of the rows, rendered at the
-configured precision, with enclosure endpoints rounded outwards (lower ends
-down, upper ends up) and enclosure midpoints cut to the decimals their width
-supports.  Exit codes: 0 success, 1 identity/ordering failure, 2 usage error,
-3 undecided at precision, 4 internal error (reported as one
-"error: internal: ..." line on stderr).
+a per-n worker over the range; a worker returns rows of exact values.  With
+--jobs J > 1, one pool of at most J processes sweeps one run of consecutive n
+each.  JSON is the canonical output: it renders each row, with every Fraction
+as a "p/q" string.  CSV and text are lossy projections of the rows, rendered
+at the configured precision, with enclosure endpoints rounded outwards (lower
+ends down, upper ends up) and enclosure midpoints cut to the decimals their
+width supports.  Exit codes: 0 success, 1 identity/ordering failure, 2 usage
+error (including an --out path that cannot be written), 3 undecided at
+precision, 4 internal error (reported as one "error: internal: ..." line on
+stderr).
 
 Importing this module loads only the core that every command uses (exact
 scalars and polynomials).  `main` imports the library layers its command
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import partial
 from importlib import import_module
 from math import inf
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .exact import bits_to_digits, format_decimal
 from .polynomial import RatPoly
@@ -43,8 +45,6 @@ EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
 KRON_SAMPLES = (Fraction(0), Fraction(1), Fraction(7, 2))
-
-T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -187,23 +187,22 @@ VERIFY_IDENTITIES: dict[str, tuple[int, float, Callable[[int], list[dict]]]] = {
 }
 
 
-def _verify_worker(identity: str, n: int) -> list[dict]:
-    return VERIFY_IDENTITIES[identity][2](n)
+def _verify_worker(identities: tuple[str, ...], n: int) -> list[dict]:
+    """The rows of each of `identities` whose domain holds n."""
+    return [row for lo, hi, build in map(VERIFY_IDENTITIES.get, identities)
+            if lo <= n <= hi for row in build(n)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ns = parse_range(args.range)
-    identities = VERIFY_IDENTITIES if args.identity == "all" else (args.identity,)
     if args.identity == "all":
+        identities = tuple(VERIFY_IDENTITIES)
         # No domain reaches below 0, and thm31's holds every n >= 0.
         _in_domain("verify all", ns, 0)
-    rows: list[dict] = []
-    for identity in identities:
-        lo, hi, _ = VERIFY_IDENTITIES[identity]
-        if args.identity != "all":
-            _in_domain(identity, ns, lo, hi)
-        sub_ns = [n for n in ns if lo <= n <= hi]
-        rows.extend(_run_mapped(partial(_verify_worker, identity), sub_ns, args.jobs))
+    else:
+        identities = (args.identity,)
+        _in_domain(args.identity, ns, *VERIFY_IDENTITIES[args.identity][:2])
+    rows = _run_mapped(partial(_verify_worker, identities), ns, args.jobs)
     # A stable sort: the kron rows of one n keep the order of KRON_SAMPLES.
     rows.sort(key=lambda r: (r["n"], r["identity"]))
     _emit(rows, args, ("n", "identity", "equal"))
@@ -298,11 +297,8 @@ def _numbered(worker: Callable[[int], list[dict]], n: int) -> list[tuple[int, di
 def cmd_figure(args: argparse.Namespace) -> int:
     ns = _in_domain("figure", parse_range(args.range), 2)
     worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
-    # One run of consecutive n per worker: all_roots(n) reads the table of
-    # n - 1 only when the same worker has just made it, and the first n of
-    # each run chooses its separators by continuant counts.
-    numbered = _run_mapped(partial(_swept, partial(_numbered, worker)),
-                           _cost_runs(ns, args.jobs), args.jobs)
+    # The runs do not change the rows: a run's first n counts its separators.
+    numbered = _run_mapped(partial(_numbered, worker), ns, args.jobs)
     # Each table ascends, so sorting by (n, position) sorts by (n, root).
     numbered.sort(key=lambda pair: (pair[1]["n"], pair[0]))
     rows = [row for _, row in numbered]
@@ -335,9 +331,7 @@ def _asymptotics_projection(tol: Fraction, digits: int, row: dict) -> dict:
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     ns = _in_domain("asymptotics", parse_range(args.range), 2)
     tol = parse_tolerance(args.tol)
-    # One run of consecutive n per worker, as in figure (all_roots tables).
-    worker = partial(_swept, partial(_asymptotics_worker, tol))
-    rows = _run_mapped(worker, _cost_runs(ns, args.jobs), args.jobs)
+    rows = _run_mapped(partial(_asymptotics_worker, tol), ns, args.jobs)
     _emit(rows, args, ("n", *RATIOS), project=partial(_asymptotics_projection, tol))
     return EXIT_OK
 
@@ -393,18 +387,19 @@ def _in_domain(what: str, ns: list[int], lo: int, hi: float = inf) -> list[int]:
     return ns
 
 
-def _run_mapped(worker: Callable[[T], list[dict]], items: Sequence[T],
+def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
                 jobs: int) -> list[dict]:
-    """The rows of `worker(item)` over items, in order; with jobs > 1 a
-    process pool runs one item per task."""
-    if jobs > 1 and len(items) > 1:
-        # Imported here: a serial run need not load the process machinery.
-        from concurrent.futures import ProcessPoolExecutor
+    """The rows of `worker(n)` over ns, in order.  With jobs > 1, one pool of
+    one process per run sweeps each of at most `jobs` runs of consecutive n
+    (_cost_runs) in one task, so all_roots(n) finds the table of n - 1."""
+    runs = _cost_runs(ns, jobs)
+    if len(runs) == 1:
+        return _swept(worker, ns)
+    # Imported here: a serial run need not load the process machinery.
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(worker, items))
-    else:
-        chunks = [worker(item) for item in items]
+    with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+        chunks = list(pool.map(partial(_swept, worker), runs))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -416,11 +411,12 @@ def _swept(worker: Callable[[int], list[dict]], run: Sequence[int]) -> list[dict
 def _cost_runs(ns: Sequence[int], parts: int) -> list[list[int]]:
     """`ns`, in order, cut into at most `parts` nonempty runs of about equal
     cost, an n costing n^3, about as the root table of n grows.  Each run
-    costs less than its share of the total plus the cost of its largest n."""
+    costs less than its share of the total plus the cost of its largest n,
+    and no run starts where the rest costs nothing (n = 0)."""
     total = sum(n**3 for n in ns)
     runs, run, done = [], [], 0
     for n in ns:
-        if done * parts >= total * (len(runs) + 1):
+        if total * (len(runs) + 1) <= done * parts < total * parts:
             runs.append(run)
             run = []
         run.append(n)
@@ -464,8 +460,11 @@ def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
             lines = ["  ".join(f"{f}={c}" for f, c in zip(fields, line)) for line in cells]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

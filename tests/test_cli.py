@@ -249,6 +249,14 @@ class TestBoundsCommand:
 
 
 class TestFigureCommand:
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "fig.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--range", "2..3", "--out", str(out_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out_path}: No such file or directory\n")
+
     def test_row_count_and_header(self, capsys, tmp_path):
         out_path = tmp_path / "fig.csv"
         code, _ = run_cli(capsys, "figure", "--range", "2..4",
@@ -328,6 +336,13 @@ class TestParallelDeterminism:
             _, parallel = run_cli(capsys, command, "--range", "2..30", "--jobs", "2")
             assert serial == parallel
 
+    @pytest.mark.parametrize("argv", [("verify", "all", "--range", "0..8"),
+                                      ("boundary", "--range", "1..20")])
+    def test_verify_and_boundary_jobs_identical(self, capsys, argv):
+        _, serial = run_cli(capsys, *argv)
+        for jobs in ("2", "3"):
+            _, parallel = run_cli(capsys, *argv, "--jobs", jobs)
+            assert parallel == serial
 
     def test_figure_jobs_match_sturm_isolation(self, capsys):
         # Two workers, each forked with this process's last root table, of
@@ -360,11 +375,70 @@ def test_cost_runs_cut_the_range_in_order(ns, parts):
                for run in runs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=12), st.integers(1, 8))
+def test_cost_runs_cut_no_extra_run_at_zero_cost(ns, parts):
+    # n = 0 costs nothing (verify's domains start there): a range of zeros,
+    # or one that ends in zeros, is cut into no more runs than parts.
+    runs = cli._cost_runs(ns, parts)
+    assert 1 <= len(runs) <= min(parts, len(ns))
+    assert all(runs)
+    assert [n for run in runs for n in run] == ns
+
+
 def test_cost_runs_balance_a_growing_range():
     # Equal lengths would give the run of 101..200 about 15 times the n^3
     # cost of 2..100; cut by n^3 the two runs cost about the same.
     first, second = cli._cost_runs(range(2, 201), 2)
     assert (first[0], first[-1], second[0], second[-1]) == (2, 169, 170, 200)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool the CLI builds; each pool maps
+    serially in this process, so no process starts."""
+    import concurrent.futures
+
+    built = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return built
+
+
+def test_verify_all_builds_one_pool(capsys, pools):
+    argv = ("verify", "all", "--range", "0..6")
+    _, serial = run_cli(capsys, *argv)
+    assert pools == []
+    _, parallel = run_cli(capsys, *argv, "--jobs", "2")
+    assert pools == [2]
+    assert parallel == serial
+
+
+@pytest.mark.parametrize("command", [("verify", "thm31"), ("bounds",), ("figure",),
+                                     ("asymptotics",), ("boundary",)])
+def test_pool_never_outnumbers_the_runs(capsys, pools, command):
+    # Three n, each a run of its own: three processes, not 64.
+    code, _ = run_cli(capsys, *command, "--range", "2..4", "--jobs", "64")
+    assert code == EXIT_OK
+    assert pools == [3]
+
+
+def test_verify_worker_keeps_each_identity_to_its_domain():
+    rows = cli._verify_worker(("kron", "thm31"), 7)
+    assert rows and {row["identity"] for row in rows} == {"thm31-parity0", "thm31-parity1"}
 
 
 def test_subcommands_are_the_commands_table_in_order():

@@ -2,15 +2,15 @@
 
 Commands: verify, bounds, figure, asymptotics, boundary.  Every command maps
 a per-n worker over the range; a worker returns rows of exact values.  With
---jobs J > 1, one pool of at most J processes sweeps one run of consecutive n
-each.  JSON is the canonical output: it renders each row, with every Fraction
-as a "p/q" string.  CSV and text are lossy projections of the rows, rendered
-at the configured precision, with enclosure endpoints rounded outwards (lower
-ends down, upper ends up) and enclosure midpoints cut to the decimals their
-width supports.  Exit codes: 0 success, 1 identity/ordering failure, 2 usage
-error (including an --out path that cannot be written), 3 undecided at
-precision, 4 internal error (reported as one "error: internal: ..." line on
-stderr).
+--jobs J > 1, one pool of at most J processes, and no more than runs, sweeps
+runs of consecutive n, one per task.  JSON is the canonical output: it
+renders each row, with every Fraction as a "p/q" string.  CSV and text are
+lossy projections of the rows, rendered at the configured precision, with
+enclosure endpoints rounded outwards (lower ends down, upper ends up) and
+enclosure midpoints cut to the decimals their width supports.  Exit codes:
+0 success, 1 identity/ordering failure, 2 usage error (including an --out
+path that cannot be written), 3 undecided at precision, 4 internal error
+(reported as one "error: internal: ..." line on stderr).
 
 Importing this module loads only the core that every command uses (exact
 scalars and polynomials).  `main` imports the library layers its command
@@ -298,7 +298,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     ns = _in_domain("figure", parse_range(args.range), 2)
     worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
     # The runs do not change the rows: a run's first n counts its separators.
-    numbered = _run_mapped(partial(_numbered, worker), ns, args.jobs)
+    numbered = _run_mapped(partial(_numbered, worker), ns, args.jobs, runs_per_job=1)
     # Each table ascends, so sorting by (n, position) sorts by (n, root).
     numbered.sort(key=lambda pair: (pair[1]["n"], pair[0]))
     rows = [row for _, row in numbered]
@@ -331,7 +331,7 @@ def _asymptotics_projection(tol: Fraction, digits: int, row: dict) -> dict:
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     ns = _in_domain("asymptotics", parse_range(args.range), 2)
     tol = parse_tolerance(args.tol)
-    rows = _run_mapped(partial(_asymptotics_worker, tol), ns, args.jobs)
+    rows = _run_mapped(partial(_asymptotics_worker, tol), ns, args.jobs, runs_per_job=1)
     _emit(rows, args, ("n", *RATIOS), project=partial(_asymptotics_projection, tol))
     return EXIT_OK
 
@@ -388,19 +388,19 @@ def _in_domain(what: str, ns: list[int], lo: int, hi: float = inf) -> list[int]:
 
 
 def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
-                jobs: int) -> list[dict]:
-    """The rows of `worker(n)` over ns, in order.  With jobs > 1, one pool of
-    one process per run sweeps each of at most `jobs` runs of consecutive n
-    (_cost_runs) in one task, so all_roots(n) finds the table of n - 1."""
-    runs = _cost_runs(ns, jobs)
+                jobs: int, runs_per_job: int = 8) -> list[dict]:
+    """The rows of `worker(n)` over ns, in order.  With jobs > 1, a pool of
+    min(jobs, runs) processes sweeps up to runs_per_job * jobs runs of
+    consecutive n (_cost_runs), a task each, balancing as runs finish.  An
+    all_roots worker passes 1: a run's first n lacks the table of n - 1."""
+    runs = _cost_runs(ns, runs_per_job * jobs) if jobs > 1 else [ns]
     if len(runs) == 1:
         return _swept(worker, ns)
     # Imported here: a serial run need not load the process machinery.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(runs)) as pool:
-        chunks = list(pool.map(partial(_swept, worker), runs))
-    return [row for chunk in chunks for row in chunk]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(runs))) as pool:
+        return [row for chunk in pool.map(partial(_swept, worker), runs) for row in chunk]
 
 
 def _swept(worker: Callable[[int], list[dict]], run: Sequence[int]) -> list[dict]:
@@ -410,13 +410,13 @@ def _swept(worker: Callable[[int], list[dict]], run: Sequence[int]) -> list[dict
 
 def _cost_runs(ns: Sequence[int], parts: int) -> list[list[int]]:
     """`ns`, in order, cut into at most `parts` nonempty runs of about equal
-    cost, an n costing n^3, about as the root table of n grows.  Each run
-    costs less than its share of the total plus the cost of its largest n,
-    and no run starts where the rest costs nothing (n = 0)."""
+    cost, an n costing n^3 as its root table does.  A run ends before an n
+    with half its cost past the run's share, so it costs under its share plus
+    its largest n's cost; no run starts where the rest costs nothing (n = 0)."""
     total = sum(n**3 for n in ns)
     runs, run, done = [], [], 0
     for n in ns:
-        if total * (len(runs) + 1) <= done * parts < total * parts:
+        if run and done < total and (2 * done + n**3) * parts >= 2 * total * (len(runs) + 1):
             runs.append(run)
             run = []
         run.append(n)

@@ -388,22 +388,30 @@ def test_cost_runs_cut_no_extra_run_at_zero_cost(ns, parts):
 
 def test_cost_runs_balance_a_growing_range():
     # Equal lengths would give the run of 101..200 about 15 times the n^3
-    # cost of 2..100; cut by n^3 the two runs cost about the same.
+    # cost of 2..100; cut by n^3 the two runs cost about the same (2..168
+    # costs 0.24 % under half the total, 2..169 2.1 % over it).
     first, second = cli._cost_runs(range(2, 201), 2)
-    assert (first[0], first[-1], second[0], second[-1]) == (2, 169, 170, 200)
+    assert (first[0], first[-1], second[0], second[-1]) == (2, 168, 169, 200)
+
+
+@pytest.mark.parametrize("ns", [[59, 60], [2, 3], [9, 10]])
+def test_cost_runs_split_two_n_in_two(ns):
+    # The second n costs more than the first, which alone is under half the
+    # total: each still gets its own run, and each its own process.
+    assert cli._cost_runs(ns, 2) == [[ns[0]], [ns[1]]]
 
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The max_workers of every process pool the CLI builds; each pool maps
-    serially in this process, so no process starts."""
+    """(max_workers, runs mapped) of every process pool the CLI builds; each
+    pool maps serially in this process, so no process starts."""
     import concurrent.futures
 
     built = []
 
     class SerialPool:
         def __init__(self, max_workers):
-            built.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -411,8 +419,9 @@ def pools(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, runs):
+            built.append((self.max_workers, len(runs)))
+            return map(fn, runs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return built
@@ -423,7 +432,7 @@ def test_verify_all_builds_one_pool(capsys, pools):
     _, serial = run_cli(capsys, *argv)
     assert pools == []
     _, parallel = run_cli(capsys, *argv, "--jobs", "2")
-    assert pools == [2]
+    assert pools == [(2, 4)]
     assert parallel == serial
 
 
@@ -433,7 +442,20 @@ def test_pool_never_outnumbers_the_runs(capsys, pools, command):
     # Three n, each a run of its own: three processes, not 64.
     code, _ = run_cli(capsys, *command, "--range", "2..4", "--jobs", "64")
     assert code == EXIT_OK
-    assert pools == [3]
+    assert pools == [(3, 3)]
+
+
+@pytest.mark.parametrize("command, runs", [(("verify", "lemma32"), 13), (("bounds",), 13),
+                                           (("boundary",), 13), (("figure",), 2),
+                                           (("asymptotics",), 2)])
+def test_pool_balances_runs_unless_they_sweep_root_tables(capsys, pools, command, runs):
+    # Up to eight runs a process (here 13, as no run holds a fraction of an
+    # n), taken up as earlier runs finish, whatever an n truly costs; figure
+    # and asymptotics sweep all_roots, where a run's first n misses the table
+    # of n - 1, so they take one run a process.
+    code, _ = run_cli(capsys, *command, "--range", "2..30", "--jobs", "2")
+    assert code == EXIT_OK
+    assert pools == [(2, runs)]
 
 
 def test_verify_worker_keeps_each_identity_to_its_domain():

@@ -9,8 +9,8 @@ lossy projections of the rows, rendered at the configured precision, with
 enclosure endpoints rounded outwards (lower ends down, upper ends up) and
 enclosure midpoints cut to the decimals their width supports.  Exit codes:
 0 success, 1 identity/ordering failure, 2 usage error (including an --out
-path that cannot be written), 3 undecided at precision, 4 internal error
-(reported as one "error: internal: ..." line on stderr).
+path that cannot be written, found before any work), 3 undecided at
+precision, 4 internal error (one "error: internal: ..." line on stderr).
 
 Importing this module loads only the core that every command uses (exact
 scalars and polynomials).  `main` imports the library layers its command
@@ -21,6 +21,7 @@ process-pool worker needs no `main`.
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -469,6 +470,19 @@ def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
         sys.stdout.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """A usage error unless `path` can be opened for writing.  An existing
+    file is opened, not truncated; a new one is created and removed."""
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY))
+        except FileNotFoundError:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -526,6 +540,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_writable(args.out)
         return args.func(args)
     except UsageError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")

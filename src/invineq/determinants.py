@@ -33,19 +33,6 @@ from .matrices import (
 from .polynomial import RatPoly, poly_interpolate
 from .records import Record
 
-IDENTITY_IDS = (
-    "thm31-parity0",
-    "thm31-parity1",
-    "corollary-full",
-    "cauchy-0",
-    "cauchy-1",
-    "boundary-0",
-    "boundary-1",
-    "boundary-full",
-    "legendre-0",
-    "legendre-1",
-)
-
 
 class DetReport(Record):
     """One exact determinant-identity comparison."""

@@ -17,10 +17,11 @@ when d of the brackets they cut show a sign change, else reports failure;
 (`spectra._count_separators`), and only then `isolate_all`, the tests' oracle.
 `_grid_refine` is the only refinement loop, behind `refine`,
 `bisect_sign_change` and `_interlaced`.  It finds the cell of an index
-bracket on a global dyadic grid (`_Grid`) that bisection to the tolerance
-would end in, by safeguarded Newton steps on the grid's integers with no
-`Fraction` arithmetic, from an optional first point: a hint that the exact
-signs overrule.
+bracket on a global dyadic grid that bisection to the tolerance would end
+in, by safeguarded Newton steps on the grid's integers with no `Fraction`
+arithmetic, from an optional first point: a hint that the exact signs
+overrule.  The grid, `_Grid`, is the only code that converts between grid
+indices and rationals.
 """
 
 from __future__ import annotations
@@ -149,20 +150,10 @@ def sturm_chain(coeffs: IntPoly) -> list[IntPoly]:
     return chain
 
 
-def _variations(signs: list[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
 def variations_at(chain: list[IntPoly], x: Rational) -> int:
-    return _variations([sign_at(p, x) for p in chain])
+    """Sign changes along the chain at x, zeros skipped."""
+    signs = [s for p in chain if (s := sign_at(p, x))]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots(chain: list[IntPoly], lo: Rational, hi: Rational) -> int:
@@ -183,18 +174,21 @@ def _level(width: Fraction, tol: Fraction) -> int:
 
 class _Grid:
     """An integer polynomial p of degree d on the dyadic grid base + j * step
-    / 2^level.  With base = A/D and step = S/D, grid point j is N_j / M with
-    N_j = A 2^level + j S and M = D 2^level.  The coefficients are scaled
-    once by powers of M, so one integer Horner pass over N_j gives M^d p(N_j
-    / M), which has the sign of p, and its derivative in N together."""
+    / 2^level, 0 <= j <= top = 2^level: the one place that converts between
+    grid indices and rationals (`point`, `index`).  With base = A/D and step
+    = S/D, grid point j is N_j / M with N_j = A 2^level + j S and M = D
+    2^level.  The coefficients are scaled once by powers of M, so one
+    integer Horner pass over N_j gives M^d p(N_j / M), which has the sign of
+    p, and its derivative in N together."""
 
-    __slots__ = ("origin", "stride", "scale", "lead", "rest")
+    __slots__ = ("origin", "stride", "scale", "top", "lead", "rest")
 
     def __init__(self, coeffs: IntPoly, base: Fraction, step: Fraction, level: int):
         den = base.denominator * step.denominator // gcd(base.denominator, step.denominator)
         self.origin = base.numerator * (den // base.denominator) << level
         self.stride = step.numerator * (den // step.denominator)
         self.scale = den << level
+        self.top = 1 << level
         scaled, power = [], 1
         for c in reversed(coeffs):
             scaled.append(c * power)
@@ -203,6 +197,11 @@ class _Grid:
 
     def point(self, j: int) -> Fraction:
         return Fraction(self.origin + j * self.stride, self.scale)
+
+    def index(self, x: Fraction) -> int:
+        """The largest j with point(j) <= x, for a positive step."""
+        return ((x.numerator * self.scale - self.origin * x.denominator)
+                // (self.stride * x.denominator))
 
     def value(self, j: int) -> int:
         """M^d p at grid point j."""
@@ -272,9 +271,8 @@ def _halve(coeffs: IntPoly, lo: Fraction, hi: Fraction, s_hi: int,
     """`_grid_refine` on (lo, hi] and its level-m dyadic grid, m the least
     level with cells of width <= tol: the cells that halving (lo, hi] ends
     in."""
-    level = _level(hi - lo, tol)
-    grid = _Grid(coeffs, lo, hi - lo, level)
-    jlo, jhi = _grid_refine(grid, 0, 1 << level, s_hi)
+    grid = _Grid(coeffs, lo, hi - lo, _level(hi - lo, tol))
+    jlo, jhi = _grid_refine(grid, 0, grid.top, s_hi)
     return Enclosure(grid.point(jlo), grid.point(jhi))
 
 
@@ -293,13 +291,14 @@ def refine(coeffs: IntPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> Enclos
     return _halve(coeffs, lo, hi, s_hi, tol)
 
 
-def _interlaced(grid: _Grid, level: int, degree: int, separators: Iterable[int],
+def _interlaced(grid: _Grid, degree: int, separators: Iterable[int],
                 hints: Sequence[tuple[int, int]] = ()) -> list[tuple[int, ...]] | None:
     """The roots of the grid's polynomial, of degree d = `degree`, certified
-    with no Sturm count, or None.  Separators and results are grid indices:
-    (a, b, j - 1, j) or (a, b, j, j) for a root in the bracket (a, b] and its
-    cell or grid point.  With 0 and 2^level the separators cut (0, 2^level]
-    into brackets, and one holds a root when p(b) = 0 or p(a) p(b) < 0.  When d
+    with no Sturm count, or None.  Separators and results are grid indices
+    (`_Grid.index` and `_Grid.point` convert them): (a, b, j - 1, j) or (a,
+    b, j, j) for a root in the bracket (a, b] and its cell or grid point.
+    With 0 and the grid's top index the separators cut (0, top] into
+    brackets, and one holds a root when p(b) = 0 or p(a) p(b) < 0.  When d
     do, each holds one simple root and p has no other, so no two roots share
     a cell and each comes back as `isolate_all` returns it at this level.
     None when the separators are not strictly increasing inside, or fewer
@@ -308,10 +307,10 @@ def _interlaced(grid: _Grid, level: int, degree: int, separators: Iterable[int],
     overrule, so it never changes a cell."""
     ends = [0]
     for j in separators:
-        if not ends[-1] < j < 1 << level:
+        if not ends[-1] < j < grid.top:
             return None
         ends.append(j)
-    ends.append(1 << level)
+    ends.append(grid.top)
     if len(ends) <= degree:
         return None
     values = [grid.value(j) for j in ends]

@@ -228,20 +228,19 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
 _last = (0, None, ())
 
 
-def _count_separators(n: int, f1: Fraction, level: int) -> list[int]:
+def _count_separators(n: int, grid: _Grid) -> list[int]:
     """Indices s_1 < ... < s_(m-1), m = n // 2, of the grid of (0, f1] with i
     roots of P_n below s_i, by halving under the counts of its Legendre hook
     (`verify legendre`); [] when two roots share a cell of the grid."""
     rows = list(continuant_rows(*legendre_hook_parts(1 - n % 2, n // 2)))
-    num, den = f1.numerator, f1.denominator << level
-    found, stack = {}, [(0, 0, 1 << level, n // 2)]
+    found, stack = {}, [(0, 0, grid.top, n // 2)]
     while stack:
         a, ca, b, cb = stack.pop()
         if cb - ca > 1:
             if b - a == 1:
                 return []
             j = (a + b) >> 1
-            c = continuant_count(rows, Fraction(j * num, den))
+            c = continuant_count(rows, grid.point(j))
             found[c] = j
             stack += (a, ca, j, c), (j, c, b, cb)
     return [found[i] for i in range(1, n // 2)]
@@ -252,20 +251,21 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     characteristic polynomial of index n, sorted ascending: each the cell
     that holds it of the dyadic grid of (0, f1] with cells of width <= tol,
     or the root itself when it lies on that grid (Sturm halving goes finer
-    only for two roots in one cell).
+    only for two roots in one cell).  `_Grid` converts between the grid's
+    indices and rationals.
 
-    The one-slot cache `_last` keeps, for the last n, f1, the grid level K,
-    a + b for each root's index cell (a, b], and each root's position
-    (b - a', b' - a') in the sweep bracket (a', b'] that certified it, for n
-    and n - 1.  When it holds n - 1 at the same tol, the cell midpoints (a +
-    b) f1 / 2^(K+1), on the integers, separate the roots of n for
-    `_interlaced` (they interlace, though the certificate does not assume
-    it), and root k's refinement starts where root k of n - 2 sat in its
-    bracket (the lower half counted from the bottom, the upper from the
-    top): a hint that the exact signs overrule.  Otherwise, or when that
-    certificate fails, `_count_separators` chooses them; the counts add no
-    trust.  If that fails too, Sturm counting isolates the roots.  Every
-    route returns the same cells (a Sturm count other than floor(n/2) raises
+    The one-slot cache `_last` keeps the last n's table and, for n and
+    n - 1, each root's position (b - a', b' - a') of its index cell (a, b]
+    in the sweep bracket (a', b'] that certified it.  When it holds n - 1 at
+    the same tol, the grid indices of n at or below the midpoints of that
+    table separate the roots of n for `_interlaced` (they interlace, though
+    the certificate does not assume it), and root k's refinement starts
+    where root k of n - 2 sat in its bracket (the lower half counted from
+    the bottom, the upper from the top): a hint that the exact signs
+    overrule.  Otherwise, or when that certificate fails,
+    `_count_separators` chooses them; the counts add no trust.  If that
+    fails too, Sturm counting isolates the roots.  Every route returns the
+    same cells (a Sturm count other than floor(n/2) raises
     RootIsolationError).
     """
     if n < 2:
@@ -273,27 +273,22 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     tol = Fraction(tol)
     poly = char_poly(n).poly
     f1 = char_coeff(1, n)
-    level = _level(f1, tol)
-    grid = _Grid(poly.primitive, 0, f1, level)
+    grid = _Grid(poly.primitive, 0, f1, _level(f1, tol))
     global _last
     last_n, last_tol, sweep = _last
     found, here, positions = None, (), ()
     if (last_n, last_tol) == (n - 1, tol):
-        g1, g_level, mids, positions, before = sweep
-        num, den = g1.numerator * f1.denominator, f1.numerator * g1.denominator
-        found = _interlaced(grid, level, n // 2,
-                            ((m * num << level) // (den << g_level + 1) for m in mids),
+        previous, positions, before = sweep
+        found = _interlaced(grid, n // 2, (grid.index(e.mid) for e in previous),
                             before[:n // 4] + before[n // 4 - 1:])
         here = [(jb - a, b - a) for a, b, _, jb in found or ()]
     if found is None:
-        found = _interlaced(grid, level, n // 2, _count_separators(n, f1, level))
+        found = _interlaced(grid, n // 2, _count_separators(n, grid))
     if found is None:
         table = tuple(isolate_all(poly, Fraction(0), f1, tol, expected=n // 2))
-        mids = [(e.lo + e.hi) * 2**level // f1 for e in table]
     else:
         table = tuple(Enclosure(grid.point(ja), grid.point(jb)) for *_, ja, jb in found)
-        mids = [ja + jb for *_, ja, jb in found]
-    _last = (n, tol, (f1, level, mids, here, positions))
+    _last = (n, tol, (table, here, positions))
     return table
 
 

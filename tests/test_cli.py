@@ -275,6 +275,47 @@ class TestFigureCommand:
         assert len(out.strip().splitlines()) == 2
 
 
+class TestOutPath:
+    """An --out that cannot be written is a usage error before any row is
+    computed, and creates no file; an existing file keeps its contents until
+    the rows are ready."""
+
+    @pytest.mark.parametrize("name, reason", [
+        ("missing/rows.json", "No such file or directory"),
+        ("folder", "Is a directory"),
+    ])
+    def test_unwritable_out_exits_2_before_any_work(self, capsys, tmp_path, name, reason):
+        (tmp_path / "folder").mkdir()
+        out_path = tmp_path / name
+        worker = mock.Mock(side_effect=AssertionError("a worker ran"))
+        with mock.patch.object(cli, "_verify_worker", worker), \
+                pytest.raises(SystemExit) as exc:
+            main(["verify", "lemma32", "--range", "50..54", "--out", str(out_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {out_path}: {reason}\n"
+        assert not worker.called
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+        assert not any((tmp_path / "folder").iterdir())
+
+    def test_an_existing_file_outlives_an_internal_error(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.json"
+        out_path.write_text("earlier rows\n")
+        with mock.patch.object(cli, "_bounds_worker", side_effect=RuntimeError("broken")), \
+                pytest.raises(SystemExit) as exc:
+            main(["bounds", "--range", "2..3", "--out", str(out_path)])
+        assert exc.value.code == EXIT_INTERNAL
+        assert capsys.readouterr().err == "error: internal: RuntimeError: broken\n"
+        assert out_path.read_text() == "earlier rows\n"
+
+    def test_a_write_that_fails_at_the_end_is_a_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "rows.json"
+        with mock.patch.object(cli, "_check_writable"), pytest.raises(SystemExit) as exc:
+            main(["boundary", "--range", "1", "--out", str(out_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out_path}: No such file or directory\n")
+
+
 class TestAsymptoticsCommand:
     def test_single_row(self, capsys):
         code, out = run_cli(capsys, "asymptotics", "--range", "2")

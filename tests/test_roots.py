@@ -546,6 +546,26 @@ class TestGridValues:
             assert F(dv, grid.scale ** (degree - 1)) == RatPoly(coeffs).derivative()(x)
 
 
+class TestGridIndex:
+    """`_Grid.index` inverts `point`: for a positive step it returns the grid
+    point at or below x, on the grid's integers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(interval_end, interval_end.filter(lambda f: f > 0), st.integers(0, 12),
+           st.integers(-40, 4200), st.one_of(
+               st.just(F(0)),
+               st.builds(lambda k, e: F(k, 10**e), st.sampled_from([1, -1]),
+                         st.integers(1, 30)),
+               st.fractions(min_value=F(-60), max_value=F(60), max_denominator=10**6)))
+    def test_index_brackets_x(self, base, step, level, j, offset):
+        grid = roots._Grid([1], base, step, level)
+        assert grid.index(grid.point(j)) == j
+        x = grid.point(j) + offset
+        k = grid.index(x)
+        assert grid.point(k) <= x < grid.point(k + 1)
+        assert k == (x - base) * 2**level // step
+
+
 # -- the Sturm-free route against the Sturm route ------------------------------
 
 
@@ -553,10 +573,8 @@ def isolate_interlaced(coeffs, lo, hi, tol, separators):
     """`_interlaced` on the grid of (lo, hi] with cells of width <= tol, each
     `Fraction` separator moved to the grid point at or below it: the
     enclosures, or None when the separators do not certify the roots."""
-    level = roots._level(hi - lo, tol)
-    grid = roots._Grid(coeffs, lo, hi - lo, level)
-    found = roots._interlaced(grid, level, len(coeffs) - 1,
-                              ((x - lo) * (1 << level) // (hi - lo) for x in separators))
+    grid = roots._Grid(coeffs, lo, hi - lo, roots._level(hi - lo, tol))
+    found = roots._interlaced(grid, len(coeffs) - 1, map(grid.index, separators))
     return None if found is None else [Enclosure(grid.point(ja), grid.point(jb))
                                        for *_, ja, jb in found]
 

@@ -397,9 +397,9 @@ class TestInterlacedRoots:
         # midpoints of the cells of n - 1, index for index.
         interlaced = spectra._interlaced
 
-        def spy(grid, level, degree, separators, hints=()):
-            seen[n] = level, list(separators)
-            return interlaced(grid, level, degree, seen[n][1], hints)
+        def spy(grid, degree, separators, hints=()):
+            seen[n] = grid.top.bit_length() - 1, list(separators)
+            return interlaced(grid, degree, seen[n][1], hints)
 
         for tol in (F(1, 10**3), TOL, F(1, 10**24)):
             spectra._last = (0, None, ())
@@ -413,6 +413,22 @@ class TestInterlacedRoots:
                 f1 = char_coeff(1, n)
                 assert f1 / 2**level <= tol < f1 / 2**(level - 1)
                 assert separators == [enc.mid * 2**level // f1 for enc in table[n - 1]]
+
+    def test_sweep_through_sturm_fallbacks(self):
+        # At tol 100 two roots share a cell of the grid at n = 4 and from
+        # n = 6 on, so Sturm isolation certifies those tables, and each next
+        # n maps a Sturm-derived table onto its own grid.
+        tol = F(100)
+        isolate = mock.Mock(side_effect=spectra.isolate_all)
+        fell_back = []
+        spectra._last = (0, None, ())
+        with mock.patch.object(spectra, "isolate_all", isolate):
+            for n in range(2, 41):
+                calls = isolate.call_count
+                assert all_roots(n, tol) == sturm_table(n, tol)
+                if isolate.call_count > calls:
+                    fell_back.append(n)
+        assert fell_back == [4, *range(6, 41)]
 
     @pytest.mark.parametrize("calls", [
         [(n, None) for n in range(2, 31) if n not in (3, 9, 17)],
@@ -440,9 +456,9 @@ class TestInterlacedRoots:
         spectra._last = (0, None, ())
         for n in range(2, 41):
             assert all_roots(n, TOL) == sturm_table(n, TOL)
-            last_n, tol, (f1, level, mids, here, _) = spectra._last
+            last_n, tol, (table, here, _) = spectra._last
             mirror = [(w - u, w) for u, w in here]
-            spectra._last = (last_n, tol, (f1, level, mids, mirror, mirror[1:]))
+            spectra._last = (last_n, tol, (table, mirror, mirror[1:]))
 
     def test_counted_brackets_give_no_hints(self):
         # Starts are positions in sweep brackets: a table certified on
@@ -450,9 +466,9 @@ class TestInterlacedRoots:
         seen = {}
         interlaced = spectra._interlaced
 
-        def spy(grid, level, degree, separators, hints=()):
+        def spy(grid, degree, separators, hints=()):
             seen[n] = list(hints)
-            return interlaced(grid, level, degree, separators, hints)
+            return interlaced(grid, degree, separators, hints)
 
         spectra._last = (0, None, ())
         with mock.patch.object(spectra, "_interlaced", side_effect=spy):

@@ -3,13 +3,13 @@
 Commands: verify, bounds, figure, asymptotics, boundary.  Every command maps
 a per-n worker over the range; a worker returns rows of exact values.  With
 --jobs J > 1, one pool of at most J processes, and no more than runs, sweeps
-runs of consecutive n, one per task.  JSON is the canonical output: it
-renders each row, with every Fraction as a "p/q" string.  CSV and text are
-lossy projections of the rows, rendered at the configured precision, with
-enclosure endpoints rounded outwards (lower ends down, upper ends up) and
-enclosure midpoints cut to the decimals their width supports.  Exit codes:
-0 success, 1 identity/ordering failure, 2 usage error (including an --out
-path that cannot be written, found before any work), 3 undecided at
+runs of consecutive n, one per task.  JSON is the canonical output: `_exact`
+renders each Fraction of a row as "p/q", each RatPoly as its coefficients.
+CSV and text are lossy projections of the rows, rendered at the configured
+precision, with enclosure endpoints rounded outwards (lower ends down, upper
+ends up) and enclosure midpoints cut to the decimals their width supports.
+Exit codes: 0 success, 1 identity/ordering failure, 2 usage error (including
+an --out path that cannot be written, found before any work), 3 undecided at
 precision, 4 internal error (one "error: internal: ..." line on stderr).
 
 Importing this module loads only the core that every command uses (exact
@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from importlib import import_module
-from math import inf
+from math import gcd, inf
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .exact import bits_to_digits, format_decimal
@@ -37,7 +37,6 @@ if TYPE_CHECKING:
     import json
 
     from .determinants import DetReport
-    from .roots import Enclosure
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -87,7 +86,8 @@ def parse_tolerance(text: str) -> Fraction:
 
 
 def _report_rows(reports: Iterable[DetReport]) -> list[dict]:
-    return [rep.to_json_dict() for rep in reports]
+    return [{"n": rep.n, "identity": rep.identity, "lhs": rep.lhs, "rhs": rep.rhs,
+             "equal": rep.equal} for rep in reports]
 
 
 def _lemma32_rows(n: int) -> list[dict]:
@@ -101,7 +101,7 @@ def _lemma32_rows(n: int) -> list[dict]:
             "identity": f"lemma32-parity{ell}",
             "equal": report.ok,
             "failures": [
-                {"row": idx, "residual": res.coeff_strings()}
+                {"row": idx, "residual": res}
                 for idx, res in report.failures
             ],
         })
@@ -135,7 +135,7 @@ def _charpoly_rows(n: int) -> list[dict]:
     return [{
         "n": n,
         "identity": "charpoly",
-        "coeffs": direct.coeff_strings(),
+        "coeffs": direct,
         "equal": direct == char_poly_by_summation(n).poly,
     }]
 
@@ -219,12 +219,12 @@ def _supported_digits(width: Fraction, digits: int) -> int:
     return min(digits, len(str(ratio)) - 1 if ratio else 0)
 
 
-def _format_mid(enc: Enclosure, digits: int) -> str:
-    """The midpoint of `enc` to at most `digits` decimals, and to no more
-    than its width supports.  An exact enclosure keeps all `digits`."""
-    if not enc.is_exact:
-        digits = _supported_digits(enc.width, digits)
-    return format_decimal(enc.mid, digits)
+def _format_mid(lo: Fraction, hi: Fraction, digits: int) -> str:
+    """The midpoint of [lo, hi] to at most `digits` decimals, and to no more
+    than its width supports.  An exact value, lo == hi, keeps all `digits`."""
+    if lo != hi:
+        digits = _supported_digits(hi - lo, digits)
+    return format_decimal((lo + hi) / 2, digits)
 
 
 def _bounds_worker(tol: Fraction, n: int) -> list[dict]:
@@ -254,15 +254,14 @@ def _bounds_worker(tol: Fraction, n: int) -> list[dict]:
 
 
 def _bounds_projection(digits: int, row: dict) -> dict:
-    from .roots import Enclosure
-
+    m, upper = row["m"], row["M"]
     return {
         "n": row["n"],
-        "m": _format_mid(Enclosure(row["m"]["lo"], row["m"]["hi"]), digits),
+        "m": _format_mid(m["lo"], m["hi"], digits),
         "lambda_lo": format_decimal(row["lambda"]["lo"], digits, "down"),
         "lambda_hi": format_decimal(row["lambda"]["hi"], digits, "up"),
         "f1": row["f1"],
-        "M": _format_mid(Enclosure(**row["M"]), digits),
+        "M": _format_mid(upper["lo"], upper["hi"], digits),
         "ok": row["ok"],
     }
 
@@ -426,10 +425,18 @@ def _cost_runs(ns: Sequence[int], parts: int) -> list[list[int]]:
     return runs
 
 
-def _exact(value: object) -> str:
-    """JSON form of a Fraction, "p/q"; no other foreign type may reach JSON."""
+def _exact(value: object) -> str | list[str]:
+    """JSON form of an exact value, the only code that renders a row's: a
+    Fraction as "p/q", a RatPoly as its ascending coefficients as str(Fraction)
+    prints them, built on the integers (content times primitive part, one gcd
+    each) rather than through a Fraction per coefficient.  No other foreign
+    type may reach JSON."""
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, RatPoly):
+        num, den = value.content.numerator, value.content.denominator
+        return [str(c // g * num) if (g := gcd(c, den)) == den else f"{c // g * num}/{den // g}"
+                for c in value.primitive]
     raise TypeError(f"no canonical JSON form for {type(value).__name__}")
 
 
@@ -447,18 +454,27 @@ def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
     """JSON renders each exact row; CSV and text show `fields` of the row,
     or of its projection at the --bits precision."""
     fmt = args.format or default_format
-    if fmt == "json":
-        encode = _json_encoder().encode
-        lines = [encode(row) for row in rows]
-    else:
-        if project is not None:
-            digits = bits_to_digits(args.bits)
-            rows = [project(digits, row) for row in rows]
-        cells = [[_csv_cell(row[f]) for f in fields] for row in rows]
-        if fmt == "csv":
-            lines = [",".join(fields), *(",".join(line) for line in cells)]
+    # Rows past n = 60 hold integers of more than the 4300 digits that str()
+    # prints by default (CPython 3.10.7 on); the limit is lifted only here.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            encode = _json_encoder().encode
+            lines = [encode(row) for row in rows]
         else:
-            lines = ["  ".join(f"{f}={c}" for f, c in zip(fields, line)) for line in cells]
+            if project is not None:
+                digits = bits_to_digits(args.bits)
+                rows = [project(digits, row) for row in rows]
+            cells = [[_csv_cell(row[f]) for f in fields] for row in rows]
+            if fmt == "csv":
+                lines = [",".join(fields), *(",".join(line) for line in cells)]
+            else:
+                lines = ["  ".join(f"{f}={c}" for f, c in zip(fields, line)) for line in cells]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -43,15 +43,6 @@ class DetReport(Record):
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "identity": self.identity,
-            "lhs": self.lhs.coeff_strings(),
-            "rhs": self.rhs.coeff_strings(),
-            "equal": self.equal,
-        }
-
 
 def _bareiss(a: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix, given as rows that are

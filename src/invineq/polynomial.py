@@ -223,13 +223,6 @@ class RatPoly:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)
 
-    def coeff_strings(self) -> list[str]:
-        """Coefficients as exact 'p/q' strings, ascending powers, as
-        `str(Fraction)` prints them."""
-        num, den = self._content.numerator, self._content.denominator
-        return [str(c // g * num) if (g := gcd(c, den)) == den else f"{c // g * num}/{den // g}"
-                for c in self._prim]
-
 
 def _as_poly(v: RatPoly | Rational | int) -> RatPoly:
     if isinstance(v, RatPoly):

@@ -200,7 +200,7 @@ class TestBoundsCommand:
         (F(1, 3), F(1, 3), "0.33333"),  # exact: every digit
     ])
     def test_midpoint_digits_follow_the_width(self, lo, hi, expected):
-        assert cli._format_mid(Enclosure(lo, hi), 5) == expected
+        assert cli._format_mid(lo, hi, 5) == expected
 
     def test_internal_error_exits_4(self, capsys, monkeypatch):
         def broken(n, tol):

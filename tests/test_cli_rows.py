@@ -17,15 +17,19 @@ from pathlib import Path
 
 import pytest
 
+import invineq.cli as cli
 from invineq.cli import (
+    EXIT_OK,
     EXIT_USAGE,
     VERIFY_IDENTITIES,
     _boundary_worker,
     _bounds_worker,
     _figure_worker,
     _json_encoder,
+    _verify_worker,
     main,
 )
+from invineq.polynomial import RatPoly
 from invineq.spectra import asymptotic_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -74,6 +78,73 @@ def test_json_renders_fractions_and_refuses_other_objects():
     assert _json_encoder().encode({"x": F(-7, 2), "n": 3}) == '{"x": "-7/2", "n": 3}'
     with pytest.raises(TypeError):
         _json_encoder().encode({"x": 0.5j})
+
+
+def _text_keys(value, key=None):
+    """The keys under which a row holds a str, at any depth."""
+    if isinstance(value, str):
+        yield key
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from _text_keys(v, k)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _text_keys(v, key)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_verify_rows_hold_exact_values_not_text(n):
+    rows = _verify_worker(tuple(VERIFY_IDENTITIES), n)
+    assert rows and set(_text_keys(rows)) == {"identity"}
+
+
+def test_rows_render_integers_past_the_str_digit_limit(capsys, monkeypatch):
+    # 4401 digits: str() refuses them under CPython's default limit of 4300
+    # (3.10.7 and later), which _emit lifts only while it renders.
+    big = 10**4400 + 1
+    row = {"n": 1, "identity": "thm31-parity0", "value": F(big, 3),
+           "poly": RatPoly((F(1, big), -big)), "equal": True}
+    monkeypatch.setattr(cli, "_verify_worker", lambda identities, n: [row])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["verify", "thm31", "--range", "1", "--jobs", "1"]) == EXIT_OK
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)  # to parse the values back
+        out = json.loads(capsys.readouterr().out)
+        assert F(out["value"]) == F(big, 3)
+        assert [F(c) for c in out["poly"]] == [F(1, big), -big]
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# The first n of thm31 and of the corollary whose rows hold an integer of
+# more than 4300 digits.  Recorded from the first code that printed them.
+PAST_THE_DIGIT_LIMIT = {
+    "verify thm31 --range 61":
+        "392143969bab972342ff7131eae82308403ff4c8d3a7ff98331bc56a70dd2c19",
+    "verify corollary --range 87":
+        "fb1f332cc908fcd6ee3960a67d651f0ff1e04ed8be25af36aade88be50628147",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PAST_THE_DIGIT_LIMIT))
+def test_every_n_of_a_domain_prints(command, capsys):
+    assert main([*command.split(), "--jobs", "1", "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert all(json.loads(line)["equal"] for line in out.splitlines())
+    assert hashlib.sha256(out.encode()).hexdigest() == PAST_THE_DIGIT_LIMIT[command]
+
+
+def test_rows_past_the_digit_limit_print_alike_with_jobs(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(["verify", "thm31", "--range", "61,62", "--jobs", jobs]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
 
 
 @pytest.mark.parametrize("argv", [

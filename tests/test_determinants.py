@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invineq.charpoly import char_coeff, char_poly, det_prefactor
-from invineq.cli import KRON_SAMPLES
+from invineq.cli import KRON_SAMPLES, _json_encoder, _report_rows
 from invineq.determinants import (
     _bareiss,
     _kron_blocks,
@@ -440,15 +441,14 @@ class TestParityIdentity:
             assert rep.equal, (n, rep.identity)
 
     def test_report_serialization(self):
-        rep = verify_thm31(1)[0]
-        d = rep.to_json_dict()
-        assert d == {
+        row = _report_rows(verify_thm31(1))[0]
+        assert _json_encoder().encode(row) == json.dumps({
             "n": 1,
             "identity": "thm31-parity0",
             "lhs": ["1", "-1/3"],
             "rhs": ["1", "-1/3"],
             "equal": True,
-        }
+        })
 
 
 class TestFullPencilIdentity:

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from invineq.cli import _exact
 from invineq.polynomial import RatPoly, poly_interpolate
 from invineq.roots import int_coeffs
 
@@ -195,10 +196,10 @@ class TestIntegerRepresentation:
 
 @given(st.lists(st.fractions(max_denominator=10**6), max_size=8),
        st.sampled_from([F(1), F(3), F(-1), F(1, 7), F(-5, 12), F(10**20, 3)]))
-def test_coeff_strings_print_as_str_of_fraction(coeffs, scale):
+def test_exact_prints_coeffs_as_str_of_fraction(coeffs, scale):
     """Negative coefficients, integer and fractional content, the zero
-    polynomial: the strings are those of `str(Fraction)`."""
+    polynomial: the rendered coefficients are those of `str(Fraction)`."""
     p = RatPoly(coeffs) * scale
-    assert p.coeff_strings() == [str(c) for c in p.coeffs]
-    assert RatPoly().coeff_strings() == []
-    assert RatPoly((0, F(-3), F(4, 2))).coeff_strings() == ["0", "-3", "2"]
+    assert _exact(p) == [str(c) for c in p.coeffs]
+    assert _exact(RatPoly()) == []
+    assert _exact(RatPoly((0, F(-3), F(4, 2)))) == ["0", "-3", "2"]

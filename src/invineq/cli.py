@@ -14,9 +14,9 @@ precision, 4 internal error (one "error: internal: ..." line on stderr).
 
 Importing this module loads only the core that every command uses (exact
 scalars and polynomials).  `main` imports the library layers its command
-adds (COMMANDS) before argparse and json, and every worker and row
-builder imports the names it calls itself, so that a direct call or a
-process-pool worker needs no `main`.
+adds (COMMANDS) before its command-line parser (`cmdline`) and json, and
+every worker and row builder imports the names it calls itself, so that a
+direct call or a process-pool worker needs no `main`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .exact import bits_to_digits, format_decimal
 from .polynomial import RatPoly
 
 if TYPE_CHECKING:
-    import argparse
     import json
+    from types import SimpleNamespace
 
     from .determinants import DetReport
 
@@ -194,7 +194,7 @@ def _verify_worker(identities: tuple[str, ...], n: int) -> list[dict]:
             if lo <= n <= hi for row in build(n)]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     ns = parse_range(args.range)
     if args.identity == "all":
         identities = tuple(VERIFY_IDENTITIES)
@@ -266,7 +266,7 @@ def _bounds_projection(digits: int, row: dict) -> dict:
     }
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: SimpleNamespace) -> int:
     ns = _in_domain("bounds", parse_range(args.range), 2)
     rows = _run_mapped(partial(_bounds_worker, parse_tolerance(args.tol)), ns, args.jobs)
     rows.sort(key=lambda r: r["n"])
@@ -294,7 +294,7 @@ def _numbered(worker: Callable[[int], list[dict]], n: int) -> list[tuple[int, di
     return list(enumerate(worker(n)))
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
+def cmd_figure(args: SimpleNamespace) -> int:
     ns = _in_domain("figure", parse_range(args.range), 2)
     worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
     # The runs do not change the rows: a run's first n counts its separators.
@@ -328,7 +328,7 @@ def _asymptotics_projection(tol: Fraction, digits: int, row: dict) -> dict:
                               for k, w in zip(RATIOS, widths)}}
 
 
-def cmd_asymptotics(args: argparse.Namespace) -> int:
+def cmd_asymptotics(args: SimpleNamespace) -> int:
     ns = _in_domain("asymptotics", parse_range(args.range), 2)
     tol = parse_tolerance(args.tol)
     rows = _run_mapped(partial(_asymptotics_worker, tol), ns, args.jobs, runs_per_job=1)
@@ -355,7 +355,7 @@ def _boundary_worker(n: int) -> list[dict]:
     }]
 
 
-def cmd_boundary(args: argparse.Namespace) -> int:
+def cmd_boundary(args: SimpleNamespace) -> int:
     ns = _in_domain("boundary", parse_range(args.range), 1)
     rows = _run_mapped(_boundary_worker, ns, args.jobs)
     rows.sort(key=lambda r: r["n"])
@@ -365,7 +365,7 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 # Each command: the library layers it adds to the core, its handler, help,
 # default range, and whether it takes --tol/--bits.
-COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[argparse.Namespace], int], str, str, bool]] = {
+COMMANDS: dict[str, tuple[tuple[str, ...], Callable[[SimpleNamespace], int], str, str, bool]] = {
     "verify": (("charpoly", "determinants"), cmd_verify,
                "exact determinant/identity checks", "2..50", False),
     "bounds": (("spectra",), cmd_bounds, "certified eigenvalue bound orderings", "2..50", True),
@@ -448,7 +448,7 @@ def _json_encoder() -> json.JSONEncoder:
     return json.JSONEncoder(default=_exact)
 
 
-def _emit(rows: list[dict], args: argparse.Namespace, fields: tuple[str, ...],
+def _emit(rows: list[dict], args: SimpleNamespace, fields: tuple[str, ...],
           project: Callable[[int, dict], dict] | None = None,
           default_format: str = "json") -> None:
     """JSON renders each exact row; CSV and text show `fields` of the row,
@@ -505,66 +505,28 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    import argparse
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}")
-        return value
-    return integer
-
-
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="invineq",
-        description="Exact verification of the determinant identities and "
-                    "certified eigenvalue bounds for inverse inequalities on "
-                    "the reference square.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, func, help_text, default_range, precision) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "verify":
-            p.add_argument("identity", choices=(*VERIFY_IDENTITIES, "all"))
-        p.add_argument("--range", default=default_range,
-                       help="inclusive range A..B or comma list (default %(default)s)")
-        if precision:
-            p.add_argument("--tol", default="1/1000000000000",
-                           help="rational tolerance P/Q or decimal (default 1e-12)")
-            p.add_argument("--bits", type=_int_at_least(64), default=128,
-                           help="fixed-point fraction bits for decimal output (>= 64)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default=None)
-        p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="worker processes for per-n computations")
-        p.set_defaults(func=func)
-    return parser
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # Loaded before argparse and json: the compile of a large layer then
+    # Loaded before the parser and json: the compile of a large layer then
     # peaks over a smaller resident set (README "Start-up").
     if argv and argv[0] in COMMANDS:
         for layer in COMMANDS[argv[0]][0]:
             import_module(f".{layer}", __package__)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    from .cmdline import parse
+
+    args = parse(argv, COMMANDS, (*VERIFY_IDENTITIES, "all"))
     try:
         if args.out:
             _check_writable(args.out)
         return args.func(args)
     except UsageError as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
+        message, code = f"error: {exc}\n", EXIT_USAGE
     except Exception as exc:
         detail = " ".join(f"{type(exc).__name__}: {exc}".split())
-        parser.exit(EXIT_INTERNAL, f"error: internal: {detail}\n")
-
+        message, code = f"error: internal: {detail}\n", EXIT_INTERNAL
+    sys.stderr.write(message)
+    sys.exit(code)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -198,10 +198,10 @@ class _Grid:
     def point(self, j: int) -> Fraction:
         return Fraction(self.origin + j * self.stride, self.scale)
 
-    def index(self, x: Fraction) -> int:
-        """The largest j with point(j) <= x, for a positive step."""
-        return ((x.numerator * self.scale - self.origin * x.denominator)
-                // (self.stride * x.denominator))
+    def index(self, num: int, den: int) -> int:
+        """The largest j with point(j) <= num/den, for a positive step and
+        den > 0; num/den need not be in lowest terms."""
+        return (num * self.scale - self.origin * den) // (self.stride * den)
 
     def value(self, j: int) -> int:
         """M^d p at grid point j."""

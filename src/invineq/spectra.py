@@ -279,7 +279,10 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     found, here, positions = None, (), ()
     if (last_n, last_tol) == (n - 1, tol):
         previous, positions, before = sweep
-        found = _interlaced(grid, n // 2, (grid.index(e.mid) for e in previous),
+        # Each cell's midpoint, unreduced: its floor on the grid is the same.
+        mids = ((e.lo.numerator * e.hi.denominator + e.hi.numerator * e.lo.denominator,
+                 2 * e.lo.denominator * e.hi.denominator) for e in previous)
+        found = _interlaced(grid, n // 2, (grid.index(*mid) for mid in mids),
                             before[:n // 4] + before[n // 4 - 1:])
         here = [(jb - a, b - a) for a, b, _, jb in found or ()]
     if found is None:

@@ -162,10 +162,12 @@ def test_precision_flags_exist_only_where_they_are_read(argv):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("span", ["-3..-1", "-1..2"])
 def test_verify_all_rejects_an_n_in_no_domain(fmt, span, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "all", f"--range={span}", "--format", fmt])
-    assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().out == ""
+    # A value that starts with "-" is read as a value in either form.
+    for given in ([f"--range={span}"], ["--range", span]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "all", *given, "--format", fmt])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: verify all needs n >= 0\n")
 
 
 def test_serial_import_leaves_the_process_pool_unloaded():
@@ -188,12 +190,17 @@ def test_import_loads_no_dataclass_machinery():
 
 
 # Runs main on the arguments in a fresh interpreter, with the rows sent to
-# os.devnull, and prints the invineq modules that are then loaded.
+# os.devnull, and prints the invineq modules that are then loaded, and those
+# of argparse and its imports (ARGPARSE) that were not loaded before
+# `invineq.cli` was imported.
+ARGPARSE = {"argparse", "gettext", "locale"}
 LOADED_AFTER_MAIN = (
     "import os, sys\n"
+    f"before = set(sys.modules) & {ARGPARSE!r}\n"
     "from invineq.cli import main\n"
     "code = main([*sys.argv[1:], '--out', os.devnull])\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('invineq.'))))\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('invineq.')\n"
+    f"                      or m in {ARGPARSE!r} - before)))\n"
     "sys.exit(code)\n"
 )
 
@@ -209,14 +216,14 @@ def _modules_loaded_by(*argv: str) -> set[str]:
 def test_boundary_loads_no_root_or_spectra_code():
     loaded = _modules_loaded_by("boundary", "--range", "1..4")
     assert "invineq.determinants" in loaded
-    assert not {"invineq.charpoly", "invineq.roots", "invineq.spectra"} & loaded
+    assert not {"invineq.charpoly", "invineq.roots", "invineq.spectra", *ARGPARSE} & loaded
 
 
 @pytest.mark.parametrize("identity", [*sorted(VERIFY_IDENTITIES), "all"])
 def test_verify_loads_no_root_or_spectra_code(identity):
     loaded = _modules_loaded_by("verify", identity, "--range", "1..2")
     assert "invineq.determinants" in loaded
-    assert not {"invineq.roots", "invineq.spectra"} & loaded
+    assert not {"invineq.roots", "invineq.spectra", *ARGPARSE} & loaded
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,7 +234,7 @@ def test_verify_loads_no_root_or_spectra_code(identity):
 def test_root_commands_load_no_matrix_or_determinant_code(argv):
     loaded = _modules_loaded_by(*argv)
     assert {"invineq.spectra", "invineq.hooks"} <= loaded
-    assert not {"invineq.matrices", "invineq.determinants"} & loaded
+    assert not {"invineq.matrices", "invineq.determinants", *ARGPARSE} & loaded
 
 
 def test_import_loads_no_matrix_or_determinant_code():

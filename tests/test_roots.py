@@ -559,11 +559,20 @@ class TestGridIndex:
                st.fractions(min_value=F(-60), max_value=F(60), max_denominator=10**6)))
     def test_index_brackets_x(self, base, step, level, j, offset):
         grid = roots._Grid([1], base, step, level)
-        assert grid.index(grid.point(j)) == j
+        assert grid.index(grid.point(j).numerator, grid.point(j).denominator) == j
         x = grid.point(j) + offset
-        k = grid.index(x)
+        k = grid.index(x.numerator, x.denominator)
         assert grid.point(k) <= x < grid.point(k + 1)
         assert k == (x - base) * 2**level // step
+
+    @settings(max_examples=100, deadline=None)
+    @given(interval_end, interval_end.filter(lambda f: f > 0), st.integers(0, 12),
+           st.fractions(min_value=F(-60), max_value=F(60), max_denominator=10**6),
+           st.integers(1, 10**6))
+    def test_index_reads_an_unreduced_ratio(self, base, step, level, x, k):
+        grid = roots._Grid([1], base, step, level)
+        assert (grid.index(k * x.numerator, k * x.denominator)
+                == grid.index(x.numerator, x.denominator))
 
 
 # -- the Sturm-free route against the Sturm route ------------------------------
@@ -574,7 +583,8 @@ def isolate_interlaced(coeffs, lo, hi, tol, separators):
     `Fraction` separator moved to the grid point at or below it: the
     enclosures, or None when the separators do not certify the roots."""
     grid = roots._Grid(coeffs, lo, hi - lo, roots._level(hi - lo, tol))
-    found = roots._interlaced(grid, len(coeffs) - 1, map(grid.index, separators))
+    found = roots._interlaced(grid, len(coeffs) - 1,
+                              (grid.index(s.numerator, s.denominator) for s in separators))
     return None if found is None else [Enclosure(grid.point(ja), grid.point(jb))
                                        for *_, ja, jb in found]
 

@@ -29,7 +29,7 @@ from importlib import import_module
 from math import gcd, inf
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .exact import bits_to_digits, format_decimal
+from .exact import bits_to_digits, format_decimal, format_ratio
 from .polynomial import RatPoly
 
 if TYPE_CHECKING:
@@ -283,11 +283,11 @@ def cmd_bounds(args: SimpleNamespace) -> int:
 
 
 def _figure_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
-    from .spectra import all_roots
+    from .spectra import _root_cells
 
-    # The decimal root is the canonical value: JSON holds it too.
-    return [{"n": n, "root": format_decimal(enc.mid, digits), "parity": n % 2}
-            for enc in all_roots(n, tol)]
+    # The decimal midpoint is the canonical root: JSON holds it too.
+    return [{"n": n, "root": format_ratio(lo + hi, 2 * den, digits), "parity": n % 2}
+            for lo, hi, den in _root_cells(n, tol)]
 
 
 def _numbered(worker: Callable[[int], list[dict]], n: int) -> list[tuple[int, dict]]:
@@ -391,8 +391,8 @@ def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
                 jobs: int, runs_per_job: int = 8) -> list[dict]:
     """The rows of `worker(n)` over ns, in order.  With jobs > 1, a pool of
     min(jobs, runs) processes sweeps up to runs_per_job * jobs runs of
-    consecutive n (_cost_runs), a task each, balancing as runs finish.  An
-    all_roots worker passes 1: a run's first n lacks the table of n - 1."""
+    consecutive n (_cost_runs), a task each, balancing as runs finish.  A
+    root-table worker passes 1: a run's first n lacks the table of n - 1."""
     runs = _cost_runs(ns, runs_per_job * jobs) if jobs > 1 else [ns]
     if len(runs) == 1:
         return _swept(worker, ns)
@@ -429,8 +429,7 @@ def _exact(value: object) -> str | list[str]:
     """JSON form of an exact value, the only code that renders a row's: a
     Fraction as "p/q", a RatPoly as its ascending coefficients as str(Fraction)
     prints them, built on the integers (content times primitive part, one gcd
-    each) rather than through a Fraction per coefficient.  No other foreign
-    type may reach JSON."""
+    each).  No other foreign type may reach JSON."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, RatPoly):

@@ -129,27 +129,26 @@ def bits_to_digits(bits: int) -> int:
 
 
 def format_decimal(x: Rational, digits: int, rounding: str = "nearest") -> str:
-    """Round x to `digits` decimal places and render as a plain decimal string.
+    """x, rendered by `format_ratio`."""
+    return format_ratio(x.numerator, x.denominator, digits, rounding)
 
-    `rounding` is "nearest" (ties away from zero), "down" (towards -inf) or
-    "up" (towards +inf).  Rendering a lower endpoint down and an upper
-    endpoint up keeps the printed interval an enclosure.  A value that
-    rounds to zero prints without a sign.
-    """
+
+def format_ratio(num: int, den: int, digits: int, rounding: str = "nearest") -> str:
+    """num/den, den > 0 in any terms, to `digits` decimal places: `rounding`
+    "nearest" (ties away from zero), "down" (to -inf) or "up" (to +inf).  A
+    value that rounds to zero prints without a sign."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    num, den = x.numerator * 10**digits, x.denominator
+    num *= 10**digits
     if rounding == "nearest":
-        q, r = divmod(abs(num), den)
-        if 2 * r >= den:
-            q += 1
+        q = (2 * abs(num) + den) // (2 * den)
     elif rounding == "down":
         q = abs(num // den)
     elif rounding == "up":
         q = abs(-(-num // den))
     else:
         raise ValueError(f"unknown rounding {rounding!r}")
-    sign = "-" if x < 0 and q else ""
+    sign = "-" if num < 0 and q else ""
     if digits == 0:
         return f"{sign}{q}"
     whole, frac = divmod(q, 10**digits)

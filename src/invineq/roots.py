@@ -13,15 +13,16 @@ under Sturm counts into isolating intervals, rightmost first, for
 `isolate_all` and `largest_root`.  `_interlaced` needs no Sturm count:
 given separators on a grid, it certifies all roots of a degree-d polynomial
 when d of the brackets they cut show a sign change, else reports failure;
-`spectra.all_roots` then tries separators chosen by continuant counts
+`spectra._root_cells` then tries separators chosen by continuant counts
 (`spectra._count_separators`), and only then `isolate_all`, the tests' oracle.
 `_grid_refine` is the only refinement loop, behind `refine`,
 `bisect_sign_change` and `_interlaced`.  It finds the cell of an index
 bracket on a global dyadic grid that bisection to the tolerance would end
 in, by safeguarded Newton steps on the grid's integers with no `Fraction`
 arithmetic, from an optional first point: a hint that the exact signs
-overrule.  The grid, `_Grid`, is the only code that converts between grid
-indices and rationals.
+overrule, and a derivative only where a Newton step may start.  `_Grid` is
+the only code that converts between grid indices and rationals, and gives a
+cell as a root table holds it: (lo, hi, den) for [lo/den, hi/den].
 """
 
 from __future__ import annotations
@@ -57,10 +58,16 @@ class Enclosure(Record):
         return self.hi - self.lo
 
     @property
-    def mid(self) -> Fraction:
+    def cell(self) -> tuple[int, int, int]:
+        """[lo, hi] as (lo_num, hi_num, den), over one positive denominator."""
         lo, hi = self.lo, self.hi
-        return Fraction(lo.numerator * hi.denominator + hi.numerator * lo.denominator,
-                        2 * lo.denominator * hi.denominator)
+        return (lo.numerator * hi.denominator, hi.numerator * lo.denominator,
+                lo.denominator * hi.denominator)
+
+    @property
+    def mid(self) -> Fraction:
+        lo, hi, den = self.cell
+        return Fraction(lo + hi, 2 * den)
 
     @property
     def is_exact(self) -> bool:
@@ -198,6 +205,10 @@ class _Grid:
     def point(self, j: int) -> Fraction:
         return Fraction(self.origin + j * self.stride, self.scale)
 
+    def cell(self, ja: int, jb: int) -> tuple[int, int, int]:
+        """[point(ja), point(jb)] as `Enclosure.cell` gives it."""
+        return self.origin + ja * self.stride, self.origin + jb * self.stride, self.scale
+
     def index(self, num: int, den: int) -> int:
         """The largest j with point(j) <= num/den, for a positive step and
         den > 0; num/den need not be in lowest terms."""
@@ -235,7 +246,8 @@ def _grid_refine(grid: _Grid, jlo: int, jhi: int, s_hi: int,
     it; otherwise the midpoint is evaluated.  After h points, h the halvings
     that take the bracket to one cell, only midpoints are evaluated, so at
     most 2h points are evaluated in all, with a start or without, at
-    multiple roots too.
+    multiple roots too.  A point next to the last one (jhi, for the first)
+    gets its value only: its sign closes the cell, or the midpoint is next.
 
     The returned cell has values of opposite sign at its ends, so it holds a
     root.  When the bracket holds one root, which path reaches it does not
@@ -255,7 +267,7 @@ def _grid_refine(grid: _Grid, jlo: int, jhi: int, s_hi: int,
                 t = jc + (-v) // slope if jc == jhi else jc - v // slope
                 if jlo < t < jhi and 2 * abs(t - jc) <= reach:
                     j = t
-        v, dv = grid.at(j)
+        v, dv = grid.at(j) if abs(j - jc) > 1 else (grid.value(j), 0)  # 0: no Newton step
         if not v:
             return j, j
         if (v > 0) == (s_hi > 0):

@@ -222,9 +222,9 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
     return _narrow(char_poly(n).poly.primitive, enc, extra_steps)
 
 
-# The last root table all_roots computed, as (n, tol, sweep) with sweep what
-# n + 1 and n + 2 at the same tol reuse (see all_roots).  One slot, so a
-# sweep's memory does not grow with its range.
+# The last root table, as (n, tol, sweep) with sweep what n + 1 and n + 2 at
+# the same tol reuse (_root_cells).  One slot, so a sweep's memory does not
+# grow with its range.
 _last = (0, None, ())
 
 
@@ -246,27 +246,23 @@ def _count_separators(n: int, grid: _Grid) -> list[int]:
     return [found[i] for i in range(1, n // 2)]
 
 
-def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ...]:
-    """Certified enclosures of all floor(n/2) real roots of the
-    characteristic polynomial of index n, sorted ascending: each the cell
-    that holds it of the dyadic grid of (0, f1] with cells of width <= tol,
-    or the root itself when it lies on that grid (Sturm halving goes finer
-    only for two roots in one cell).  `_Grid` converts between the grid's
-    indices and rationals.
+def _root_cells(n: int, tol: Rational) -> tuple[tuple[int, int, int], ...]:
+    """The cells of `all_roots(n, tol)` as `Enclosure.cell` gives them:
+    (lo, hi, den) for [lo/den, hi/den], unreduced.
 
-    The one-slot cache `_last` keeps the last n's table and, for n and
-    n - 1, each root's position (b - a', b' - a') of its index cell (a, b]
-    in the sweep bracket (a', b'] that certified it.  When it holds n - 1 at
-    the same tol, the grid indices of n at or below the midpoints of that
-    table separate the roots of n for `_interlaced` (they interlace, though
-    the certificate does not assume it), and root k's refinement starts
-    where root k of n - 2 sat in its bracket (the lower half counted from
-    the bottom, the upper from the top): a hint that the exact signs
-    overrule.  Otherwise, or when that certificate fails,
-    `_count_separators` chooses them; the counts add no trust.  If that
-    fails too, Sturm counting isolates the roots.  Every route returns the
-    same cells (a Sturm count other than floor(n/2) raises
-    RootIsolationError).
+    The one-slot cache `_last` keeps the last n's cells and, for n and n - 1,
+    each root's position (b - a', b' - a') of its index cell (a, b] in the
+    sweep bracket (a', b'] that certified it.  When it holds n - 1 at the
+    same tol, the grid indices of n at or below the midpoints (lo + hi) /
+    (2 den) of those cells separate the roots of n for `_interlaced` (they
+    interlace, though the certificate does not assume it), and root k's
+    refinement starts where root k of n - 2 sat in its bracket (the lower
+    half counted from the bottom, the upper from the top): a hint that the
+    exact signs overrule.  Otherwise, or when that certificate fails,
+    `_count_separators` chooses them; the counts add no trust.  If that fails
+    too, Sturm counting isolates the roots, finer than the grid only for two
+    roots in one cell.  Every route returns the same cells (a Sturm count
+    other than floor(n/2) raises RootIsolationError).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -279,20 +275,26 @@ def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ..
     found, here, positions = None, (), ()
     if (last_n, last_tol) == (n - 1, tol):
         previous, positions, before = sweep
-        # Each cell's midpoint, unreduced: its floor on the grid is the same.
-        mids = ((e.lo.numerator * e.hi.denominator + e.hi.numerator * e.lo.denominator,
-                 2 * e.lo.denominator * e.hi.denominator) for e in previous)
-        found = _interlaced(grid, n // 2, (grid.index(*mid) for mid in mids),
-                            before[:n // 4] + before[n // 4 - 1:])
+        separators = (grid.index(lo + hi, 2 * den) for lo, hi, den in previous)
+        found = _interlaced(grid, n // 2, separators, before[:n // 4] + before[n // 4 - 1:])
         here = [(jb - a, b - a) for a, b, _, jb in found or ()]
     if found is None:
         found = _interlaced(grid, n // 2, _count_separators(n, grid))
     if found is None:
-        table = tuple(isolate_all(poly, Fraction(0), f1, tol, expected=n // 2))
+        cells = tuple(e.cell for e in isolate_all(poly, Fraction(0), f1, tol, expected=n // 2))
     else:
-        table = tuple(Enclosure(grid.point(ja), grid.point(jb)) for *_, ja, jb in found)
-    _last = (n, tol, (table, here, positions))
-    return table
+        cells = tuple(grid.cell(ja, jb) for *_, ja, jb in found)
+    _last = (n, tol, (cells, here, positions))
+    return cells
+
+
+def all_roots(n: int, tol: Rational = Fraction(1, 10**9)) -> tuple[Enclosure, ...]:
+    """Certified enclosures of the floor(n/2) real roots of the
+    characteristic polynomial of index n, ascending: each the cell of the
+    dyadic grid of (0, f1], cells <= tol wide, that holds it, or the root on
+    that grid (`_root_cells`)."""
+    return tuple(Enclosure(Fraction(lo, den), Fraction(hi, den))
+                 for lo, hi, den in _root_cells(n, tol))
 
 
 SMALLEST_ROOT_TOL = Fraction(1, 10**9)
@@ -303,7 +305,7 @@ def smallest_root_of_index(n: int) -> Enclosure:
     """Certified enclosure of the smallest root of the characteristic
     polynomial of index n: the lowest cell of its `all_roots` table.  Cached,
     since `asymptotic_table` asks for 2k again at n = 2k + 1, when the
-    one-slot table of `all_roots` no longer holds 2k - 1."""
+    sweep slot no longer holds 2k - 1."""
     return all_roots(n, SMALLEST_ROOT_TOL)[0]
 
 

@@ -117,6 +117,14 @@ GATE_RANGES = {
         "a0196abc145b43cae623bc4e602eaf558ef71508f53a756ac3a7281a0523efc5",
     "verify thm31 --range 31..36":
         "6c1b4363210f4b403f8fbadb27969d19b21cfd98c9078c5c8778d178decda54d",
+    # Recorded with each root table a tuple of reduced-Fraction enclosures,
+    # printed through Enclosure.mid.  190..200 pins the largest tables of the
+    # root-refinement kernel; at tol 100 the tables from n = 6 on come from
+    # the Sturm fallback, and each becomes the next n's separators.
+    "figure --tol 1e-12 --range 190..200":
+        "b57a26fcc2981612517018bfdc31fcc59a9489c6f5da55fcb66bc5cb7f0b7448",
+    "figure --tol 100 --range 2..40":
+        "2c277bc49098457d31e87d48c267b14e697bd78f3f6a1e8e4b7ef560e640b18e",
 }
 
 

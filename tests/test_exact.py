@@ -7,6 +7,7 @@ from invineq.exact import (
     bits_to_digits,
     cbrt_bounds,
     format_decimal,
+    format_ratio,
     icbrt,
     pi_bounds,
     pochhammer,
@@ -143,6 +144,17 @@ class TestFormatting:
         assert lo <= x <= hi
         assert hi - lo <= F(1, 10**digits)
         assert near in (lo, hi)
+
+    @given(rationals, st.integers(0, 12), st.integers(1, 10**6),
+           st.sampled_from(["nearest", "down", "up"]))
+    def test_ratio_in_any_terms(self, x, digits, k, rounding):
+        # Nearest rounds half away from zero; the integer core reads an
+        # unreduced ratio as its value.
+        text = format_ratio(k * x.numerator, k * x.denominator, digits, rounding)
+        assert text == format_decimal(x, digits, rounding)
+        if rounding == "nearest":
+            q = (abs(x) * 10**digits + F(1, 2)).__floor__()
+            assert F(text) == (q if x >= 0 else -q) / F(10**digits)
 
     def test_bits_to_digits(self):
         assert bits_to_digits(128) == 38

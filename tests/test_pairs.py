@@ -1,5 +1,6 @@
 """The interleaved before/after timer, tools/pairs.py."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ def pairs(*argv):
 def test_one_tree_on_both_sides_prints_identical_stdout():
     done = pairs(ROOT, ROOT, "--pairs", 2, "--", "boundary", "--range", "1..3")
     assert done.returncode == 0, done.stderr
-    header, columns, parent, change, wall, rss, verdict = done.stdout.splitlines()
+    header, columns, parent, change, wall, rss, *claims, verdict = done.stdout.splitlines()
     assert header == "invineq boundary --range 1..3: 2 pairs, exit 0"
     assert columns.split()[:2] == ["side", "wall_ms"]
     assert parent.split()[0] == "parent" and change.split()[0] == "change"
@@ -25,6 +26,28 @@ def test_one_tree_on_both_sides_prints_identical_stdout():
     assert wall.startswith("  change lower wall: ") and wall.endswith(" of 2 pairs")
     assert rss.startswith("  change lower rss: ")
     assert verdict == "  stdout identical"
+    # Two pairs of one tree may read as a gain by chance.
+    assert [line.rsplit(": ", 1)[0] for line in claims] == ["  verdict wall", "  verdict rss"]
+    assert all(line.rsplit(": ", 1)[1] in ("gain", "unresolved") for line in claims)
+
+
+def load_pairs():
+    spec = importlib.util.spec_from_file_location("pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verdict_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_quartiles():
+    verdict = load_pairs().verdict
+    parent = [100.0, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # q3 - q1 = 4.5
+    assert verdict(parent, [p - 10 for p in parent]) == "gain"
+    # Lower in 9 of 10 pairs, the tenth a tie: ties count for neither side.
+    assert verdict(parent, [p - 10 for p in parent[:9]] + [109]) == "gain"
+    assert verdict(parent, [p - 10 for p in parent[:8]] + [108, 109]) == "unresolved"
+    # Lower in every pair, but the medians differ by less than the spread.
+    assert verdict(parent, [p - 4 for p in parent]) == "unresolved"
+    assert verdict(parent, parent) == "unresolved"
 
 
 def fake_tree(where: Path, text: str) -> Path:

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction as F
 from unittest import mock
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invineq import roots
-from invineq.exact import sqrt_bounds
+from invineq.exact import format_decimal, format_ratio, sqrt_bounds
 from invineq.polynomial import RatPoly
 from invineq.roots import (
     Enclosure,
@@ -485,6 +486,37 @@ def index_cases(draw):
     return coeffs, roots._Grid(coeffs, base, step, level), jlo, jhi
 
 
+@contextmanager
+def evaluated_points():
+    """Every point the refinement kernel evaluates, in order: a list that
+    collects ("at", j) for each `_Grid.at` call and ("value", j) for each
+    `_Grid.value` call made inside `_grid_refine`, not the bracket ends that
+    `_interlaced` reads."""
+    log, depth = [], [0]
+    at, value, refine = roots._Grid.at, roots._Grid.value, roots._grid_refine
+
+    def spy_at(grid, j):
+        log.append(("at", j))
+        return at(grid, j)
+
+    def spy_value(grid, j):
+        if depth[0]:
+            log.append(("value", j))
+        return value(grid, j)
+
+    def spy_refine(*args):
+        depth[0] += 1
+        try:
+            return refine(*args)
+        finally:
+            depth[0] -= 1
+
+    with mock.patch.object(roots._Grid, "at", spy_at), \
+            mock.patch.object(roots._Grid, "value", spy_value), \
+            mock.patch.object(roots, "_grid_refine", spy_refine):
+        yield log
+
+
 class TestGridIndexBrackets:
     """On an index bracket whose length need not be a power of two, as
     `_interlaced` passes it, the kernel returns the cell or grid
@@ -503,25 +535,30 @@ class TestGridIndexBrackets:
     def test_a_start_is_only_a_hint(self, case, data):
         # A start strictly inside the bracket is the first point evaluated;
         # one at an end or outside is ignored.  Either way the cell is the
-        # oracle's, and at most 2h points are evaluated.
+        # oracle's, and at most 2h points are evaluated, with or without
+        # their derivative.
         coeffs, grid, jlo, jhi = case
         start = data.draw(st.one_of(st.integers(jlo + 1, jhi - 1),
                                     st.sampled_from([jlo, jhi]),
                                     st.integers(jlo - 40, jlo), st.integers(jhi, jhi + 40)))
         s_hi = sign_at(coeffs, grid.point(jhi))
-        with mock.patch.object(roots._Grid, "at", autospec=True,
-                               side_effect=roots._Grid.at) as at:
+        with evaluated_points() as log:
             got = roots._grid_refine(grid, jlo, jhi, s_hi, start)
-            points = [j for (_, j), _ in at.call_args_list]
-            at.reset_mock()
+            started = list(log)
+            log.clear()
             plain = roots._grid_refine(grid, jlo, jhi, s_hi)
-            plain_points = [j for (_, j), _ in at.call_args_list]
+        points, plain_points = [j for _, j in started], [j for _, j in log]
         assert got == plain == index_oracle(coeffs, grid, jlo, jhi, s_hi)
         assert len(points) <= 2 * (jhi - jlo - 1).bit_length()
         if jlo < start < jhi:
             assert points[0] == start
         else:
             assert points == plain_points
+        # Only a point next to the one before it (jhi before the first) goes
+        # without its derivative.
+        for run in (started, log):
+            for (kind, j), (_, before) in zip(run, [("end", jhi), *run]):
+                assert (kind == "value") == (abs(j - before) == 1)
 
 
 class TestGridValues:
@@ -573,6 +610,38 @@ class TestGridIndex:
         grid = roots._Grid([1], base, step, level)
         assert (grid.index(k * x.numerator, k * x.denominator)
                 == grid.index(x.numerator, x.denominator))
+
+
+@st.composite
+def table_cells(draw):
+    """((lo, hi, den), enclosure): a root table's cell and the `Enclosure` it
+    stands for, either a cell or point of a grid, as `_Grid.cell` gives it,
+    or the cell of a dyadic enclosure, as the Sturm route's."""
+    if draw(st.booleans()):
+        grid = roots._Grid([1], draw(interval_end), draw(interval_end.filter(lambda f: f > 0)),
+                           draw(st.integers(0, 40)))
+        ja = draw(st.integers(-40, grid.top))
+        jb = ja + draw(st.integers(0, 1))
+        return grid.cell(ja, jb), Enclosure(grid.point(ja), grid.point(jb))
+    dyadic = st.builds(lambda k, e: F(k, 2**e), st.integers(-10**6, 10**6), st.integers(0, 60))
+    enc = Enclosure(*sorted(draw(st.lists(dyadic, min_size=2, max_size=2))))
+    return enc.cell, enc
+
+
+class TestTableCells:
+    """A root table's cell (lo, hi, den) prints the midpoint that its
+    `Enclosure` prints, and gives the next n's grid the separator that the
+    enclosure's midpoint gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table_cells(), st.integers(1, 40), interval_end,
+           interval_end.filter(lambda f: f > 0), st.integers(0, 40))
+    def test_midpoint_and_separator(self, case, digits, base, step, level):
+        (lo, hi, den), enc = case
+        assert den > 0 and (F(lo, den), F(hi, den)) == (enc.lo, enc.hi)
+        assert format_ratio(lo + hi, 2 * den, digits) == format_decimal(enc.mid, digits)
+        grid, mid = roots._Grid([1], base, step, level), enc.mid
+        assert grid.index(lo + hi, 2 * den) == grid.index(mid.numerator, mid.denominator)
 
 
 # -- the Sturm-free route against the Sturm route ------------------------------

@@ -41,7 +41,7 @@ from invineq.spectra import (
     surd_sign_of_poly,
     _radical_p2,
 )
-from test_roots import isolate_interlaced
+from test_roots import evaluated_points, isolate_interlaced
 
 TOL = F(1, 10**12)
 NON_SQUARES = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
@@ -388,11 +388,13 @@ class TestInterlacedRoots:
         # Separators on the integers and starts predicted from n - 2 cut the
         # full-scale grid evaluations of a sweep (4,620 with neither).
         spectra._last = (0, None, ())
-        with mock.patch.object(roots._Grid, "at", autospec=True,
-                               side_effect=roots._Grid.at) as at:
+        with evaluated_points() as log:
             for n in range(2, 51):
                 all_roots(n, TOL)
-        assert at.call_count <= 3300
+        assert len(log) <= 3300
+        # A point next to the one before it needs no derivative: 623 of the
+        # 2,922 points go without one.
+        assert sum(kind == "at" for kind, _ in log) <= 2299
         # The integer separators are the grid indices of n at or below the
         # midpoints of the cells of n - 1, index for index.
         interlaced = spectra._interlaced

@@ -11,8 +11,12 @@ untimed run per side comes first.
 
 Prints each side's median and quartiles of the wall time (spawn to exit,
 in ms) and of the peak resident set (``VmHWM``, read by the child, in MB),
-and in how many pairs the change had the lower value.  Exits 1 if any run's
-stdout or exit code differs from the parent's first run, else 0.
+in how many pairs the change had the lower value, and for each metric the
+verdict of the claim rule: "gain" when the change is lower in at least nine
+tenths of the pairs (ties count for neither side) and its median is below
+the parent's by more than the parent's quartile distance (q3 - q1), else
+"unresolved".  Exits 1 if any run's stdout or exit code differs from the
+parent's first run, else 0.
 """
 
 from __future__ import annotations
@@ -67,6 +71,15 @@ def summary(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def verdict(parent: list[float], change: list[float]) -> str:
+    """The claim rule's verdict, "gain" or "unresolved", on a lower-is-better
+    metric, from its values in each pair."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    median, q1, q3 = summary(parent)
+    lower = 10 * wins >= 9 * len(parent) and median - summary(change)[0] > q3 - q1
+    return "gain" if lower else "unresolved"
+
+
 def main(argv: list[str]) -> int:
     args, cli_args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -93,6 +106,9 @@ def main(argv: list[str]) -> int:
     for metric in ("wall", "rss"):
         wins = sum(c < p for p, c in zip(samples["parent"][metric], samples["change"][metric]))
         print(f"  change lower {metric}: {wins} of {args.pairs} pairs")
+    for metric in ("wall", "rss"):
+        parent, change = samples["parent"][metric], samples["change"][metric]
+        print(f"  verdict {metric}: {verdict(parent, change)}")
     if differ:
         print(f"  stdout differs: {differ} runs differ from the parent's first run")
         return 1

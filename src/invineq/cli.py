@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: verify, bounds, figure, asymptotics, boundary.  Every command maps
-a per-n worker over the range; a worker returns rows of exact values.  With
+a per-n worker over the range; a worker returns rows of exact values
+(`figure`'s, each root's integer cell, whose midpoint the parent renders).  With
 --jobs J > 1, one pool of at most J processes, and no more than runs, sweeps
 runs of consecutive n, one per task.  JSON is the canonical output: `_exact`
 renders each Fraction of a row as "p/q", each RatPoly as its coefficients.
@@ -282,26 +283,26 @@ def cmd_bounds(args: SimpleNamespace) -> int:
 # -- figure --------------------------------------------------------------------
 
 
-def _figure_worker(tol: Fraction, digits: int, n: int) -> list[dict]:
+def _figure_worker(tol: Fraction, n: int) -> list[tuple[int, int, tuple[int, int, int]]]:
+    """Root k of P_n as (n, k, (lo, hi, den)), its cell of the table
+    `spectra._root_cells`: integers only, which the parent renders."""
     from .spectra import _root_cells
 
-    # The decimal midpoint is the canonical root: JSON holds it too.
-    return [{"n": n, "root": format_ratio(lo + hi, 2 * den, digits), "parity": n % 2}
-            for lo, hi, den in _root_cells(n, tol)]
-
-
-def _numbered(worker: Callable[[int], list[dict]], n: int) -> list[tuple[int, dict]]:
-    return list(enumerate(worker(n)))
+    return [(n, k, cell) for k, cell in enumerate(_root_cells(n, tol))]
 
 
 def cmd_figure(args: SimpleNamespace) -> int:
     ns = _in_domain("figure", parse_range(args.range), 2)
-    worker = partial(_figure_worker, parse_tolerance(args.tol), bits_to_digits(args.bits))
     # The runs do not change the rows: a run's first n counts its separators.
-    numbered = _run_mapped(partial(_numbered, worker), ns, args.jobs, runs_per_job=1)
-    # Each table ascends, so sorting by (n, position) sorts by (n, root).
-    numbered.sort(key=lambda pair: (pair[1]["n"], pair[0]))
-    rows = [row for _, row in numbered]
+    roots = _run_mapped(partial(_figure_worker, parse_tolerance(args.tol)), ns, args.jobs,
+                        runs_per_job=1)
+    # Each table ascends, so sorting by (n, k) sorts by (n, root).
+    roots.sort(key=lambda root: root[:2])
+    digits = bits_to_digits(args.bits)
+    # The decimal midpoint is the canonical root, JSON's too, rendered as
+    # _emit reads the rows: inside its digit-limit guard.
+    rows = ({"n": n, "root": format_ratio(lo + hi, 2 * den, digits), "parity": n % 2}
+            for n, _, (lo, hi, den) in roots)
     _emit(rows, args, ("n", "root", "parity"), default_format="csv")
     return EXIT_OK
 
@@ -387,8 +388,8 @@ def _in_domain(what: str, ns: list[int], lo: int, hi: float = inf) -> list[int]:
     return ns
 
 
-def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
-                jobs: int, runs_per_job: int = 8) -> list[dict]:
+def _run_mapped(worker: Callable[[int], list], ns: Sequence[int],
+                jobs: int, runs_per_job: int = 8) -> list:
     """The rows of `worker(n)` over ns, in order.  With jobs > 1, a pool of
     min(jobs, runs) processes sweeps up to runs_per_job * jobs runs of
     consecutive n (_cost_runs), a task each, balancing as runs finish.  A
@@ -403,7 +404,7 @@ def _run_mapped(worker: Callable[[int], list[dict]], ns: Sequence[int],
         return [row for chunk in pool.map(partial(_swept, worker), runs) for row in chunk]
 
 
-def _swept(worker: Callable[[int], list[dict]], run: Sequence[int]) -> list[dict]:
+def _swept(worker: Callable[[int], list], run: Sequence[int]) -> list:
     """The rows of `worker(n)` over one run of n, in order, in one process."""
     return [row for n in run for row in worker(n)]
 
@@ -447,11 +448,13 @@ def _json_encoder() -> json.JSONEncoder:
     return json.JSONEncoder(default=_exact)
 
 
-def _emit(rows: list[dict], args: SimpleNamespace, fields: tuple[str, ...],
+def _emit(rows: Iterable[dict], args: SimpleNamespace, fields: tuple[str, ...],
           project: Callable[[int, dict], dict] | None = None,
           default_format: str = "json") -> None:
     """JSON renders each exact row; CSV and text show `fields` of the row,
-    or of its projection at the --bits precision."""
+    or of its projection at the --bits precision.  `rows` may be any
+    iterable, read once while the digit limit is lifted, so a generator
+    can render values of its own there (`figure`'s decimal roots)."""
     fmt = args.format or default_format
     # Rows past n = 60 hold integers of more than the 4300 digits that str()
     # prints by default (CPython 3.10.7 on); the limit is lifted only here.

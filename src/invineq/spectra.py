@@ -50,16 +50,7 @@ class QuadraticSurd(Record):
 
     def compare(self, x: Rational) -> int:
         """Sign of (u + sqrt(v)) - x, decided exactly."""
-        d = Fraction(x) - self.u
-        if d < 0:
-            return 1
-        if d == 0:
-            return 1 if self.v > 0 else 0
-        if self.v > d * d:
-            return 1
-        if self.v == d * d:
-            return 0
-        return -1
+        return surd_sign_of_poly(RatPoly((-x, 1)), self)
 
     def bounds(self, tol: Rational) -> Enclosure:
         lo, hi = sqrt_bounds(self.v, tol)
@@ -197,9 +188,7 @@ def max_root(n: int, tol: Rational = Fraction(1, 10**12)) -> Enclosure:
     # The maximal root lies in (f1/2, f1]; there is at most one root above
     # f1/2 (the roots are real and positive and sum to f1), so a sign-change
     # bracket [a0, f1], with f1/2 <= a0 <= m(n), pins it down.
-    surd = bound_lower(n)
-    lo_sqrt, _ = sqrt_bounds(surd.v, Fraction(1, 4))
-    a0 = surd.u + lo_sqrt
+    a0 = bound_lower(n).bounds(Fraction(1, 4)).lo
     s_a0 = sign_at(coeffs, a0)
     if s_a0 > 0:
         raise RootIsolationError(
@@ -303,10 +292,11 @@ SMALLEST_ROOT_TOL = Fraction(1, 10**9)
 @lru_cache(maxsize=None)
 def smallest_root_of_index(n: int) -> Enclosure:
     """Certified enclosure of the smallest root of the characteristic
-    polynomial of index n: the lowest cell of its `all_roots` table.  Cached,
-    since `asymptotic_table` asks for 2k again at n = 2k + 1, when the
-    sweep slot no longer holds 2k - 1."""
-    return all_roots(n, SMALLEST_ROOT_TOL)[0]
+    polynomial of index n: the lowest cell of its `all_roots` table, the
+    only one converted.  Cached, since `asymptotic_table` asks for 2k again
+    at n = 2k + 1, when the sweep slot no longer holds 2k - 1."""
+    lo, hi, den = _root_cells(n, SMALLEST_ROOT_TOL)[0]
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 class OrderingFlags(Record):

@@ -125,6 +125,11 @@ GATE_RANGES = {
         "b57a26fcc2981612517018bfdc31fcc59a9489c6f5da55fcb66bc5cb7f0b7448",
     "figure --tol 100 --range 2..40":
         "2c277bc49098457d31e87d48c267b14e697bd78f3f6a1e8e4b7ef560e640b18e",
+    # Recorded with each worker row numbered by its position in its table.
+    # A repeated n prints its roots in order, each twice (r0, r0, r1, r1),
+    # at a --bits other than the default.
+    "figure --tol 1e-9 --bits 256 --range 7,3,7,4,5":
+        "be94f115cd70c65b3db7c36693d36650faf1019fbaa9b9a60b854aa4698cef20",
 }
 
 

@@ -30,7 +30,7 @@ from invineq.cli import (
     main,
 )
 from invineq.polynomial import RatPoly
-from invineq.spectra import asymptotic_table
+from invineq.spectra import _root_cells, asymptotic_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -145,6 +145,35 @@ def test_rows_past_the_digit_limit_print_alike_with_jobs(capsys):
         assert main(["verify", "thm31", "--range", "61,62", "--jobs", jobs]) == EXIT_OK
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and len(outs[0].splitlines()) == 4
+
+
+def test_figure_prints_roots_past_the_str_digit_limit(capsys):
+    # 14288 bits carry 4301 decimals, one more than str() prints under
+    # CPython's default limit, which _emit lifts only while it renders.
+    argv = ["figure", "--range", "4,5", "--bits", "14288"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        outs = {}
+        for fmt in ("json", "csv", "text"):
+            for jobs in ("1", "2"):
+                assert main([*argv, "--format", fmt, "--jobs", jobs]) == EXIT_OK
+                outs[fmt, jobs] = capsys.readouterr().out
+            assert outs[fmt, "1"] == outs[fmt, "2"]
+        if limit is not None:
+            sys.set_int_max_str_digits(0)  # to parse the roots back
+        rows = [json.loads(line) for line in outs["json", "1"].splitlines()]
+        cells = [(n, cell) for n in (4, 5) for cell in _root_cells(n, TOL)]
+        assert [(r["n"], r["parity"]) for r in rows] == [(n, n % 2) for n, _ in cells]
+        assert [line.split(",")[1] for line in outs["csv", "1"].splitlines()[1:]] == [
+            r["root"] for r in rows]
+        for row, (_, (lo, hi, den)) in zip(rows, cells):
+            assert len(row["root"].split(".")[1]) == 4301
+            assert abs(F(row["root"]) - F(lo + hi, 2 * den)) <= F(1, 2 * 10**4301)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("argv", [
@@ -267,13 +296,20 @@ TOL = F(1, 10**12)
 
 @pytest.mark.parametrize("run", [
     lambda n: _bounds_worker(TOL, n),
-    lambda n: _figure_worker(TOL, 38, n),
+    lambda n: _figure_worker(TOL, n),
     lambda n: asymptotic_table([n], TOL),
 ], ids=["bounds", "figure", "asymptotics"])
 def test_root_commands_need_n_at_least_two(run):
     with pytest.raises(ValueError):
         run(1)
     assert run(2)
+
+
+@pytest.mark.parametrize("n", [2, 7, 30])
+def test_figure_worker_rows_hold_only_integers(n):
+    rows = _figure_worker(TOL, n)
+    assert [row[:2] for row in rows] == [(n, k) for k in range(n // 2)]
+    assert all(type(x) is int for m, k, cell in rows for x in (m, k, *cell))
 
 
 def test_boundary_needs_n_at_least_one():

@@ -16,7 +16,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact import Rational, pochhammer
-from .hooks import _continuant
+from .hooks import _continuant, legendre_parts
 from .matrices import (
     IntRows,
     PolyMatrix,
@@ -133,13 +133,13 @@ def det_parity_block(ell: int, block: PolyMatrix) -> RatPoly:
 
         2^k P_k = sum_j (-1)^j C(k, j) C(2k - 2j, k) x^(k - 2j).
 
-    Since int P_k' P_l' = l(l+1) for l <= k of one parity and
-    int P_k P_l = delta_kl 2/(2k+1), C^T block C = c D H D, with
-    D = diag(2^k_m) and H = `hook_pencil(g, b)`, g_m = k_m(k_m + 1),
-    b_m = -2/(2k_m + 1).  c is read from the slope entry (0, 0).  The
-    congruence is checked exactly on the integer rows s * block, s the lcm
-    of the row denominators, first their symmetry and then the upper
-    triangles of the two products.  Hence
+    For (g, b) the `legendre_parts` of the k_m, int P_k' P_l' = g_l for
+    l <= k of one parity and int P_k P_l = -delta_kl b_k, so C^T block C =
+    c D H D with D = diag(2^k_m) and H = `hook_pencil(g, b)`.  Since P_k =
+    x^k for k <= 1, c is the slope entry (0, 0) over b_0.  The congruence
+    is checked exactly on the integer rows s * block, s the lcm of the row
+    denominators, first their symmetry and then the upper triangles of the
+    two products.  Hence
 
         det block = c^n 4^(sum k_m) det H / det(C)^2,
 
@@ -153,34 +153,32 @@ def det_parity_block(ell: int, block: PolyMatrix) -> RatPoly:
     if n == 0:
         return RatPoly.one()
     ks = [2 * m + 1 - ell for m in range(n)]
+    g, b = legendre_parts(ks)
     cols = [[(-1) ** (m - a) * comb(k, m - a) * comb(k + ks[a], k) for a in range(m + 1)]
             for m, k in enumerate(ks)]
     s = lcm(*(d for d, _ in block.const.rows))
     t = lcm(*(d for d, _ in block.slope.rows))
     const_rows = [[s // d * v for v in row] for d, row in block.const.rows]
     slope_rows = [[t // d * v for v in row] for d, row in block.slope.rows]
-    c = Fraction(-(2 * ks[0] + 1) * slope_rows[0][0], 2 * t)
+    c = Fraction(slope_rows[0][0] * b[0][1], t * b[0][0])
     p, q = c.numerator, c.denominator
-    # c = p/q.  Multiplied through by q, entry (i, j >= i) of
-    # C^T (s * const) C must be s p 2^(k_i + k_j) g_i; multiplied through by
-    # q (2k_i + 1), entry (i, i) of C^T (t * slope) C must be -2 t p 4^k_i,
-    # and the entries right of it 0.
+    # c = p/q.  With g_i = gn/gd and b_i = bn/bd, multiplied through by q gd,
+    # entry (i, j >= i) of C^T (s * const) C must be s p 2^(k_i + k_j) gn;
+    # multiplied through by q bd, entry (i, i) of C^T (t * slope) C must be
+    # t p 4^k_i bn, and the entries right of it 0.
     powers = [1 << k for k in ks]
     congruent = (
         all(rows[i][j] == rows[j][i] for rows in (const_rows, slope_rows)
             for i in range(n) for j in range(i))
-        and all(q * z == s * p * powers[i] * powers[i + d] * ks[i] * (ks[i] + 1)
-                for i, row in enumerate(_upper_congruence(const_rows, cols))
+        and all(q * gd * z == s * p * powers[i] * powers[i + d] * gn
+                for i, ((gn, gd), row) in enumerate(zip(g, _upper_congruence(const_rows, cols)))
                 for d, z in enumerate(row))
-        and all(q * (2 * ks[i] + 1) * row[0] == -2 * t * p * powers[i] ** 2
-                and not any(row[1:])
-                for i, row in enumerate(_upper_congruence(slope_rows, cols)))
+        and all(q * bd * row[0] == t * p * powers[i] ** 2 * bn and not any(row[1:])
+                for i, ((bn, bd), row) in enumerate(zip(b, _upper_congruence(slope_rows, cols))))
     )
     if not congruent:
         raise ArithmeticError(
             f"the parity-{ell} block of size {n} is not congruent to its Legendre hook pencil")
-    g = [(k * (k + 1), 1) for k in ks]
-    b = [(-2, 2 * k + 1) for k in ks]
     lead = prod(comb(2 * k, k) for k in ks)
     return _continuant(g, b) * (c**n * Fraction(4 ** sum(ks), lead * lead))
 

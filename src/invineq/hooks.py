@@ -1,13 +1,14 @@
-"""The Legendre-hook values and the continuant of a hook pencil.
+"""The Legendre integrals, the hook values, and the continuant of a hook pencil.
 
 A hook pencil is A + x*diag(b) with A[i][j] = g_min(i, j); the boundary
-parity matrices and the Legendre hooks are hook pencils.  Its leading
-minors follow a three-term (continuant) recurrence, run here on integer
-rows made from g and b given as integer (numerator, denominator) pairs
-(`Pair`), with no Fraction: over coefficient lists for the determinant
-polynomial (`_continuant`, behind `determinants.det_hook_pencil`) and over
-the integers at one rational x for a root count (`continuant_count`,
-behind the separators of `spectra.all_roots`).  This module imports only
+parity matrices and the Legendre hooks are hook pencils, their b (and the
+hooks' g) the Legendre integrals of `legendre_parts`.  Its leading minors
+follow a three-term (continuant) recurrence, run here on integer rows made
+from g and b given as integer (numerator, denominator) pairs (`Pair`), with
+no Fraction: over coefficient lists for the determinant polynomial
+(`_continuant`, behind `determinants.det_hook_pencil`) and over the
+integers at one rational x for a root count (`continuant_count`, behind
+the separators of `spectra._root_cells`).  This module imports only
 `polynomial`, so the root commands read the hooks without compiling the
 matrix and determinant layers.
 
@@ -28,15 +29,16 @@ from .polynomial import RatPoly
 Pair = tuple[int, int]
 
 
-def _hook_slope(parity: int, n: int) -> list[Pair]:
-    """The boundary-parity and hook slopes -2/(4i + 1 - 2*parity), i = 1..n."""
-    return [(-2, 4 * i + 1 - 2 * parity) for i in range(1, n + 1)]
+def legendre_parts(degrees: Sequence[int]) -> tuple[list[Pair], list[Pair]]:
+    """(g, b) for the degrees k: g_k = k(k+1) = int P_k' P_l' (l <= k of one
+    parity) and b_k = -2/(2k+1) = -int P_k^2 over (-1, 1); written only here."""
+    return [(k * (k + 1), 1) for k in degrees], [(-2, 2 * k + 1) for k in degrees]
 
 
 def legendre_hook_parts(parity: int, n: int) -> tuple[list[Pair], list[Pair]]:
-    """The g and b of `build_legendre_hook(parity, n)` = `hook_pencil(g, b)`."""
-    return ([(2 * m * (2 * m + 1 - 2 * parity), 1) for m in range(1, n + 1)],
-            _hook_slope(parity, n))
+    """The g and b of `build_legendre_hook(parity, n)` = `hook_pencil(g, b)`:
+    the `legendre_parts` of the degrees 2m - parity, m = 1..n."""
+    return legendre_parts(range(2 - parity, 2 * n + 1, 2))
 
 
 def continuant_rows(g: Sequence[Pair], b: Sequence[Pair]) -> Iterator[tuple[int, int, int, int]]:

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import Rational
-from .hooks import Pair, _hook_slope, legendre_hook_parts
+from .hooks import Pair, legendre_hook_parts, legendre_parts
 from .polynomial import RatPoly, clear_denominators
 from .records import Record
 
@@ -241,9 +241,9 @@ def build_boundary(variant: str | int, n: int) -> PolyMatrix:
         alternating = (2, 0) * n
         rows = ((1, alternating[:n]), (1, alternating[1:n + 1]))
         return PolyMatrix(RatMatrix(rows[i % 2] for i in range(n)),
-                          _diagonal([(-2, 2 * i + 1) for i in range(1, n + 1)]))
+                          _diagonal(legendre_parts(range(1, n + 1))[1]))
     if variant in (0, 1):
-        return hook_pencil(((2, 1),) * n, _hook_slope(variant, n))
+        return hook_pencil(((2, 1),) * n, legendre_hook_parts(variant, n)[1])
     raise ValueError("variant must be 'full', 0 or 1")
 
 

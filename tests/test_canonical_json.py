@@ -130,6 +130,13 @@ GATE_RANGES = {
     # at a --bits other than the default.
     "figure --tol 1e-9 --bits 256 --range 7,3,7,4,5":
         "be94f115cd70c65b3db7c36693d36650faf1019fbaa9b9a60b854aa4698cef20",
+    # Recorded with each smallest root read off all floor(n/2) cells refined
+    # to 1e-9, and with lemma32's block times inverse column as RatPoly
+    # products.  They pin the rows that a change of either route must keep.
+    "asymptotics --range 2..150":
+        "1cbfbab3945d37e5056554096e20bdede607ed5078ffb060e16e4e4af9e3d804",
+    "verify lemma32 --range 40..48":
+        "687ca89b3ecb8970786e0c8fbcdafe2adf24670ec6f8168c0244117075fc6b41",
 }
 
 

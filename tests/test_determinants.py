@@ -41,7 +41,13 @@ from invineq.matrices import (
     gram_rows,
     split_parity_blocks,
 )
-from invineq.hooks import _continuant, continuant_count, continuant_rows, legendre_hook_parts
+from invineq.hooks import (
+    _continuant,
+    continuant_count,
+    continuant_rows,
+    legendre_hook_parts,
+    legendre_parts,
+)
 from invineq.matrices import hook_pencil as build_hook_pencil
 from invineq.polynomial import RatPoly
 from invineq.roots import count_roots, int_coeffs, sign_at, sturm_chain
@@ -328,6 +334,55 @@ class TestContinuantRows:
             prev, cur = cur, RatPoly((g_k - g_prev, b_k + b_prev)) * cur - x2 * prev * b_prev**2
             g_prev, b_prev, s_prev = g_k, b_k, s
         assert _continuant(*as_pairs(values)) == cur
+
+
+def legendre_coeffs(top: int) -> list[list[F]]:
+    """Monomial coefficients of P_0 .. P_top by Bonnet's recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    polys = [[F(1)], [F(0), F(1)]]
+    for k in range(1, top):
+        shifted = [F(0)] + [(2 * k + 1) * c for c in polys[k]]
+        lower = [k * c for c in polys[k - 1]] + [F(0), F(0)]
+        polys.append([(u - v) / (k + 1) for u, v in zip(shifted, lower)])
+    return polys[:top + 1]
+
+
+def integral(p: list[F], q: list[F]) -> F:
+    """The integral of p q over (-1, 1): x^j integrates to 2/(j + 1) for
+    even j and to 0 for odd j."""
+    return sum((u * v * F(2, i + j + 1) for i, u in enumerate(p) for j, v in enumerate(q)
+                if (i + j) % 2 == 0), F(0))
+
+
+class TestLegendreParts:
+    """`legendre_parts` against Legendre polynomials built and integrated
+    here, exactly, for the degrees 0..12."""
+
+    TOP = 12
+
+    def test_the_parts_are_the_legendre_integrals(self):
+        polys = legendre_coeffs(self.TOP)
+        assert [p[-1] for p in polys[:3]] == [1, 1, F(3, 2)]
+        assert all(sum(p) == 1 for p in polys)  # P_k(1) = 1
+        derivs = [[i * c for i, c in enumerate(p)][1:] for p in polys]
+        g, b = legendre_parts(range(self.TOP + 1))
+        for k in range(self.TOP + 1):
+            assert -integral(polys[k], polys[k]) == F(*b[k])
+            for l in range(k % 2, self.TOP + 1, 2):
+                assert integral(derivs[k], derivs[l]) == F(*g[min(k, l)])
+                assert l == k or integral(polys[k], polys[l]) == 0
+
+    def test_parts_of_a_list_of_degrees(self):
+        degrees = [5, 0, 3, 3]
+        assert legendre_parts(degrees) == tuple(
+            [part[k] for k in degrees] for part in legendre_parts(range(6)))
+        assert legendre_parts([]) == ([], [])
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_hook_parts_are_the_parts_of_the_degrees_2m_minus_parity(self, parity):
+        for n in range(8):
+            degrees = [2 * m - parity for m in range(1, n + 1)]
+            assert legendre_hook_parts(parity, n) == legendre_parts(degrees)
 
 
 class TestLargeN:

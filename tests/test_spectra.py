@@ -66,14 +66,17 @@ def _lowest_terms_surd(draw) -> tuple[int, int, int, int]:
 
 def _fraction_surd_sign(poly: RatPoly, surd: QuadraticSurd) -> int:
     """Oracle: Horner in Q[sqrt(v)] on Fractions, then a comparison with
-    the conjugate point u - a/b."""
+    the point t = u - a/b on Fractions alone, no `invineq` code."""
     a, b = F(0), F(0)  # value = a + b*sqrt(v)
     for c in reversed(poly.primitive):
         a, b = a * surd.u + b * surd.v + c, a + b * surd.u
     if b == 0 or surd.v == 0:
         return (a > 0) - (a < 0)
-    # a + b*sqrt(v) = b * ((u + sqrt(v)) - (u - a/b)).
-    return (1 if b > 0 else -1) * surd.compare(surd.u - a / b)
+    # a + b*sqrt(v) = b * ((u + sqrt(v)) - t) = b * (sqrt(v) - w), w = t - u;
+    # sqrt(v) - w > 0 when w < 0, and otherwise has the sign of v - w^2.
+    w = -a / b
+    side = 1 if w < 0 else (surd.v > w * w) - (surd.v < w * w)
+    return (1 if b > 0 else -1) * side
 
 
 IV_PREC_CAP = 4096

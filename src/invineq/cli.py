@@ -273,9 +273,13 @@ def cmd_bounds(args: SimpleNamespace) -> int:
     rows.sort(key=lambda r: r["n"])
     _emit(rows, args, ("n", "m", "lambda_lo", "lambda_hi", "f1", "M", "ok"),
           project=_bounds_projection)
-    if not all(r["ok"] for r in rows):
+    # Only lambda <= M can be undecided (at the refinement cap), and a
+    # decided failure in any row outranks it.
+    flags = [r["orderings"] for r in rows]
+    if any(not (f["m_le_lambda"] and f["lambda_le_f1"])
+           or f["decided"] and not f["lambda_le_M"] for f in flags):
         return EXIT_FAILURE
-    if not all(r["orderings"]["decided"] for r in rows):
+    if not all(f["decided"] for f in flags):
         return EXIT_UNDECIDED
     return EXIT_OK
 

@@ -14,7 +14,7 @@ so that printed enclosure endpoints stay enclosures.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 
 # The scalar of all exact computation.  Fraction is always stored in lowest
 # terms with a positive denominator, and its arithmetic never rounds.
@@ -34,61 +34,54 @@ def pochhammer(a: Rational | int, n: int) -> Rational:
     return Fraction(prod(range(p, p + n * q, q)), q**n)
 
 
-def icbrt(m: int) -> int:
-    """Integer cube root: largest r with r**3 <= m (m >= 0)."""
-    if m < 0:
-        raise ValueError("icbrt needs m >= 0")
+def iroot(m: int, k: int) -> int:
+    """Integer k-th root: largest r >= 0 with r**k <= m (m >= 0, k >= 1).
+
+    Integer Newton steps from a power of two above the root.  A step from r
+    is the floor of the real Newton step, which is never below the root by
+    AM-GM: so the steps decrease while r**k > m, and stop at the root.
+    """
+    if m < 0 or k < 1:
+        raise ValueError(f"iroot needs m >= 0 and k >= 1, got m = {m}, k = {k}")
     if m == 0:
         return 0
-    r = 1 << ((m.bit_length() + 2) // 3)
+    r = 1 << -(-m.bit_length() // k)
     while True:
-        nr = (2 * r + m // (r * r)) // 3
+        nr = ((k - 1) * r + m // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r * r * r > m:
-        r -= 1
-    return r
+
+
+def root_bounds(x: Rational, k: int, tol: Rational) -> tuple[Rational, Rational]:
+    """Rationals (lo, hi) with lo <= x**(1/k) <= hi and hi - lo <= tol.
+
+    Exact roots collapse to lo == hi.  A negative x needs an odd k, whose
+    root is odd.
+    """
+    if tol <= 0:
+        raise ValueError("root_bounds needs tol > 0")
+    if x < 0:
+        if k % 2 == 0:
+            raise ValueError(f"root_bounds needs x >= 0 for even k = {k}")
+        lo, hi = root_bounds(-x, k, tol)
+        return -hi, -lo
+    p, q = x.numerator, x.denominator
+    # (p/q)^(1/k) = (p*q^(k-1))^(1/k) / q; scale by s so the 1/(q*s) grid beats tol.
+    s = (1 / (tol * q)).__ceil__() + 1
+    m = p * q ** (k - 1) * s**k
+    r = iroot(m, k)
+    return Fraction(r, q * s), Fraction(r if r**k == m else r + 1, q * s)
 
 
 def sqrt_bounds(x: Rational, tol: Rational) -> tuple[Rational, Rational]:
-    """Rationals (lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= tol.
-
-    Exact square roots collapse to lo == hi.
-    """
-    if x < 0:
-        raise ValueError("sqrt_bounds needs x >= 0")
-    if tol <= 0:
-        raise ValueError("sqrt_bounds needs tol > 0")
-    p, q = x.numerator, x.denominator
-    # sqrt(p/q) = sqrt(p*q)/q; scale by k so the 1/(k*q) grid beats tol.
-    k = (1 / (tol * q)).__ceil__() + 1
-    s = isqrt(p * q * k * k)
-    if s * s == p * q * k * k:
-        exact = Fraction(s, q * k)
-        return exact, exact
-    return Fraction(s, q * k), Fraction(s + 1, q * k)
+    """`root_bounds` of x (x >= 0) with k = 2."""
+    return root_bounds(x, 2, tol)
 
 
 def cbrt_bounds(x: Rational, tol: Rational) -> tuple[Rational, Rational]:
-    """Rationals (lo, hi) with lo <= cbrt(x) <= hi and hi - lo <= tol.
-
-    Works for negative x as well (cube root is odd).
-    """
-    if tol <= 0:
-        raise ValueError("cbrt_bounds needs tol > 0")
-    if x < 0:
-        lo, hi = cbrt_bounds(-x, tol)
-        return -hi, -lo
-    p, q = x.numerator, x.denominator
-    # cbrt(p/q) = cbrt(p*q^2)/q, scaled by k as for square roots.
-    k = (1 / (tol * q)).__ceil__() + 1
-    m = p * q * q * k * k * k
-    r = icbrt(m)
-    if r * r * r == m:
-        exact = Fraction(r, q * k)
-        return exact, exact
-    return Fraction(r, q * k), Fraction(r + 1, q * k)
+    """`root_bounds` of x (any sign) with k = 3."""
+    return root_bounds(x, 3, tol)
 
 
 def _atan_inv_bounds(x: int, tol: Fraction) -> tuple[Fraction, Fraction]:

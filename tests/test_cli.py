@@ -18,6 +18,7 @@ from invineq.cli import (
     EXIT_FAILURE,
     EXIT_INTERNAL,
     EXIT_OK,
+    EXIT_UNDECIDED,
     EXIT_USAGE,
     UsageError,
     main,
@@ -176,6 +177,49 @@ class TestBoundsCommand:
         assert code == EXIT_FAILURE
         (row,) = [json.loads(line) for line in out.strip().splitlines()]
         assert row["orderings"]["decided"] and not row["orderings"]["lambda_le_M"]
+
+    @staticmethod
+    def undecided(a, b, *_, **__):
+        return None, a, b
+
+    def test_undecided_ordering_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectra, "ensure_disjoint", self.undecided)
+        code, out = run_cli(capsys, "bounds", "--range", "10")
+        assert code == EXIT_UNDECIDED
+        (row,) = [json.loads(line) for line in out.strip().splitlines()]
+        flags = row["orderings"]
+        assert not flags["decided"] and flags["m_le_lambda"] and flags["lambda_le_f1"]
+
+    def test_decided_failure_outranks_undecided_row(self, capsys, monkeypatch):
+        # n = 6 decides lambda <= M structurally; its lower bound is made to
+        # fail, while n = 10 is left undecided.
+        real = spectra.surd_sign_of_poly
+        monkeypatch.setattr(spectra, "ensure_disjoint", self.undecided)
+        monkeypatch.setattr(spectra, "surd_sign_of_poly",
+                            lambda poly, surd: 1 if poly.degree == 3 else real(poly, surd))
+        code, out = run_cli(capsys, "bounds", "--range", "6,10")
+        assert code == EXIT_FAILURE
+        six, ten = [json.loads(line)["orderings"] for line in out.strip().splitlines()]
+        assert six["decided"] and not six["m_le_lambda"]
+        assert not ten["decided"] and ten["m_le_lambda"]
+
+    # The exact signs behind m <= lambda and lambda <= f1 hold on correct
+    # code, so only a sign routine made to lie shows that a failure is seen.
+    def test_lying_surd_sign_fails_the_lower_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectra, "surd_sign_of_poly", lambda poly, surd: 1)
+        code, out = run_cli(capsys, "bounds", "--range", "10")
+        assert code == EXIT_FAILURE
+        (row,) = [json.loads(line) for line in out.strip().splitlines()]
+        assert not row["orderings"]["m_le_lambda"] and not row["ok"]
+
+    def test_lying_sign_at_f1_fails_the_upper_bound(self, capsys, monkeypatch):
+        real, f1 = spectra.sign_at, char_coeff(1, 10)
+        monkeypatch.setattr(spectra, "sign_at",
+                            lambda coeffs, x: -1 if x == f1 else real(coeffs, x))
+        code, out = run_cli(capsys, "bounds", "--range", "10")
+        assert code == EXIT_FAILURE
+        (row,) = [json.loads(line) for line in out.strip().splitlines()]
+        assert not row["orderings"]["lambda_le_f1"] and not row["ok"]
 
     def test_csv_midpoints_carry_only_supported_digits(self, capsys):
         # n=2 is exact and keeps every digit; at n=8 the 1e-12-wide m and M

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,9 +9,10 @@ from invineq.exact import (
     cbrt_bounds,
     format_decimal,
     format_ratio,
-    icbrt,
+    iroot,
     pi_bounds,
     pochhammer,
+    root_bounds,
     sqrt_bounds,
 )
 
@@ -78,13 +80,28 @@ class TestRadicalBounds:
         with pytest.raises(ValueError):
             sqrt_bounds(F(-1), F(1, 10))
 
-    def test_icbrt(self):
-        assert icbrt(0) == 0
-        assert icbrt(26) == 2
-        assert icbrt(27) == 3
-        big = 10**60 + 12345
-        r = icbrt(big)
-        assert r**3 <= big < (r + 1) ** 3
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_iroot_at_powers(self, k):
+        assert iroot(0, k) == 0
+        assert iroot(1, k) == 1
+        for r in (2, 3, 7, 10**20 + 3, 2**130 - 1):
+            assert iroot(r**k, k) == r
+            assert iroot(r**k - 1, k) == r - 1
+
+    @given(st.integers(0, 2**400), st.integers(1, 6))
+    @example(10**60 + 12345, 3)
+    def test_iroot_brackets(self, m, k):
+        r = iroot(m, k)
+        assert r >= 0 and r**k <= m < (r + 1) ** k
+
+    @given(st.integers(0, 2**400))
+    def test_iroot_is_isqrt(self, m):
+        assert iroot(m, 2) == isqrt(m)
+
+    def test_iroot_rejects_its_domain(self):
+        for m, k in ((-1, 2), (4, 0)):
+            with pytest.raises(ValueError):
+                iroot(m, k)
 
     def test_cbrt_brackets(self):
         lo, hi = cbrt_bounds(F(10), F(1, 10**9))
@@ -100,6 +117,38 @@ class TestRadicalBounds:
         lo, hi = sqrt_bounds(x, F(1, 10**6))
         assert lo * lo <= x <= hi * hi
         assert 0 <= hi - lo <= F(1, 10**6)
+
+    tolerances = st.fractions(min_value=F(1, 10**30), max_value=F(10),
+                              max_denominator=10**30)
+
+    @given(st.fractions(min_value=F(0), max_value=F(10**9), max_denominator=10**6),
+           st.integers(2, 6), tolerances)
+    def test_root_bounds_bracket(self, x, k, tol):
+        lo, hi = root_bounds(x, k, tol)
+        assert lo**k <= x <= hi**k
+        assert 0 <= hi - lo <= tol
+        if k % 2:
+            assert root_bounds(-x, k, tol) == (-hi, -lo)
+
+    @given(st.fractions(min_value=F(0), max_value=F(1000), max_denominator=1000),
+           st.integers(2, 6), tolerances)
+    def test_root_bounds_exact_power(self, y, k, tol):
+        assert root_bounds(y**k, k, tol) == (y, y)
+        if k % 2:
+            assert root_bounds(-(y**k), k, tol) == (-y, -y)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_root_bounds_domain(self, k):
+        with pytest.raises(ValueError):
+            root_bounds(F(2), k, F(0))
+        with pytest.raises(ValueError):
+            root_bounds(F(2), k, F(-1, 10))
+        if k % 2 == 0:
+            with pytest.raises(ValueError):
+                root_bounds(F(-2), k, F(1, 10))
+        else:
+            lo, hi = root_bounds(F(-2), k, F(1, 10))
+            assert lo**k <= -2 <= hi**k
 
 
 class TestPi:

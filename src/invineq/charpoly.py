@@ -39,7 +39,7 @@ class IdentityReport(Record):
 
 
 @lru_cache(maxsize=None)
-def char_coeffs(n: int) -> tuple[Fraction, ...]:
+def char_coeffs(n: int) -> tuple[int, ...]:
     """Coefficient magnitudes f_0, ..., f_nu of the characteristic
     polynomial, f_j = (n-2j+1)_{4j} / (4^j (2j)!), nu = floor(n/2).
 
@@ -50,12 +50,10 @@ def char_coeffs(n: int) -> tuple[Fraction, ...]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    f = 1
-    coeffs = [Fraction(f)]
+    coeffs = [1]
     for j in range(n // 2):
-        f = (f * (n - 2 * j - 1) * (n - 2 * j) * (n + 2 * j + 1) * (n + 2 * j + 2)
-             // (4 * (2 * j + 1) * (2 * j + 2)))
-        coeffs.append(Fraction(f))
+        coeffs.append(coeffs[-1] * (n - 2 * j - 1) * (n - 2 * j) * (n + 2 * j + 1)
+                      * (n + 2 * j + 2) // (4 * (2 * j + 1) * (2 * j + 2)))
     return tuple(coeffs)
 
 
@@ -64,7 +62,7 @@ def char_coeff(j: int, n: int) -> Fraction:
     polynomial: (n-2j+1)_{4j} / (4^j (2j)!), read from char_coeffs(n)."""
     if not 0 <= j <= n // 2:
         raise ValueError(f"need 0 <= j <= floor(n/2), got j={j}, n={n}")
-    return char_coeffs(n)[j]
+    return Fraction(char_coeffs(n)[j])
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +79,7 @@ def char_poly(n: int) -> CharPoly:
     if min(f) <= 0:
         raise ArithmeticError(f"char_poly's coefficients do not strictly alternate at n={n}")
     # The coefficient of x^(nu-j) is (-1)^j f_j.
-    signed = [-c.numerator if j % 2 else c.numerator for j, c in enumerate(f)]
+    signed = [-c if j % 2 else c for j, c in enumerate(f)]
     if len(signed) != nu + 1 or signed[0] != 1:
         raise ArithmeticError(f"char_poly is not monic of degree {nu} at n={n}")
     signed.reverse()

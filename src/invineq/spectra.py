@@ -96,14 +96,8 @@ def coefficient_dominance_holds(n: int) -> bool:
     """Exact check that (f1/2) * f_j > f_{j+1} for 1 <= j <= nu-1, the
     inequality behind every truncation bound used here, tested as
     f1 * f_j > 2 * f_{j+1} on the integers f_j."""
-    f1 = char_coeff(1, n).numerator
-    f = [c.numerator for c in char_coeffs(n)]
-    return all(f1 * f[j] > 2 * f[j + 1] for j in range(1, n // 2))
-
-
-def _coeff_or_zero(j: int, n: int) -> Fraction:
-    """Truncation coefficient, taken as 0 beyond the polynomial degree."""
-    return char_coeff(j, n) if j <= n // 2 else Fraction(0)
+    f = char_coeffs(n)
+    return all(f[1] * f[j] > 2 * f[j + 1] for j in range(1, n // 2))
 
 
 @lru_cache(maxsize=None)
@@ -113,11 +107,11 @@ def bound_lower(n: int) -> QuadraticSurd:
     maximal-root bracket both read it."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    f1 = char_coeff(1, n)
-    v = f1 * f1 / 4 - _coeff_or_zero(2, n)
+    f1, f2 = (char_coeffs(n) + (0,))[1:3]  # f_j = 0 beyond the degree
+    v = Fraction(f1 * f1 - 4 * f2, 4)
     if v <= 0:
         raise RootIsolationError(f"quadratic truncation radicand is not positive at n={n}")
-    return QuadraticSurd(u=f1 / 2, v=v)
+    return QuadraticSurd(u=Fraction(f1, 2), v=v)
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +121,7 @@ def cubic_bound_poly(n: int) -> RatPoly:
     it for the enclosure, the small-n equality and the refinement."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    f1 = char_coeff(1, n)
-    f2 = _coeff_or_zero(2, n)
-    f3 = _coeff_or_zero(3, n)
+    f1, f2, f3 = (char_coeffs(n) + (0, 0))[1:4]
     return RatPoly((-f3, f2, -f1, 1))
 
 

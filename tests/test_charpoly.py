@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -55,6 +55,16 @@ class TestCharCoeff:
                 assert f == pochhammer(n - 2 * j + 1, 4 * j) / (4**j * factorial(2 * j))
                 assert char_coeff(j, n) == f
 
+    def test_binomial_closed_form(self):
+        # f_j = C(n+2j, 4j) (4j-1)!!, computed without the recurrence; the
+        # empty product is the (-1)!! = 1 of j = 0.
+        for n in range(0, 401):
+            for j, f in enumerate(char_coeffs(n)):
+                expected = comb(n + 2 * j, 4 * j) * prod(range(4 * j - 1, 0, -2))
+                assert type(f) is int and f == expected, (n, j)
+                c = char_coeff(j, n)
+                assert type(c) is F and c == expected, (n, j)
+
 
 class TestCharPoly:
     def test_small_instances(self):
@@ -106,8 +116,8 @@ class TestCharPoly:
             assert hash(poly) == hash(canonical) and poly == canonical
 
     @pytest.mark.parametrize("broken", [
-        lambda f: (F(2),) + f[1:],   # leading coefficient 2
-        lambda f: f + (F(1),),       # one coefficient too many
+        lambda f: (2,) + f[1:],      # leading coefficient 2
+        lambda f: f + (1,),          # one coefficient too many
         lambda f: f[:-1],            # one coefficient too few
     ])
     def test_not_monic_of_degree_nu_raises(self, monkeypatch, broken):
@@ -117,7 +127,7 @@ class TestCharPoly:
             char_poly.__wrapped__(10)
 
     @pytest.mark.parametrize("broken", [
-        lambda f: f[:2] + (F(0),) + f[3:],   # f_2 = 0
+        lambda f: f[:2] + (0,) + f[3:],      # f_2 = 0
         lambda f: f[:3] + (-f[3],) + f[4:],  # f_3 < 0
     ])
     def test_not_alternating_raises(self, monkeypatch, broken):

@@ -252,7 +252,8 @@ class TestLowerBound:
 
     def test_non_positive_radicand_raises(self, monkeypatch):
         # f2 >= f1^2/4 would make the quadratic truncation's roots complex.
-        monkeypatch.setattr(spectra, "_coeff_or_zero", lambda j, n: char_coeff(1, n) ** 2)
+        f = char_coeffs(12)
+        monkeypatch.setattr(spectra, "char_coeffs", lambda n: f[:2] + (f[1] ** 2,) + f[3:])
         with pytest.raises(spectra.RootIsolationError, match="n=12"):
             bound_lower.__wrapped__(12)
 
@@ -261,14 +262,14 @@ class TestCoefficientDominance:
     def test_matches_fraction_oracle(self):
         for n in range(2, 401):
             f = char_coeffs(n)
-            half_f1 = f[1] / 2
+            half_f1 = F(f[1], 2)
             expected = all(half_f1 * f[j] > f[j + 1] for j in range(1, n // 2))
             assert coefficient_dominance_holds(n) is expected, n
 
     def test_failing_pair_is_seen(self, monkeypatch):
         # f1 f_j == 2 f_{j+1} is not strict dominance.
         f = list(char_coeffs(12))
-        f[4] = f[1] * f[3] / 2
+        f[4] = f[1] * f[3] // 2
         monkeypatch.setattr(spectra, "char_coeffs", lambda n: tuple(f))
         assert not coefficient_dominance_holds(12)
 

@@ -7,10 +7,11 @@ follow a three-term (continuant) recurrence, run here on integer rows made
 from g and b given as integer (numerator, denominator) pairs (`Pair`), with
 no Fraction: over coefficient lists for the determinant polynomial
 (`_continuant`, behind `determinants.det_hook_pencil`) and over the
-integers at one rational x for a root count (`continuant_count`, behind
-the separators of `spectra._root_cells`).  This module imports only
-`polynomial`, so the root commands read the hooks without compiling the
-matrix and determinant layers.
+integers at one rational x for the count of its roots in (0, x]
+(`continuant_count`, under which `roots._isolating` cuts the boxes of
+`spectra._root_cells`).  This module imports only `polynomial`, so the
+root commands read the hooks without compiling the matrix and determinant
+layers.
 
 Each row is scaled to integers on its own: scaling all of them once by the
 lcm L = lcm(1, 3, ..., 4m + 1) of the hook's denominators would make every
@@ -75,15 +76,16 @@ def _continuant(g: Sequence[Pair], b: Sequence[Pair]) -> RatPoly:
 
 
 def continuant_count(rows: Sequence[tuple[int, int, int, int]], x: Fraction) -> int:
-    """The sign changes in E_0(x), ..., E_m(x) of `continuant_rows`, zeros
-    skipped, from the integers q^k E_k(p/q).  For x > 0, dg > 0 and b < 0,
-    as in the Legendre hooks, they count the negative eigenvalues of the
-    tridiagonal matrix, positive definite at 0 and decreasing in x (Givens
-    1954; Barth, Martin and Wilkinson, Numer. Math. 9, 1967): the roots of
-    E_m in (0, x), one less than in (0, x] when x is a root."""
+    """The roots of E_m in (0, x], as `roots.count_roots` counts them, from
+    the integers q^k E_k(p/q) of `continuant_rows`: the sign changes in
+    E_0(x), ..., E_m(x), zeros skipped, plus one when E_m(x) = 0.  For x > 0,
+    dg > 0 and b < 0, as in the Legendre hooks, the sign changes count the
+    negative eigenvalues of the tridiagonal matrix, positive definite at 0
+    and decreasing in x (Givens 1954; Barth, Martin and Wilkinson, Numer.
+    Math. 9, 1967): the roots of E_m in (0, x)."""
     (p, q), prev, cur, changes, positive = x.as_integer_ratio(), 0, 1, 0, True
     for _, dg, diag, couple in rows:
         cur, prev = (dg * q + diag * p) * cur - couple * p * p * prev, cur
         if cur and (cur > 0) != positive:
             changes, positive = changes + 1, not positive
-    return changes
+    return changes + (cur == 0)

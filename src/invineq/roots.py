@@ -8,13 +8,13 @@ element is a positive rational multiple of the classical Sturm chain
 element, which preserves sign variations while keeping coefficients
 integral).
 
-Two isolation routes end on the same cells.  `_isolating` halves (lo, hi]
-under Sturm counts into isolating intervals, rightmost first, for
-`isolate_all` and `largest_root`.  `_interlaced` needs no Sturm count:
-given separators on a grid, it certifies all roots of a degree-d polynomial
-when d of the brackets they cut show a sign change, else reports failure;
-`spectra._root_cells` then tries separators chosen by continuant counts
-(`spectra._count_separators`), and only then `isolate_all`, the tests' oracle.
+`_isolating` is the one halving descent: it cuts (lo, hi] into isolating
+intervals, rightmost first, under any count of the roots in (lo, x], Sturm
+variations for `isolate_all` and `largest_root` (the tests' oracle) or the
+continuant counts of `hooks.continuant_count` for `spectra._root_cells`.
+`_interlaced` needs no count: given separators on a grid, it certifies all
+roots of a degree-d polynomial when d of the brackets they cut show a sign
+change, else reports failure.
 `_grid_refine` is the only refinement loop, behind `refine`,
 `bisect_sign_change` and `_interlaced`.  It finds the cell of an index
 bracket on a global dyadic grid that bisection to the tolerance would end
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import Rational
 from .polynomial import RatPoly, horner, primitive_split
@@ -337,28 +337,27 @@ def _interlaced(grid: _Grid, degree: int, separators: Iterable[int],
             for (ja, jb, vb), (u, w) in zip(brackets, hints)]
 
 
-def _isolating(chain: list[IntPoly], lo: Fraction, hi: Fraction,
+def _isolating(count: Callable[[Fraction], int], lo: Fraction, hi: Fraction,
                total: int) -> Iterator[tuple[Fraction, Fraction]]:
     """Isolating intervals (a, b] of the `total` distinct roots in (lo, hi],
-    found by halving under Sturm counts, rightmost first.  Lazy: a caller
-    that wants only the largest root stops after one.  Each interval carries
-    the variation count at its right end (None until the first halving needs
-    it), so a halving evaluates the chain once, at the midpoint."""
+    found by halving, rightmost first, where count(b) - count(a) is the
+    number of roots in (a, b] for lo <= a <= b <= hi.  Lazy: a caller that
+    wants only the largest root stops after one.  Each interval carries the
+    count at its right end (None until the first halving needs it), so a
+    halving evaluates `count` once, at the midpoint."""
     stack = [(lo, hi, total, None)]
     while stack:
-        a, b, k, v_b = stack.pop()
+        a, b, k, c_b = stack.pop()
         if k == 0:
             continue
         if k == 1:
             yield a, b
             continue
-        if v_b is None:
-            v_b = variations_at(chain, b)
+        if c_b is None:
+            c_b = count(b)
         mid = (a + b) / 2
-        v_mid = variations_at(chain, mid)
-        k_right = v_mid - v_b
-        left, right = (a, mid, k - k_right, v_mid), (mid, b, k_right, v_b)
-        stack.extend((left, right))
+        c_mid = count(mid)
+        stack.extend(((a, mid, k - c_b + c_mid, c_mid), (mid, b, c_b - c_mid, c_b)))
 
 
 def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
@@ -375,7 +374,7 @@ def isolate_all(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction,
             f"found {total} roots in ({lo}, {hi}], expected {expected}"
         )
     enclosures = [refine(chain[0], a, b, tol)
-                  for a, b in _isolating(chain, lo, hi, total)]
+                  for a, b in _isolating(lambda x: -variations_at(chain, x), lo, hi, total)]
     enclosures.sort(key=lambda e: (e.lo, e.hi))
     return enclosures
 
@@ -386,7 +385,7 @@ def largest_root(poly: RatPoly, lo: Fraction, hi: Fraction, tol: Fraction) -> En
     total = count_roots(chain, lo, hi)
     if total < 1:
         raise RootIsolationError(f"no roots in ({lo}, {hi}]")
-    a, b = next(_isolating(chain, lo, hi, total))
+    a, b = next(_isolating(lambda x: -variations_at(chain, x), lo, hi, total))
     return refine(chain[0], a, b, tol)
 
 

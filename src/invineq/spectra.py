@@ -13,7 +13,7 @@ floating point appears only in the optional dense-eigensolver cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from typing import Callable, Sequence
 
@@ -27,11 +27,12 @@ from .roots import (
     RootIsolationError,
     _Grid,
     _interlaced,
+    _isolating,
     _level,
     bisect_sign_change,
     interval_eval,
-    isolate_all,
     largest_root,
+    refine,
     sign_at,
 )
 
@@ -209,24 +210,6 @@ def refine_max_root(n: int, enc: Enclosure, extra_steps: int) -> Enclosure:
 _last = (0, None, ())
 
 
-def _count_separators(n: int, grid: _Grid) -> list[int]:
-    """Indices s_1 < ... < s_(m-1), m = n // 2, of the grid of (0, f1] with i
-    roots of P_n below s_i, by halving under the counts of its Legendre hook
-    (`verify legendre`); [] when two roots share a cell of the grid."""
-    rows = list(continuant_rows(*legendre_hook_parts(1 - n % 2, n // 2)))
-    found, stack = {}, [(0, 0, grid.top, n // 2)]
-    while stack:
-        a, ca, b, cb = stack.pop()
-        if cb - ca > 1:
-            if b - a == 1:
-                return []
-            j = (a + b) >> 1
-            c = continuant_count(rows, grid.point(j))
-            found[c] = j
-            stack += (a, ca, j, c), (j, c, b, cb)
-    return [found[i] for i in range(1, n // 2)]
-
-
 def _root_cells(n: int, tol: Rational) -> tuple[tuple[int, int, int], ...]:
     """The cells of `all_roots(n, tol)` as `Enclosure.cell` gives them:
     (lo, hi, den) for [lo/den, hi/den], unreduced.
@@ -240,10 +223,14 @@ def _root_cells(n: int, tol: Rational) -> tuple[tuple[int, int, int], ...]:
     refinement starts where root k of n - 2 sat in its bracket (the lower
     half counted from the bottom, the upper from the top): a hint that the
     exact signs overrule.  Otherwise, or when that certificate fails,
-    `_count_separators` chooses them; the counts add no trust.  If that fails
-    too, Sturm counting isolates the roots, finer than the grid only for two
-    roots in one cell.  Every route returns the same cells (a Sturm count
-    other than floor(n/2) raises RootIsolationError).
+    `roots._isolating` cuts (0, f1] into boxes under the counts of the
+    Legendre hook (`verify legendre`), and the grid indices at or below
+    their right ends are the separators; the counts add no trust.  When two
+    roots share a cell, so that `_interlaced` fails, each box is refined as
+    `refine` refines it, finer than the grid for those two, under its own
+    certificate: floor(n/2) boxes (a, b], each with P_n(b) = 0 or P_n(a)
+    P_n(b) < 0, else RootIsolationError.  Every route returns the cells of
+    Sturm isolation (`isolate_all`), and no route builds a Sturm chain.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -260,9 +247,17 @@ def _root_cells(n: int, tol: Rational) -> tuple[tuple[int, int, int], ...]:
         found = _interlaced(grid, n // 2, separators, before[:n // 4] + before[n // 4 - 1:])
         here = [(jb - a, b - a) for a, b, _, jb in found or ()]
     if found is None:
-        found = _interlaced(grid, n // 2, _count_separators(n, grid))
+        rows = list(continuant_rows(*legendre_hook_parts(1 - n % 2, n // 2)))
+        count = partial(continuant_count, rows)
+        boxes = list(_isolating(count, Fraction(0), f1, count(f1)))[::-1]
+        separators = (grid.index(*b.as_integer_ratio()) for _, b in boxes[:-1])
+        found = _interlaced(grid, n // 2, separators)
     if found is None:
-        cells = tuple(e.cell for e in isolate_all(poly, Fraction(0), f1, tol, expected=n // 2))
+        coeffs = poly.primitive
+        signs = [(sign_at(coeffs, a), sign_at(coeffs, b)) for a, b in boxes]
+        if len(boxes) != n // 2 or any(s_b and s_a != -s_b for s_a, s_b in signs):
+            raise RootIsolationError(f"the counted boxes certify no root table at n={n}")
+        cells = tuple(refine(coeffs, a, b, tol).cell for a, b in boxes)
     else:
         cells = tuple(grid.cell(ja, jb) for *_, ja, jb in found)
     _last = (n, tol, (cells, here, positions))

@@ -125,6 +125,11 @@ GATE_RANGES = {
         "b57a26fcc2981612517018bfdc31fcc59a9489c6f5da55fcb66bc5cb7f0b7448",
     "figure --tol 100 --range 2..40":
         "2c277bc49098457d31e87d48c267b14e697bd78f3f6a1e8e4b7ef560e640b18e",
+    # Recorded with every table of this list on the Sturm route
+    # (isolate_all): each n is lone, and two of its roots share a cell of the
+    # tol-100 grid.
+    "figure --tol 100 --range 60,81,100,120":
+        "f68d3081b05153d48063eb27bd8f6bb3bc48b707ab484f8f8ccd70121c7edef5",
     # Recorded with each worker row numbered by its position in its table.
     # A repeated n prints its roots in order, each twice (r0, r0, r1, r1),
     # at a --bits other than the default.

@@ -582,8 +582,9 @@ def hook_rows_and_chain(N: int):
 
 
 class TestContinuantCount:
-    """Sign changes of the Legendre-hook continuant count the roots of P_N
-    in (0, x), as the Sturm chain of P_N counts them in (0, x]."""
+    """Sign changes of the Legendre-hook continuant, plus one at a root,
+    count the roots of P_N in (0, x], as the Sturm chain of P_N counts
+    them."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([2, 3, 5, 8, 13, 20, 31, 40]),
@@ -594,16 +595,15 @@ class TestContinuantCount:
         # x in (0, f1], often among the lowest roots, where they lie closest.
         rows, chain = hook_rows_and_chain(N)
         x = t * char_coeff(1, N)
-        at_root = sign_at(chain[0], x) == 0
-        assert continuant_count(rows, x) == count_roots(chain, 0, x) - at_root
+        assert continuant_count(rows, x) == count_roots(chain, 0, x)
 
     @pytest.mark.parametrize("N", [2, 3])
-    def test_at_a_root_the_count_is_one_less(self, N):
+    def test_a_root_at_x_is_counted(self, N):
         # P_2 and P_3 are linear, with their one root at f1.
         rows, chain = hook_rows_and_chain(N)
         f1 = char_coeff(1, N)
         assert sign_at(chain[0], f1) == 0 and count_roots(chain, 0, f1) == 1
-        assert continuant_count(rows, f1) == 0
+        assert continuant_count(rows, f1) == 1
         assert continuant_count(rows, f1 * F(999, 1000)) == 0
         assert continuant_count(rows, f1 * F(1001, 1000)) == 1
 

@@ -751,5 +751,9 @@ class TestInterlaced:
                     [F(1, 4), F(1)]):
             assert isolate_interlaced(triple, *args, bad) is None
         assert isolate_interlaced(triple, *args, [F(1, 4)]) is None  # too few
+        # Out of order, the brackets (0, 1/2] and (1/2, 1/8] show two sign
+        # changes, but the second bracket is empty: 3/5 is in neither.
+        apart = int_coeffs(poly_from_roots(F(1, 5), F(3, 5)))
+        assert isolate_interlaced(apart, *args, [F(1, 2), F(1, 8)]) is None
         complex_pair = int_coeffs(RatPoly((1, 0, 1)) * poly_from_roots(F(1, 2)))
         assert isolate_interlaced(complex_pair, *args, [F(1, 4)]) is None

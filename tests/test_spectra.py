@@ -13,12 +13,12 @@ except ImportError:  # _interval_surd_sign is then the exact oracle alone
 
 import invineq.roots as roots
 import invineq.spectra as spectra
-from invineq.cli import main
+from invineq.cli import EXIT_INTERNAL, main
 from invineq.determinants import det_poly
 from invineq.matrices import build_boundary
 from invineq.charpoly import char_coeff, char_coeffs, char_poly
 from invineq.polynomial import RatPoly
-from invineq.roots import Enclosure, int_coeffs, isolate_all, smallest_root
+from invineq.roots import Enclosure, RootIsolationError, int_coeffs, isolate_all, smallest_root
 from invineq.spectra import (
     QuadraticSurd,
     all_roots,
@@ -379,7 +379,7 @@ class TestInterlacedRoots:
         # A sweep reads the table of n - 1 and never falls back to Sturm.
         spectra._last = (0, None, ())
         assert all_roots(2, tol) == sturm[2]
-        with mock.patch.object(spectra, "isolate_all", side_effect=AssertionError):
+        with mock.patch.object(roots, "sturm_chain", side_effect=AssertionError):
             for n in range(3, 61):
                 assert all_roots(n, tol) == sturm[n]
         # A lone n, with a cold cache, agrees: n = 2, 3 certify on the one
@@ -422,17 +422,20 @@ class TestInterlacedRoots:
 
     def test_sweep_through_sturm_fallbacks(self):
         # At tol 100 two roots share a cell of the grid at n = 4 and from
-        # n = 6 on, so Sturm isolation certifies those tables, and each next
-        # n maps a Sturm-derived table onto its own grid.
+        # n = 6 on, so each of those tables is refined box by box from the
+        # counted descent, and each next n maps such a table onto its own
+        # grid.  No table builds a Sturm chain.
         tol = F(100)
-        isolate = mock.Mock(side_effect=spectra.isolate_all)
+        expected = {n: sturm_table(n, tol) for n in range(2, 41)}
+        box_refine = mock.Mock(side_effect=spectra.refine)
         fell_back = []
         spectra._last = (0, None, ())
-        with mock.patch.object(spectra, "isolate_all", isolate):
+        with mock.patch.object(spectra, "refine", box_refine), \
+                mock.patch.object(roots, "sturm_chain", side_effect=AssertionError):
             for n in range(2, 41):
-                calls = isolate.call_count
-                assert all_roots(n, tol) == sturm_table(n, tol)
-                if isolate.call_count > calls:
+                calls = box_refine.call_count
+                assert all_roots(n, tol) == expected[n]
+                if box_refine.call_count > calls:
                     fell_back.append(n)
         assert fell_back == [4, *range(6, 41)]
 
@@ -451,7 +454,7 @@ class TestInterlacedRoots:
         for base in (F(1, 10**3), TOL, F(1, 10**24)):
             expected = [sturm_table(n, tol or base) for n, tol in calls]
             spectra._last = (0, None, ())
-            with mock.patch.object(spectra, "isolate_all", side_effect=AssertionError):
+            with mock.patch.object(roots, "sturm_chain", side_effect=AssertionError):
                 assert [all_roots(n, tol or base) for n, tol in calls] == expected
 
     def test_wrong_hints_never_move_a_cell(self):
@@ -483,11 +486,45 @@ class TestInterlacedRoots:
         assert seen[17] == seen[18] == seen[19] == []
         assert len(seen[20]) == len(seen[21]) == 10
 
+    @pytest.mark.parametrize("fault", ["rootless", "one-short"])
+    def test_a_false_counted_box_raises(self, capsys, fault):
+        # The counted descent yields its top box's rootless half, or one box
+        # too few, at n = 10 and tol 100, where two roots share a cell, so
+        # the boxes themselves must certify the table.  They do not: the
+        # table raises, and figure exits 4.
+        isolating = spectra._isolating
+
+        def faulty(count, lo, hi, total):
+            (a, b), *rest = isolating(count, lo, hi, total)  # the real descent
+            if fault == "one-short":
+                return rest
+            mid = (a + b) / 2
+            return [(a, mid) if count(b) > count(mid) else (mid, b), *rest]
+
+        with mock.patch.object(spectra, "_isolating", faulty):
+            spectra._last = (0, None, ())
+            with pytest.raises(RootIsolationError, match=r"at n=10$"):
+                spectra._root_cells(10, F(100))
+            spectra._last = (0, None, ())
+            with pytest.raises(SystemExit) as exc:
+                main(["figure", "--tol", "100", "--range", "10", "--jobs", "1",
+                      "--format", "json"])
+        assert exc.value.code == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: internal: RootIsolationError: ")
+        assert err.endswith("at n=10\n") and err.count("\n") == 1
+
     def test_figure_builds_no_sturm_chain(self, capsys):
-        spectra._last = (0, None, ())
-        with mock.patch.object(roots, "sturm_chain", side_effect=AssertionError):
-            assert main(["figure", "--range", "120", "--jobs", "1", "--format", "json"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 60
+        # At tol 100 two roots share a cell from n = 6 on, and those tables
+        # are refined box by box from the counted descent.
+        for argv, rows in ((["--range", "120"], 60),
+                           (["--tol", "100", "--range", "2..40"], 400),
+                           (["--tol", "100", "--range", "120"], 60)):
+            spectra._last = (0, None, ())
+            with mock.patch.object(roots, "sturm_chain", side_effect=AssertionError):
+                assert main(["figure", *argv, "--jobs", "1", "--format", "json"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == rows
 
     def test_cache_holds_one_table(self):
         for n in range(2, 9):
@@ -661,7 +698,7 @@ class TestAsymptotics:
         # all_roots, which never falls back to Sturm.
         spectra._last = (0, None, ())
         smallest_root_of_index.cache_clear()
-        with mock.patch.object(spectra, "isolate_all", side_effect=AssertionError):
+        with mock.patch.object(roots, "sturm_chain", side_effect=AssertionError):
             for n in range(2, 61):
                 assert smallest_root_of_index(n) == sturm[n]
         # A lone n, with cold caches, agrees.
